@@ -15,6 +15,7 @@ little-endian and values little-endian IEEE doubles.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -455,9 +456,16 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     def take_u64(what: str) -> int:
         return struct.unpack("<Q", take(8, what))[0]
 
+    def take_text(count: int, what: str) -> str:
+        try:
+            return take(count, what).tobytes().decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8 at offset"
+                                  f" {offset - count + exc.start} in {path}") from None
+
     manifest_len = take_u64("manifest length")
     manifest: dict[str, str] = {}
-    for line in take(manifest_len, "manifest").tobytes().decode().splitlines():
+    for line in take_text(manifest_len, "manifest").splitlines():
         if not line.strip():
             continue
         if "=" not in line:
@@ -466,14 +474,16 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         manifest[key] = value
     params: dict[str, np.ndarray] = {}
     while offset < len(raw):
-        name_len = take_u64("tensor name length")
-        name = take(name_len, "tensor name").tobytes().decode()
+        start = offset
+        name = take_text(take_u64("tensor name length"), "tensor name")
+        if name in params:
+            raise CheckpointError(f"duplicate tensor {name} at offset {start} in {path}")
         rank = take_u64(f"rank of {name}")
         if rank > 8:
             raise CheckpointError(f"implausible rank {rank} for {name} in {path}")
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        values = take(8 * count, f"values of {name}")
+        # Python ints: a product of hostile dims must not wrap before the check.
+        values = take(8 * math.prod(dims), f"values of {name}")
         params[name] = np.frombuffer(values, dtype="<f8").reshape(dims).copy()
     return manifest, params
 

@@ -536,8 +536,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  Implemented as im2col plus one matrix product; the backward pass
-    recomputes the column buffer instead of retaining it.
+    width).  Implemented as im2col plus one matrix product.  The column
+    buffer, the layer's largest allocation, is kept only when the kernel needs
+    a gradient.  The input gradient is built one output position at a time,
+    adding that position's [C,kh,kw] block to the window it read.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -565,8 +567,6 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     out = cols @ w_mat.T
     out_data = np.ascontiguousarray(
         out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
-    # The column buffer is the layer's largest allocation; keep it for the
-    # weight gradient only when one will actually be requested.
     kept_cols = cols if (_grad_enabled and kernel.requires_grad) else None
 
     def backward(g):
@@ -574,17 +574,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         if kernel.requires_grad:
             kernel._accumulate((g_mat.T @ kept_cols).reshape(kernel.shape))
         if x.requires_grad:
-            d_cols = (g_mat @ w_mat).reshape(batch, h_out, w_out, c_in, kh, kw)
+            g_pos = g_mat.reshape(batch, h_out, w_out, c_out)
             dx_pad = np.zeros((batch, c_in, hp, wp), dtype=g.dtype)
-            # Scatter tap by tap through reordered views; no full-size copy.
-            for u in range(kh):
-                for v in range(kw):
-                    dx_pad[:, :, u:u + stride * h_out:stride,
-                           v:v + stride * w_out:stride] += \
-                        d_cols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-            if padding:
-                dx_pad = dx_pad[:, :, padding:padding + h, padding:padding + w]
-            x._accumulate(dx_pad)
+            for i in range(h_out):
+                for j in range(w_out):
+                    dx_pad[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += \
+                        (g_pos[:, i, j] @ w_mat).reshape(batch, c_in, kh, kw)
+            x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
 
     return Tensor._node(out_data, (x, kernel), backward, "conv2d")
 

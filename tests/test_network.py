@@ -2,6 +2,8 @@
 behavior, decoder masking, Adam, the train/eval step contracts, and the
 checkpoint binary format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,46 @@ class TestCheckpoint:
         short.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(str(short))
+
+    @staticmethod
+    def saved_blob(tmp_path) -> bytes:
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, micro_model())
+        return open(path, "rb").read()
+
+    @staticmethod
+    def record(name: bytes, dims: tuple[int, ...], values: bytes = b"") -> bytes:
+        return (struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(dims))
+                + struct.pack(f"<{len(dims)}Q", *dims) + values)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        kernel = micro_model().params["stem.kernel"].data
+        bad = tmp_path / "dup.ckpt"
+        bad.write_bytes(blob + self.record(b"stem.kernel", kernel.shape, kernel.tobytes()))
+        with pytest.raises(CheckpointError, match=f"duplicate tensor stem.kernel at offset {len(blob)}"):
+            read_checkpoint(str(bad))
+
+    def test_non_utf8_text_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        manifest_start = len(b"GCAPS1") + 8
+        bad = tmp_path / "manifest.ckpt"
+        bad.write_bytes(blob[:manifest_start] + b"\xff" + blob[manifest_start + 1:])
+        with pytest.raises(CheckpointError, match=f"manifest is not UTF-8 at offset {manifest_start}"):
+            read_checkpoint(str(bad))
+        bad = tmp_path / "name.ckpt"
+        bad.write_bytes(blob + self.record(b"ok\xff", ()))
+        with pytest.raises(CheckpointError,
+                           match=f"tensor name is not UTF-8 at offset {len(blob) + 8 + 2}"):
+            read_checkpoint(str(bad))
+
+    def test_overflowing_dims_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        bad = tmp_path / "huge.ckpt"
+        # 2**62 * 2**62 wraps to 0 in int64, which must not pass as an empty tensor.
+        bad.write_bytes(blob + self.record(b"huge", (2 ** 62, 2 ** 62)))
+        with pytest.raises(CheckpointError, match=f"values of huge at offset {len(blob) + 36}"):
+            read_checkpoint(str(bad))
 
     def test_manifest_is_sorted_key_value_text(self, tmp_path):
         model = micro_model()

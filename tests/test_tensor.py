@@ -257,11 +257,30 @@ class TestConv2d:
         k = Tensor(np.zeros((8, 4, 9, 9)))
         assert conv2d(x20, k, stride=2).shape == (1, 8, 6, 6)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
-    def test_gradients_match_finite_differences(self, stride, padding):
+    @pytest.mark.parametrize("x_shape,k_shape,stride,padding,wrt", [
+        pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 1, 0, (0, 1), id="1-0"),
+        pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 2, 1, (0, 1), id="2-1"),
+        pytest.param((2, 2, 6, 5), (3, 2, 3, 2), 1, 0, (0, 1), id="kernel-3x2"),
+        # Row 5 and column 5 lie in no window, so their gradient must be zero.
+        pytest.param((1, 2, 6, 6), (2, 2, 3, 3), 2, 0, (0, 1), id="stride2-uncovered-edge"),
+        pytest.param((1, 2, 5, 6), (2, 2, 3, 3), 2, 2, (0, 1), id="stride2-padding2"),
+        # A constant kernel keeps no column buffer; a constant input (the stem's
+        # case) computes no input gradient.
+        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 2, 0, (0,), id="input-only"),
+        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 1, 0, (1,), id="kernel-only"),
+    ])
+    def test_gradients_match_finite_differences(self, x_shape, k_shape, stride, padding, wrt):
         rng = np.random.default_rng(62)
-        check_grad(lambda ts: conv2d(ts[0], ts[1], stride=stride, padding=padding).sum(),
-                   [(2, 2, 6, 7), (3, 2, 3, 3)], rng, rel_tol=1e-6)
+        const = [Tensor(rng.standard_normal(s)) for s in (x_shape, k_shape)]
+        wgt = Tensor(rng.standard_normal(conv2d(*const, stride=stride, padding=padding).shape))
+
+        def build(ts):
+            args = list(const)
+            for i, t in zip(wrt, ts):
+                args[i] = t
+            return (conv2d(*args, stride=stride, padding=padding) * wgt).sum()
+
+        check_grad(build, [(x_shape, k_shape)[i] for i in wrt], rng, rel_tol=1e-6)
 
     def test_gradient_with_downstream_weighting(self):
         # A non-uniform cotangent exercises the column scatter fully.
