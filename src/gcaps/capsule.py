@@ -6,6 +6,7 @@ Conventions used throughout:
   W      prediction transforms        [num_lower, num_upper, dim_upper, dim_lower]
   u_hat  prediction vectors           [batch, num_lower, num_upper, dim_upper]
   b, c   routing logits / couplings   [batch, num_lower, num_upper]
+  s      per-type weighted vote sums  [batch, num_types, num_upper, dim_upper]
   v      upper-capsule outputs        [batch, num_upper, dim_upper]
 
 Type groups are contiguous lower-index ranges [t*caps_per_type,
@@ -67,40 +68,6 @@ class CapsLayerSpec:
         return tuple((t * step, (t + 1) * step) for t in range(self.num_types))
 
 
-@dataclass(frozen=True)
-class PredictionTensor:
-    """Prediction vectors u_hat[b, i, j, :] of lower i for upper j."""
-
-    u_hat: Tensor
-
-    def __post_init__(self):
-        if self.u_hat.ndim != 4:
-            raise ShapeError(f"prediction tensor must be 4-d, got {self.u_hat.shape}")
-
-
-@dataclass(frozen=True)
-class LogitMatrix:
-    """Routing logits b[b, i, j]; zero at the start of routing."""
-
-    b: Tensor
-
-    def __post_init__(self):
-        if self.b.ndim != 3:
-            raise ShapeError(f"logit matrix must be 3-d, got {self.b.shape}")
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Normalized couplings c[b, i, j] plus the axis they normalize over."""
-
-    c: Tensor
-    axis_mode: AxisMode
-
-    def __post_init__(self):
-        if self.c.ndim != 3:
-            raise ShapeError(f"coupling matrix must be 3-d, got {self.c.shape}")
-
-
 def _partition_or_error(partition, num_lower: int) -> tuple[tuple[int, int], ...]:
     """Require contiguous groups covering [0, num_lower) exactly."""
     groups = tuple((int(a), int(z)) for a, z in partition)
@@ -132,7 +99,7 @@ def squash(s, axis: int = -1) -> Tensor:
     return s * (n2 / ((1.0 + n2) * norm))
 
 
-def predict(u, weights) -> PredictionTensor:
+def predict(u, weights) -> Tensor:
     """Apply per-pair transforms: u_hat[b,i,j] = W[i,j] @ u[b,i]."""
     u_t, w_t = as_tensor(u), as_tensor(weights)
     if u_t.ndim != 3 or w_t.ndim != 4:
@@ -148,11 +115,11 @@ def predict(u, weights) -> PredictionTensor:
         if u_t.requires_grad:
             u_t._accumulate(np.einsum("njdk,bnjd->bnk", w_t.data, g, optimize=True))
 
-    return PredictionTensor(Tensor._node(out, (u_t, w_t), backward, "predict"))
+    return Tensor._node(out, (u_t, w_t), backward, "predict")
 
 
 def coupling_from_logits(logits, axis_mode: AxisMode,
-                         type_partition=None) -> CouplingMatrix:
+                         type_partition=None) -> Tensor:
     """Softmax the routing logits along the configured normalization axis.
 
     UPPER_PER_LOWER normalizes over upper capsules for each lower capsule;
@@ -160,25 +127,22 @@ def coupling_from_logits(logits, axis_mode: AxisMode,
     LOWER_PER_UPPER normalizes over lower capsules per upper capsule, across
     the whole layer or within each type group when a partition is given.
     """
-    b = logits.b if isinstance(logits, LogitMatrix) else as_tensor(logits)
+    b = as_tensor(logits)
     if b.ndim != 3:
         raise ShapeError(f"routing logits must be 3-d, got {b.shape}")
     if axis_mode is AxisMode.UPPER_PER_LOWER:
-        c = softmax_along(b, axis=2)
-    elif type_partition is None:
-        c = softmax_along(b, axis=1)
-    else:
-        groups = _partition_or_error(type_partition, b.shape[1])
-        sizes = {z - a for a, z in groups}
-        if len(sizes) == 1:
-            # Equal groups: reshape so the group axis is its own dimension.
-            size = sizes.pop()
-            batch, n, j = b.shape
-            folded = b.reshape(batch, n // size, size, j)
-            c = softmax_along(folded, axis=2).reshape(batch, n, j)
-        else:
-            c = _segment_softmax_lower(b, groups)
-    return CouplingMatrix(c=c, axis_mode=axis_mode)
+        return softmax_along(b, axis=2)
+    if type_partition is None:
+        return softmax_along(b, axis=1)
+    groups = _partition_or_error(type_partition, b.shape[1])
+    sizes = {z - a for a, z in groups}
+    if len(sizes) > 1:
+        return _segment_softmax_lower(b, groups)
+    # Equal groups: reshape so the group axis is its own dimension.
+    size = sizes.pop()
+    batch, n, j = b.shape
+    folded = b.reshape(batch, n // size, size, j)
+    return softmax_along(folded, axis=2).reshape(batch, n, j)
 
 
 def _segment_softmax_lower(b: Tensor, groups) -> Tensor:
@@ -202,44 +166,41 @@ def _segment_softmax_lower(b: Tensor, groups) -> Tensor:
     return Tensor._node(out, (b,), backward, "segment_softmax")
 
 
-def weighted_sum(coupling, predictions, index_subset=None) -> Tensor:
-    """s[b,j] = sum_i c[b,i,j] * u_hat[b,i,j], optionally over one index range.
+def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
+    """s[b,t,j] = sum of c[b,i,j] * u_hat[b,i,j] over the lower i of type t.
 
-    ``index_subset`` is a (start, stop) range of lower indices; gradients for
-    the excluded range are zero.
+    The lower index splits into ``num_types`` contiguous equal ranges, so the
+    result is [batch, num_types, num_upper, dim_upper]; one type sums the
+    whole layer.  The op views c as [B, T, K, J] and u_hat as [B, T, K, J, D]
+    (K = N / T) and accumulates its gradients straight into both inputs.
     """
-    c_t = coupling.c if isinstance(coupling, CouplingMatrix) else as_tensor(coupling)
-    u_t = predictions.u_hat if isinstance(predictions, PredictionTensor) \
-        else as_tensor(predictions)
+    c_t, u_t = as_tensor(coupling), as_tensor(predictions)
     if c_t.ndim != 3 or u_t.ndim != 4 or c_t.shape != u_t.shape[:3]:
         raise ShapeError(f"weighted_sum shape mismatch: c {c_t.shape}"
                          f" vs u_hat {u_t.shape}")
-    n = c_t.shape[1]
-    if index_subset is None:
-        lo, hi = 0, n
-    else:
-        lo, hi = int(index_subset[0]), int(index_subset[1])
-        if not (0 <= lo < hi <= n):
-            raise ShapeError(f"index subset ({lo}, {hi}) outside [0, {n})")
-    region = (slice(None), slice(lo, hi))
-    cd, ud = c_t.data[region], u_t.data[region]
-    out = np.einsum("bnj,bnjd->bjd", cd, ud, optimize=True)
+    batch, n, j, d = u_t.shape
+    if num_types < 1 or n % num_types:
+        raise ShapeError(f"weighted_sum cannot split {n} lower capsules"
+                         f" into {num_types} equal types")
+    cv = c_t.data.reshape(batch, num_types, n // num_types, j)
+    uv = u_t.data.reshape(batch, num_types, n // num_types, j, d)
+    # Batched over (b, t, j): [1, K] @ [K, D] on axis-swapped views.
+    u_jk = np.swapaxes(uv, -3, -2)
+    out = (np.swapaxes(cv, -1, -2)[..., None, :] @ u_jk)[..., 0, :]
 
     def backward(g):
         if c_t.requires_grad:
-            c_t._accumulate_at(region, np.einsum("bjd,bnjd->bnj", g, ud, optimize=True))
+            dc = (u_jk @ g[..., None])[..., 0]
+            c_t._accumulate(np.swapaxes(dc, -1, -2).reshape(c_t.shape))
         if u_t.requires_grad:
-            u_t._accumulate_at(region, np.einsum("bjd,bnj->bnjd", g, cd, optimize=True))
+            u_t._accumulate((cv[..., None] * g[:, :, None]).reshape(u_t.shape))
 
     return Tensor._node(out, (c_t, u_t), backward, "weighted_sum")
 
 
-def agreement_update(logits, predictions, v) -> LogitMatrix:
+def agreement_update(logits, predictions, v) -> Tensor:
     """b'[b,i,j] = b[b,i,j] + <u_hat[b,i,j], v[b,j]> for every lower capsule."""
-    b_t = logits.b if isinstance(logits, LogitMatrix) else as_tensor(logits)
-    u_t = predictions.u_hat if isinstance(predictions, PredictionTensor) \
-        else as_tensor(predictions)
-    v_t = as_tensor(v)
+    b_t, u_t, v_t = as_tensor(logits), as_tensor(predictions), as_tensor(v)
     if b_t.ndim != 3 or u_t.shape[:3] != b_t.shape or v_t.ndim != 3 \
             or v_t.shape[0] != u_t.shape[0] or v_t.shape[1] != u_t.shape[2] \
             or v_t.shape[2] != u_t.shape[3]:
@@ -254,7 +215,7 @@ def agreement_update(logits, predictions, v) -> LogitMatrix:
         if v_t.requires_grad:
             v_t._accumulate(np.einsum("bnj,bnjd->bjd", g, u_t.data, optimize=True))
 
-    return LogitMatrix(Tensor._node(out, (b_t, u_t, v_t), backward, "agreement"))
+    return Tensor._node(out, (b_t, u_t, v_t), backward, "agreement")
 
 
 def margin_loss(lengths, labels) -> Tensor:

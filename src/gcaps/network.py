@@ -24,13 +24,14 @@ import numpy as np
 
 from .capsule import (
     RECON_WEIGHT,
+    AxisMode,
     CapsLayerSpec,
     margin_loss,
     predict,
     reconstruction_loss,
     squash,
 )
-from .routing import RoutingConfig, route
+from .routing import Grouping, RoutingConfig, route
 from .seeds import SEED_ROLE_INIT, derived_rng
 from .tensor import NonFiniteError, ShapeError, Tensor, conv2d, first_nonfinite, no_grad
 
@@ -109,6 +110,27 @@ class ArchConfig:
     def pixels(self) -> int:
         return self.input_channels * self.input_height * self.input_width
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter, in build and checkpoint order."""
+        primary_channels = self.num_types * self.primary_dim
+        h1, h2 = self.decoder_hidden
+        return {
+            "stem.kernel": (self.stem_channels, self.input_channels,
+                            self.stem_kernel, self.stem_kernel),
+            "stem.bias": (self.stem_channels,),
+            "primary.kernel": (primary_channels, self.stem_channels,
+                               self.primary_kernel, self.primary_kernel),
+            "primary.bias": (primary_channels,),
+            "routing.weights": (self.num_lower, self.num_classes,
+                                self.digit_dim, self.primary_dim),
+            "decoder.w1": (self.num_classes * self.digit_dim, h1),
+            "decoder.b1": (h1,),
+            "decoder.w2": (h1, h2),
+            "decoder.b2": (h2,),
+            "decoder.w3": (h2, self.pixels),
+            "decoder.b3": (self.pixels,),
+        }
+
     def layer_spec(self) -> CapsLayerSpec:
         return CapsLayerSpec(
             num_lower=self.num_lower, num_upper=self.num_classes,
@@ -177,46 +199,28 @@ class Model:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.clear_grad()
+
+def _init_std(name: str, shape: tuple[int, ...]) -> float:
+    """Normal init scale of one parameter; 0 means it starts at zero."""
+    if name == "routing.weights":
+        return WEIGHT_INIT_STD
+    if name.endswith(".kernel"):
+        # scaled for ReLU fan-in so stem activations start unit-ish
+        return float(np.sqrt(2.0 / math.prod(shape[1:])))
+    if name.startswith("decoder.w"):
+        gain = 1.0 if name == "decoder.w3" else 2.0   # w3 feeds the sigmoid
+        return float(np.sqrt(gain / shape[0]))
+    return 0.0
 
 
 def build_model(arch: ArchConfig, routing: RoutingConfig, seed: int) -> Model:
     """Deterministically initialized model for a (geometry, routing, seed)."""
-    spec = arch.layer_spec()   # validates the grid math
     rng = derived_rng(seed, SEED_ROLE_INIT)
-
-    def conv_init(c_out, c_in, k):
-        # scaled for ReLU fan-in so stem activations start unit-ish
-        std = np.sqrt(2.0 / (c_in * k * k))
-        return Tensor(rng.normal(0.0, std, (c_out, c_in, k, k)), requires_grad=True)
-
-    def dense_init(n_in, n_out, relu_gain=True):
-        std = np.sqrt((2.0 if relu_gain else 1.0) / n_in)
-        return Tensor(rng.normal(0.0, std, (n_in, n_out)), requires_grad=True)
-
-    primary_channels = arch.num_types * arch.primary_dim
-    caps_in = arch.num_classes * arch.digit_dim
-    h1, h2 = arch.decoder_hidden
-    params = {
-        "stem.kernel": conv_init(arch.stem_channels, arch.input_channels,
-                                 arch.stem_kernel),
-        "stem.bias": Tensor(np.zeros(arch.stem_channels), requires_grad=True),
-        "primary.kernel": conv_init(primary_channels, arch.stem_channels,
-                                    arch.primary_kernel),
-        "primary.bias": Tensor(np.zeros(primary_channels), requires_grad=True),
-        "routing.weights": Tensor(
-            rng.normal(0.0, WEIGHT_INIT_STD,
-                       (spec.num_lower, spec.num_upper, spec.dim_upper,
-                        spec.dim_lower)), requires_grad=True),
-        "decoder.w1": dense_init(caps_in, h1),
-        "decoder.b1": Tensor(np.zeros(h1), requires_grad=True),
-        "decoder.w2": dense_init(h1, h2),
-        "decoder.b2": Tensor(np.zeros(h2), requires_grad=True),
-        "decoder.w3": dense_init(h2, arch.pixels, relu_gain=False),
-        "decoder.b3": Tensor(np.zeros(arch.pixels), requires_grad=True),
-    }
+    params = {}
+    for name, shape in arch.param_shapes().items():
+        std = _init_std(name, shape)
+        data = rng.normal(0.0, std, shape) if std else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
     return Model(arch=arch, routing=routing, params=params)
 
 
@@ -483,8 +487,14 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             raise CheckpointError(f"implausible rank {rank} for {name} in {path}")
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
         # Python ints: a product of hostile dims must not wrap before the check.
-        values = take(8 * math.prod(dims), f"values of {name}")
-        params[name] = np.frombuffer(values, dtype="<f8").reshape(dims).copy()
+        values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"),
+                               dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = offset - values.nbytes + 8 * int(np.argmin(finite))
+            raise CheckpointError(f"non-finite value in {name} at offset {at}"
+                                  f" in {path}")
+        params[name] = values.reshape(dims).copy()
     return manifest, params
 
 
@@ -501,8 +511,6 @@ def load_model(path: str, arch: ArchConfig | None = None,
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture description: {exc}") from None
-    from .capsule import AxisMode
-    from .routing import Grouping
     try:
         stored_routing = RoutingConfig(
             softmax_axis=AxisMode(manifest["softmax_axis"]),
@@ -520,15 +528,16 @@ def load_model(path: str, arch: ArchConfig | None = None,
         raise CheckpointError(
             f"manifest mismatch in {path}: checkpoint routing is"
             f" {stored_routing.name}, requested {routing.name}")
-    reference = build_model(stored_arch, stored_routing, seed=0)
-    if set(arrays) != set(reference.params):
+    shapes = stored_arch.param_shapes()
+    if set(arrays) != set(shapes):
         raise CheckpointError(
             f"checkpoint {path} parameter names {sorted(arrays)} do not match"
-            f" the architecture's {sorted(reference.params)}")
-    for name, tensor in reference.params.items():
-        if arrays[name].shape != tensor.shape:
+            f" the architecture's {sorted(shapes)}")
+    params = {}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(
                 f"checkpoint {path}: {name} has shape {arrays[name].shape},"
-                f" expected {tensor.shape}")
-        tensor.data = arrays[name]
-    return reference, manifest
+                f" expected {shape}")
+        params[name] = Tensor(arrays[name], requires_grad=True)
+    return Model(arch=stored_arch, routing=stored_routing, params=params), manifest

@@ -26,7 +26,6 @@ import numpy as np
 from .capsule import (
     AxisMode,
     CapsLayerSpec,
-    PredictionTensor,
     agreement_update,
     coupling_from_logits,
     squash,
@@ -146,11 +145,11 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
     BY_TYPE mode and is None otherwise.
 
     Every iteration recomputes couplings from the logits, forms the
-    weighted vote sum, squashes, and adds the prediction/output agreement
-    back onto the logits (for all lower capsules, against the combined
-    output in grouped mode).
+    weighted vote sum (one per type in grouped mode, in a single op),
+    squashes, and adds the prediction/output agreement back onto the logits
+    (for all lower capsules, against the combined output in grouped mode).
     """
-    u_t = u_hat.u_hat if isinstance(u_hat, PredictionTensor) else as_tensor(u_hat)
+    u_t = as_tensor(u_hat)
     if u_t.ndim != 4:
         raise ShapeError(f"u_hat must be 4-d, got {u_t.shape}")
     batch, n, j, d = u_t.shape
@@ -158,9 +157,9 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
         raise ShapeError(
             f"u_hat shape {u_t.shape} does not match layer spec"
             f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
-    wrapped = PredictionTensor(u_t)
     grouped = config.grouping is Grouping.BY_TYPE
     partition = spec.type_partition() if grouped else None
+    num_types = spec.num_types if grouped else 1
 
     trace = RoutingTrace(spec=spec, config=config,
                          c0=initial_coupling(spec, config)) if capture_trace else None
@@ -168,23 +167,19 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
     v = None
     per_type = None
     for it in range(config.iterations):
-        coupling = coupling_from_logits(b_t, config.softmax_axis, partition)
+        c = coupling_from_logits(b_t, config.softmax_axis, partition)
+        v = squash(weighted_sum(c, u_t, num_types))
         if grouped:
-            group_vs = [squash(weighted_sum(coupling, wrapped, index_subset=g))
-                        for g in partition]
-            total = group_vs[0]
-            for vm in group_vs[1:]:
-                total = total + vm
-            v = squash(total)
-            per_type = Tensor(np.stack([vm.data for vm in group_vs], axis=1))
+            per_type = Tensor(v.data)
+            v = squash(v.sum(axis=1))
         else:
-            v = squash(weighted_sum(coupling, wrapped))
+            v = v.reshape(batch, j, d)
         if trace is not None:
             trace.steps.append(TraceStep(
-                iteration=it, b=b_t.data.copy(), c=coupling.c.data.copy(),
+                iteration=it, b=b_t.data.copy(), c=c.data.copy(),
                 v=v.data.copy(),
                 per_type_v=per_type.data.copy() if grouped else None))
-        b_t = agreement_update(b_t, wrapped, v).b
+        b_t = agreement_update(b_t, u_t, v)
     return v, trace, per_type
 
 
@@ -193,8 +188,7 @@ def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor
 
     Deliberately unvectorized; restricted to small layers so tests stay fast.
     """
-    u_arr = (u_hat.u_hat if isinstance(u_hat, PredictionTensor)
-             else as_tensor(u_hat)).data
+    u_arr = as_tensor(u_hat).data
     batch, n, j, d = u_arr.shape
     if n > 64:
         raise ValueError(f"route_reference handles num_lower <= 64, got {n}")

@@ -125,15 +125,6 @@ class Tensor:
             self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         np.add(self.grad, g, out=self.grad)
 
-    def _accumulate_at(self, region, g: np.ndarray) -> None:
-        """Accumulate into one slice of the gradient buffer (for ops that
-        touch a sub-range and would otherwise pad with full-size zeros)."""
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
-        self.grad[region] += g
-
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires_grad tensor.
 
@@ -388,28 +379,6 @@ def sigmoid(a) -> Tensor:
         a._accumulate(g * out_data * (1.0 - out_data))
 
     return Tensor._node(out_data, (a,), backward, "sigmoid")
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "exp": exp,
-    "sqrt": sqrt,
-    "relu": relu,
-    "sigmoid": sigmoid,
-}
-
-
-def elementwise(op_kind: str, a, b=None) -> Tensor:
-    """Generic dispatch over the elementwise operation set."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op_kind!r}") from None
-    return fn(a) if b is None else fn(a, b)
 
 
 # -- contraction and structure ----------------------------------------------

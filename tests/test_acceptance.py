@@ -26,6 +26,7 @@ from gcaps.capsule import (
     predict,
     reconstruction_loss,
     squash,
+    weighted_sum,
 )
 from gcaps.cli import _find_idx_pair
 from gcaps.data import load_idx, synthetic_dataset, write_idx, batches
@@ -61,6 +62,7 @@ def _grad_cases():
     e3 = Tensor(np.linspace(0.5, 1.5, 24).reshape(2, 3, 4))
     e4 = Tensor(np.linspace(-1.0, 1.0, 120).reshape(2, 5, 3, 4))
     ej = Tensor(np.linspace(0.3, 0.9, 24).reshape(2, 3, 4))
+    et = Tensor(np.linspace(0.3, 0.9, 48).reshape(2, 2, 3, 4))
     one_hot_3x4 = Tensor(np.eye(4)[[0, 2, 1]])
     target = Tensor(np.linspace(0.1, 0.9, 30).reshape(3, 10))
     return [
@@ -91,27 +93,28 @@ def _grad_cases():
                                      padding=1).sigmoid().sum(),
          [(2, 2, 6, 6), (3, 2, 3, 3)], 1e-4),
         ("squash", lambda ts: (squash(ts[0]) * ej).sum(), [(2, 3, 4)], 1e-4),
-        ("predict", lambda ts: (predict(ts[0], ts[1]).u_hat * e4).sum(),
+        ("predict", lambda ts: (predict(ts[0], ts[1]) * e4).sum(),
          [(2, 5, 3), (5, 3, 4, 3)], 1e-4),
         ("coupling-upper", lambda ts: (coupling_from_logits(
-            ts[0], AxisMode.UPPER_PER_LOWER).c * e3).sum(), [(2, 3, 4)], 1e-4),
+            ts[0], AxisMode.UPPER_PER_LOWER) * e3).sum(), [(2, 3, 4)], 1e-4),
         ("coupling-lower", lambda ts: (coupling_from_logits(
-            ts[0], AxisMode.LOWER_PER_UPPER).c * e3).sum(), [(2, 3, 4)], 1e-4),
+            ts[0], AxisMode.LOWER_PER_UPPER) * e3).sum(), [(2, 3, 4)], 1e-4),
         ("coupling-grouped-equal", lambda ts: (coupling_from_logits(
             ts[0], AxisMode.LOWER_PER_UPPER,
-            type_partition=((0, 2), (2, 4))).c
+            type_partition=((0, 2), (2, 4)))
             * Tensor(np.linspace(0.2, 1.0, 24).reshape(2, 4, 3))).sum(),
          [(2, 4, 3)], 1e-4),
         ("coupling-grouped-unequal", lambda ts: (coupling_from_logits(
             ts[0], AxisMode.LOWER_PER_UPPER,
-            type_partition=((0, 3), (3, 5))).c
+            type_partition=((0, 3), (3, 5)))
             * Tensor(np.linspace(0.2, 1.0, 30).reshape(2, 5, 3))).sum(),
          [(2, 5, 3)], 1e-4),
-        ("weighted-sum", lambda ts: (weighted_sum_op(ts[0], ts[1])
-                                     * ej).sum(), [(2, 5, 3), (2, 5, 3, 4)], 1e-4),
-        ("weighted-sum-subset", lambda ts: (weighted_sum_op(
-            ts[0], ts[1], (1, 4)) * ej).sum(), [(2, 5, 3), (2, 5, 3, 4)], 1e-4),
-        ("agreement", lambda ts: (agreement_update(ts[0], ts[1], ts[2]).b
+        ("weighted-sum", lambda ts: (weighted_sum(ts[0], ts[1])
+                                     * ej.reshape(2, 1, 3, 4)).sum(),
+         [(2, 5, 3), (2, 5, 3, 4)], 1e-4),
+        ("weighted-sum-grouped", lambda ts: (weighted_sum(
+            ts[0], ts[1], num_types=2) * et).sum(), [(2, 4, 3), (2, 4, 3, 4)], 1e-4),
+        ("agreement", lambda ts: (agreement_update(ts[0], ts[1], ts[2])
                                   * Tensor(np.linspace(0.1, 1.1, 30).reshape(2, 5, 3))).sum(),
          [(2, 5, 3), (2, 5, 3, 4), (2, 3, 4)], 1e-4),
         ("margin-loss", lambda ts: margin_loss(ts[0].sigmoid(), one_hot_3x4),
@@ -119,11 +122,6 @@ def _grad_cases():
         ("reconstruction-loss", lambda ts: reconstruction_loss(
             ts[0].sigmoid(), target), [(3, 10)], 1e-4),
     ]
-
-
-def weighted_sum_op(c, u, subset=None):
-    from gcaps.capsule import weighted_sum
-    return weighted_sum(c, u, index_subset=subset)
 
 
 def test_criterion_01_gradient_correctness():
@@ -163,7 +161,7 @@ def test_criterion_02_initial_coupling_exactness():
         partition = spec.type_partition() if config.grouping.value != "ungrouped" \
             else None
         c = coupling_from_logits(zeros, config.softmax_axis,
-                                 type_partition=partition).c.data
+                                 type_partition=partition).data
         worst = np.abs(c - expected[name]).max()
         assert worst <= 1e-12, f"{name}: off by {worst:.3e}"
         assert initial_coupling(spec, config) == pytest.approx(

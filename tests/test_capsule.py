@@ -8,9 +8,6 @@ import pytest
 from gcaps.capsule import (
     AxisMode,
     CapsLayerSpec,
-    CouplingMatrix,
-    LogitMatrix,
-    PredictionTensor,
     agreement_update,
     coupling_from_logits,
     margin_loss,
@@ -170,27 +167,27 @@ class TestPredict:
         w = rng.standard_normal((4, 2, 2, 3))
         u = rng.standard_normal((5, 4, 3))
         got = predict(Tensor(u), Tensor(w))
-        assert isinstance(got, PredictionTensor)
-        assert got.u_hat.shape == (5, 4, 2, 2)
-        assert np.allclose(got.u_hat.data, predict_loops(w, u), atol=1e-12)
+        assert isinstance(got, Tensor)
+        assert got.shape == (5, 4, 2, 2)
+        assert np.allclose(got.data, predict_loops(w, u), atol=1e-12)
 
     def test_identity_transform_copies_input(self):
         n, j, d = 3, 2, 4
         w = np.zeros((n, j, d, d))
         w[:, :] = np.eye(d)
         u = np.random.default_rng(92).standard_normal((2, n, d))
-        got = predict(Tensor(u), Tensor(w)).u_hat.data
+        got = predict(Tensor(u), Tensor(w)).data
         for jj in range(j):
             assert np.array_equal(got[:, :, jj, :], u)
 
     def test_zero_weights_give_zero(self):
         u = np.ones((1, 3, 8))
         got = predict(Tensor(u), Tensor(np.zeros((3, 2, 16, 8))))
-        assert not got.u_hat.data.any()
+        assert not got.data.any()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(93)
-        check_grad(lambda ts: (predict(ts[0], ts[1]).u_hat * ts[2]).sum(),
+        check_grad(lambda ts: (predict(ts[0], ts[1]) * ts[2]).sum(),
                    [(2, 3, 4), (3, 2, 3, 4), (2, 3, 2, 3)], rng)
 
     def test_shape_mismatch_raises(self):
@@ -202,30 +199,30 @@ class TestCoupling:
     def test_zero_logits_upper_per_lower_gives_tenth(self):
         b = Tensor(np.zeros((2, 7, 10)))
         c = coupling_from_logits(b, AxisMode.UPPER_PER_LOWER)
-        assert isinstance(c, CouplingMatrix)
-        assert np.abs(c.c.data - 0.1).max() < 1e-15
+        assert isinstance(c, Tensor)
+        assert np.abs(c.data - 0.1).max() < 1e-15
 
     def test_zero_logits_lower_per_upper_ungrouped(self):
         b = Tensor(np.zeros((1, 1152, 10)))
         c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER)
-        assert np.abs(c.c.data - 1.0 / 1152).max() < 1e-15
+        assert np.abs(c.data - 1.0 / 1152).max() < 1e-15
 
     def test_zero_logits_lower_per_upper_grouped(self):
         spec = CapsLayerSpec.reference()
         b = Tensor(np.zeros((1, 1152, 10)))
         c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER,
                                  spec.type_partition())
-        assert np.abs(c.c.data - 1.0 / 36).max() < 1e-15
+        assert np.abs(c.data - 1.0 / 36).max() < 1e-15
 
     def test_normalization_axis_properties(self):
         rng = np.random.default_rng(101)
         b = Tensor(rng.standard_normal((3, 12, 5)) * 4.0)
-        rows = coupling_from_logits(b, AxisMode.UPPER_PER_LOWER).c.data
+        rows = coupling_from_logits(b, AxisMode.UPPER_PER_LOWER).data
         assert np.allclose(rows.sum(axis=2), 1.0, atol=1e-9)
-        cols = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER).c.data
+        cols = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER).data
         assert np.allclose(cols.sum(axis=1), 1.0, atol=1e-9)
         partition = ((0, 4), (4, 8), (8, 12))
-        grouped = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition).c.data
+        grouped = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition).data
         for a, z in partition:
             assert np.allclose(grouped[:, a:z, :].sum(axis=1), 1.0, atol=1e-9)
         assert (grouped >= 0).all()
@@ -235,11 +232,11 @@ class TestCoupling:
         b = rng.standard_normal((2, 8, 3))
         partition = ((0, 4), (4, 8))
         base = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                    partition).c.data
+                                    partition).data
         shifted = b.copy()
         shifted[:, 0:4, :] += 7.25   # constant within the first group
         moved = coupling_from_logits(Tensor(shifted), AxisMode.LOWER_PER_UPPER,
-                                     partition).c.data
+                                     partition).data
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_upper_per_lower_ignores_partition(self):
@@ -247,8 +244,8 @@ class TestCoupling:
         b = rng.standard_normal((2, 6, 4))
         partition = ((0, 3), (3, 6))
         with_p = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER,
-                                      partition).c.data
-        without = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER).c.data
+                                      partition).data
+        without = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER).data
         assert np.array_equal(with_p, without)
 
     def test_grouped_softmax_matches_concatenated_slices(self):
@@ -256,7 +253,7 @@ class TestCoupling:
         b = rng.standard_normal((2, 10, 4))
         partition = ((0, 5), (5, 10))
         got = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                   partition).c.data
+                                   partition).data
         for a, z in partition:
             seg = np.exp(b[:, a:z, :])
             want = seg / seg.sum(axis=1, keepdims=True)
@@ -267,7 +264,7 @@ class TestCoupling:
         b = rng.standard_normal((1, 7, 3))
         partition = ((0, 2), (2, 7))
         got = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                   partition).c.data
+                                   partition).data
         assert np.allclose(got[:, 0:2, :].sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(got[:, 2:7, :].sum(axis=1), 1.0, atol=1e-12)
 
@@ -276,7 +273,7 @@ class TestCoupling:
         partition = ((0, 2), (2, 7))
         check_grad(
             lambda ts: (coupling_from_logits(ts[0], AxisMode.LOWER_PER_UPPER,
-                                             partition).c * ts[1]).sum(),
+                                             partition) * ts[1]).sum(),
             [(1, 7, 3), (1, 7, 3)], rng)
 
     def test_grouped_gradients_match_finite_differences(self):
@@ -284,7 +281,7 @@ class TestCoupling:
         partition = ((0, 4), (4, 8))
         check_grad(
             lambda ts: (coupling_from_logits(ts[0], AxisMode.LOWER_PER_UPPER,
-                                             partition).c * ts[1]).sum(),
+                                             partition) * ts[1]).sum(),
             [(2, 8, 3), (2, 8, 3)], rng)
 
     def test_bad_partition_rejected(self):
@@ -301,39 +298,43 @@ class TestWeightedSum:
         c = rng.uniform(0, 1, (2, 5, 3))
         u_hat = rng.standard_normal((2, 5, 3, 4))
         got = weighted_sum(Tensor(c), Tensor(u_hat))
-        assert np.allclose(got.data, weighted_sum_loops(c, u_hat, 0, 5), atol=1e-12)
+        assert got.shape == (2, 1, 3, 4)
+        assert np.allclose(got.data[:, 0], weighted_sum_loops(c, u_hat, 0, 5), atol=1e-12)
 
-    def test_subset_matches_loop_over_range(self):
+    def test_grouped_slices_match_loops_over_ranges(self):
         rng = np.random.default_rng(112)
         c = rng.uniform(0, 1, (2, 6, 3))
         u_hat = rng.standard_normal((2, 6, 3, 4))
-        got = weighted_sum(Tensor(c), Tensor(u_hat), index_subset=(2, 5))
-        assert np.allclose(got.data, weighted_sum_loops(c, u_hat, 2, 5), atol=1e-12)
+        got = weighted_sum(Tensor(c), Tensor(u_hat), num_types=3)
+        assert got.shape == (2, 3, 3, 4)
+        for t, (lo, hi) in enumerate(((0, 2), (2, 4), (4, 6))):
+            assert np.allclose(got.data[:, t], weighted_sum_loops(c, u_hat, lo, hi),
+                               atol=1e-12)
 
     def test_single_capsule_unit_coupling_passes_through(self):
         rng = np.random.default_rng(113)
         u_hat = rng.standard_normal((3, 1, 4, 5))
         got = weighted_sum(Tensor(np.ones((3, 1, 4))), Tensor(u_hat))
-        assert np.allclose(got.data, u_hat[:, 0], atol=1e-15)
+        assert np.allclose(got.data[:, 0], u_hat[:, 0], atol=1e-15)
 
     def test_uniform_coupling_over_identical_votes(self):
         n = 7
         u_row = np.random.default_rng(114).standard_normal((2, 1, 3, 4))
         u_hat = np.repeat(u_row, n, axis=1)
         got = weighted_sum(Tensor(np.full((2, n, 3), 1.0 / n)), Tensor(u_hat))
-        assert np.allclose(got.data, u_row[:, 0], atol=1e-12)
+        assert np.allclose(got.data[:, 0], u_row[:, 0], atol=1e-12)
 
-    def test_gradients_full_and_subset(self):
+    def test_gradients_full_and_grouped(self):
         rng = np.random.default_rng(115)
         check_grad(lambda ts: (weighted_sum(ts[0], ts[1]) * ts[2]).sum(),
-                   [(2, 4, 3), (2, 4, 3, 2), (2, 3, 2)], rng)
-        check_grad(lambda ts: (weighted_sum(ts[0], ts[1], (1, 3)) * ts[2]).sum(),
-                   [(2, 4, 3), (2, 4, 3, 2), (2, 3, 2)], rng)
+                   [(2, 4, 3), (2, 4, 3, 2), (2, 1, 3, 2)], rng)
+        check_grad(lambda ts: (weighted_sum(ts[0], ts[1], num_types=2) * ts[2]).sum(),
+                   [(2, 4, 3), (2, 4, 3, 2), (2, 2, 3, 2)], rng)
 
-    def test_subset_out_of_range_raises(self):
+    def test_indivisible_type_count_raises(self):
         with pytest.raises(ShapeError):
             weighted_sum(Tensor(np.zeros((1, 4, 2))),
-                         Tensor(np.zeros((1, 4, 2, 3))), index_subset=(2, 6))
+                         Tensor(np.zeros((1, 4, 2, 3))), num_types=3)
 
 
 class TestAgreementUpdate:
@@ -343,15 +344,15 @@ class TestAgreementUpdate:
         u_hat = rng.standard_normal((2, 5, 3, 4))
         v = rng.standard_normal((2, 3, 4))
         got = agreement_update(Tensor(b), Tensor(u_hat), Tensor(v))
-        assert isinstance(got, LogitMatrix)
-        assert np.allclose(got.b.data, agreement_loops(b, u_hat, v), atol=1e-12)
+        assert isinstance(got, Tensor)
+        assert np.allclose(got.data, agreement_loops(b, u_hat, v), atol=1e-12)
 
     def test_zero_output_leaves_logits_unchanged(self):
         rng = np.random.default_rng(122)
         b = rng.standard_normal((1, 4, 2))
         got = agreement_update(Tensor(b), Tensor(rng.standard_normal((1, 4, 2, 3))),
                                Tensor(np.zeros((1, 2, 3))))
-        assert np.array_equal(got.b.data, b)
+        assert np.array_equal(got.data, b)
 
     def test_equal_vectors_increment_by_squared_norm(self):
         # u_hat == v with norm 0.5 adds exactly 0.25 everywhere.
@@ -359,11 +360,11 @@ class TestAgreementUpdate:
         v[:, :, 0] = 0.5
         u_hat = np.broadcast_to(v[:, None], (1, 3, 2, 4)).copy()
         got = agreement_update(Tensor(np.zeros((1, 3, 2))), Tensor(u_hat), Tensor(v))
-        assert np.allclose(got.b.data, 0.25, atol=1e-15)
+        assert np.allclose(got.data, 0.25, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(123)
-        check_grad(lambda ts: (agreement_update(ts[0], ts[1], ts[2]).b
+        check_grad(lambda ts: (agreement_update(ts[0], ts[1], ts[2])
                                * ts[3]).sum(),
                    [(2, 3, 2), (2, 3, 2, 4), (2, 2, 4), (2, 3, 2)], rng)
 

@@ -383,6 +383,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"values of huge at offset {len(blob) + 36}"):
             read_checkpoint(str(bad))
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        model = micro_model()
+        names = list(model.params)
+        for bad_value in (np.nan, np.inf, -np.inf):
+            model.params[names[1]].data[2] = bad_value
+            path = str(tmp_path / "nan.ckpt")
+            save_checkpoint(path, model)
+            blob = open(path, "rb").read()
+            at = blob.index(np.array([bad_value]).tobytes())
+            with pytest.raises(CheckpointError,
+                               match=f"non-finite value in {names[1]} at offset {at}"):
+                load_model(path)
+
     def test_manifest_is_sorted_key_value_text(self, tmp_path):
         model = micro_model()
         path = str(tmp_path / "model.ckpt")

@@ -5,7 +5,7 @@ gradient flow through unrolled iterations."""
 import numpy as np
 import pytest
 
-from gcaps.capsule import AxisMode, CapsLayerSpec, squash
+from gcaps.capsule import AxisMode, CapsLayerSpec, squash, weighted_sum
 from gcaps.routing import (
     Grouping,
     RateOfChangeRow,
@@ -191,6 +191,21 @@ class TestRouteBehaviour:
         assert per_type.shape == (2, 3, 3, 3)
         recombined = squash(Tensor(per_type.data.sum(axis=1))).data
         assert np.abs(v.data - recombined).max() < 1e-10
+
+    def test_grouped_trace_keeps_full_couplings_and_per_type_sums(self):
+        spec = small_spec(num_lower=12, num_upper=3, num_types=3)
+        rng = np.random.default_rng(38)
+        u = rng.standard_normal((2, 12, 3, 3))
+        for name in ("alg3", "alg4"):
+            _, trace, per_type = route(Tensor(u), spec, RoutingConfig.from_name(name),
+                                       capture_trace=True)
+            for step in trace.steps:
+                assert step.c.shape == (2, 12, 3)
+                for t, (a, z) in enumerate(spec.type_partition()):
+                    want = squash(weighted_sum(Tensor(step.c[:, a:z]),
+                                               Tensor(u[:, a:z]))).data[:, 0]
+                    assert np.abs(step.per_type_v[:, t] - want).max() < 1e-12
+            assert np.array_equal(per_type.data, trace.steps[-1].per_type_v)
 
     def test_ungrouped_exposes_no_per_type(self):
         spec = small_spec()
