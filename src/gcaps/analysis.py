@@ -25,7 +25,6 @@ from .network import (
     decode,
     evaluate,
     forward,
-    forward_traced,
     one_hot,
     train_step,
 )
@@ -77,13 +76,10 @@ def write_metrics(path: str, records: list[MetricsRecord]) -> None:
     write_csv(path, METRICS_HEADER, [r.row() for r in records])
 
 
-def _probe_mean_dc(model: Model, images: np.ndarray) -> float:
-    """Mean |c - c_prev| at the final routing iteration on one batch."""
-    if model.routing.iterations < 2:
-        return 0.0
-    with no_grad():
-        _, _, _, trace = forward_traced(model, images)
-    return trace.final_mean_dc()
+def _probe_mean_dc(dc_per_image: np.ndarray, probe_batch: int) -> float:
+    """Mean |c - c_prev| at the final routing iteration over the first
+    ``probe_batch`` images of an evaluation (``evaluate(capture_trace=True)``)."""
+    return float(dc_per_image[:probe_batch].mean())
 
 
 def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
@@ -93,7 +89,8 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
     """Train one model, returning (model, per-epoch MetricsRecords).
 
     Emits one train-split and one test-split record per epoch; accuracy and
-    loss come from full evaluation passes on un-augmented data.  Raises
+    loss come from full evaluation passes on un-augmented data, and so does
+    ``mean_dc``, over the first ``probe_batch`` images of each split.  Raises
     NonFiniteError if optimization diverges (callers may catch and flag).
     """
     model = build_model(arch, routing, seed=train_config.seed)
@@ -110,13 +107,14 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
                                       augment=augment, epoch=epoch):
             train_step(model, optimizer, images, labels)
         for split, ds in (("train", train_ds), ("test", test_ds)):
-            accuracy, loss, _ = evaluate(model, ds.images, ds.labels,
-                                         batch_size=train_config.batch_size)
+            accuracy, loss, _, dc_per_image = evaluate(
+                model, ds.images, ds.labels, batch_size=train_config.batch_size,
+                capture_trace=True)
             records.append(MetricsRecord(
                 run_id=run_id, epoch=epoch, split=split, accuracy=accuracy,
                 loss=loss, lr=optimizer.lr, config=label,
                 wall_seconds=timer() - start, c0=c0,
-                mean_dc=_probe_mean_dc(model, ds.images[:probe_batch])))
+                mean_dc=_probe_mean_dc(dc_per_image, probe_batch)))
     return model, records
 
 
@@ -266,7 +264,7 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
         1, arch.input_channels, arch.input_height, arch.input_width)
     labels_1h = Tensor(one_hot(np.array([label]), arch.num_classes))
     with no_grad():
-        _, caps, per_type = forward(model, img)
+        _, caps, per_type, _ = forward(model, img)
         panels = [decode(model, caps, labels_1h).data.reshape(
             arch.input_height, arch.input_width)]
         for t in range(arch.num_types):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,7 +94,13 @@ def _read_bytes(path: str) -> bytes:
     """Whole file, decompressing transparently when the name ends in .gz."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except EOFError:
+            raise IdxTruncatedError(
+                f"{path}: gzip stream ends before its end marker") from None
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: corrupt gzip data: {exc}") from None
 
 
 def load_idx(images_path: str, labels_path: str, name: str = "dataset",

@@ -26,6 +26,7 @@ from .capsule import (
     RECON_WEIGHT,
     AxisMode,
     CapsLayerSpec,
+    _require_one_hot,
     margin_loss,
     predict,
     reconstruction_loss,
@@ -224,23 +225,14 @@ def build_model(arch: ArchConfig, routing: RoutingConfig, seed: int) -> Model:
     return Model(arch=arch, routing=routing, params=params)
 
 
-def forward(model: Model, images):
-    """Images to (lengths, digit_caps, per_type_caps-or-None).
+def forward(model: Model, images, capture_trace: bool = False):
+    """Images to (lengths, digit_caps, per_type_caps-or-None, trace-or-None).
 
     ``lengths`` [batch, num_classes] are the class scores; ``digit_caps``
     [batch, num_classes, digit_dim] the routed capsules; ``per_type_caps``
-    [batch, num_types, num_classes, digit_dim] only in grouped routing.
+    [batch, num_types, num_classes, digit_dim] only in grouped routing;
+    the RoutingTrace only with ``capture_trace``.
     """
-    lengths, v, per_type, _ = _forward(model, images, capture_trace=False)
-    return lengths, v, per_type
-
-
-def forward_traced(model: Model, images):
-    """forward plus the RoutingTrace (heavier; for coupling analysis)."""
-    return _forward(model, images, capture_trace=True)
-
-
-def _forward(model: Model, images, capture_trace: bool):
     arch = model.arch
     x = images if isinstance(images, Tensor) else Tensor(images)
     if x.ndim != 4 or x.shape[1:] != (arch.input_channels, arch.input_height,
@@ -281,10 +273,7 @@ def decode(model: Model, digit_caps, labels) -> Tensor:
         raise ShapeError(f"decode expects capsules [batch, classes, dim] and"
                          f" matching one-hot labels, got {caps.shape}"
                          f" and {labels_t.shape}")
-    lab = labels_t.data
-    if not (np.isin(lab, (0.0, 1.0)).all()
-            and np.array_equal(lab.sum(axis=1), np.ones(lab.shape[0]))):
-        raise ValueError("labels must be one-hot rows")
+    _require_one_hot(labels_t.data)
     p = model.params
     batch = caps.shape[0]
     masked = caps * labels_t.reshape(batch, caps.shape[1], 1)
@@ -340,9 +329,10 @@ class Adam:
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def batch_loss(model: Model, images, labels_1h):
-    """Forward pass and total loss; returns (loss, lengths, named probes)."""
-    lengths, digit_caps, _ = forward(model, images)
+def batch_loss(model: Model, images, labels_1h, capture_trace: bool = False):
+    """Forward pass and total loss; returns (loss, lengths, named probes,
+    RoutingTrace-or-None)."""
+    lengths, digit_caps, _, trace = forward(model, images, capture_trace)
     margin = margin_loss(lengths, Tensor(labels_1h))
     decoded = decode(model, digit_caps, Tensor(labels_1h))
     flat = images.reshape(images.shape[0], -1) if isinstance(images, np.ndarray) \
@@ -352,7 +342,7 @@ def batch_loss(model: Model, images, labels_1h):
     probes = [("digit_caps", digit_caps), ("lengths", lengths),
               ("decoded", decoded), ("margin_loss", margin),
               ("reconstruction_loss", recon), ("total_loss", total)]
-    return total, lengths, probes
+    return total, lengths, probes, trace
 
 
 def train_step(model: Model, optimizer: Adam, images: np.ndarray,
@@ -361,7 +351,7 @@ def train_step(model: Model, optimizer: Adam, images: np.ndarray,
     labels_1h = one_hot(labels, model.arch.num_classes)
     param_probes = [(f"parameter {k}", t) for k, t in model.params.items()]
     try:
-        total, lengths, probes = batch_loss(model, images, labels_1h)
+        total, lengths, probes, _ = batch_loss(model, images, labels_1h)
     except NonFiniteError as exc:
         culprit = first_nonfinite(param_probes) or "an intermediate activation"
         raise NonFiniteError(f"non-finite values in forward pass ({exc});"
@@ -378,25 +368,31 @@ def train_step(model: Model, optimizer: Adam, images: np.ndarray,
 
 
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 128):
-    """Accuracy, mean total loss, and a (true, predicted) count matrix."""
+             batch_size: int = 128, capture_trace: bool = False):
+    """Accuracy, mean total loss, and a (true, predicted) count matrix; with
+    ``capture_trace`` also each image's final-iteration mean |dc|, [n]."""
     n = len(labels)
     if n == 0:
         raise ValueError("evaluate requires a nonempty dataset")
     num_classes = model.arch.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    dc_per_image = np.zeros(n)
     loss_sum = 0.0
     correct = 0
     with no_grad():
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _ = batch_loss(model, img, one_hot(lab, num_classes))
+            total, lengths, _, trace = batch_loss(
+                model, img, one_hot(lab, num_classes), capture_trace)
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
             correct += int((pred == lab).sum())
             np.add.at(confusion, (lab, pred), 1)
-    return correct / n, loss_sum / n, confusion
+            if capture_trace:
+                dc_per_image[start:start + len(lab)] = trace.final_dc_per_image()
+    result = (correct / n, loss_sum / n, confusion)
+    return result + (dc_per_image,) if capture_trace else result
 
 
 # -- checkpoint io -----------------------------------------------------------
@@ -419,6 +415,9 @@ def save_checkpoint(path: str, model: Model,
     for k, v in (extra or {}).items():
         if "=" in k or "\n" in k or "\n" in str(v):
             raise ValueError(f"manifest entry {k!r} contains reserved characters")
+        if k in manifest:
+            raise ValueError(f"manifest entry {k!r} would overwrite an"
+                             f" architecture or routing key")
         manifest[k] = str(v)
     body = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items())).encode()
     blob = bytearray()
@@ -475,6 +474,8 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         if "=" not in line:
             raise CheckpointError(f"malformed manifest line {line!r} in {path}")
         key, value = line.split("=", 1)
+        if key in manifest:
+            raise CheckpointError(f"duplicate manifest key {key!r} in {path}")
         manifest[key] = value
     params: dict[str, np.ndarray] = {}
     while offset < len(raw):

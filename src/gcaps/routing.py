@@ -97,7 +97,8 @@ def initial_coupling(spec: CapsLayerSpec, config: RoutingConfig) -> float:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """Value snapshots (plain arrays) from one routing iteration."""
+    """Values from one routing iteration: the routing tensors' own arrays,
+    not copies, which is safe because no tensor is mutated once built."""
 
     iteration: int
     b: np.ndarray             # logits the iteration's couplings came from
@@ -119,10 +120,11 @@ class RoutingTrace:
         """|c_t - c_{t-1}| for t = 1..r-1 (empty when r = 1)."""
         return [np.abs(b.c - a.c) for a, b in zip(self.steps, self.steps[1:])]
 
-    def final_mean_dc(self) -> float:
-        """Mean |dc| between the last two iterations; 0 for single-iteration runs."""
-        deltas = self.coupling_deltas()
-        return float(deltas[-1].mean()) if deltas else 0.0
+    def final_dc_per_image(self) -> np.ndarray:
+        """Mean |c_r - c_{r-1}| of each batch item at the last iteration, [batch];
+        zeros for single-iteration runs."""
+        prev = self.steps[-2] if len(self.steps) > 1 else self.steps[-1]
+        return np.abs(self.steps[-1].c - prev.c).mean(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,8 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             v = v.reshape(batch, j, d)
         if trace is not None:
             trace.steps.append(TraceStep(
-                iteration=it, b=b_t.data.copy(), c=c.data.copy(),
-                v=v.data.copy(),
-                per_type_v=per_type.data.copy() if grouped else None))
+                iteration=it, b=b_t.data, c=c.data, v=v.data,
+                per_type_v=per_type.data if grouped else None))
         b_t = agreement_update(b_t, u_t, v)
     return v, trace, per_type
 

@@ -394,7 +394,7 @@ def test_criterion_10_grouped_combination_identity():
             rng = np.random.default_rng(10 + seed)
             images = rng.uniform(0.0, 1.0, size=(4, 1, 28, 28))
             with no_grad():
-                _, v, per_type = forward(model, images)
+                _, v, per_type, _ = forward(model, images)
                 recombined = squash(Tensor(per_type.data.sum(axis=1))).data
             worst = max(worst, float(np.abs(v.data - recombined).max()))
             assert worst <= 1e-10, f"{name} seed {seed}: diff {worst:.3e}"

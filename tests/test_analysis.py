@@ -25,8 +25,9 @@ from gcaps.analysis import (
     write_study,
 )
 from gcaps.data import synthetic_dataset
-from gcaps.network import TrainConfig
+from gcaps.network import ArchConfig, TrainConfig, forward
 from gcaps.routing import RoutingConfig
+from gcaps.tensor import no_grad
 from test_network import micro_arch, micro_model
 from test_routing import small_spec
 
@@ -137,6 +138,31 @@ class TestTrainRun:
                                quick_config(), "r", timer=tick_timer())
         assert all(np.isfinite(r.mean_dc) and r.mean_dc >= 0.0
                    for r in records)
+
+    @pytest.mark.parametrize("name,iterations,batch_size", [
+        ("alg1", 3, 32), ("alg3", 3, 48), ("alg2", 1, 48)])
+    def test_mean_dc_matches_one_traced_forward_over_first_128(
+            self, name, iterations, batch_size):
+        # mean_dc comes from the evaluation batches; it must equal the
+        # final-iteration mean |dc| of one forward over images[:128].
+        # The train split is longer than 128 and the test split shorter.
+        # Wider capsules make that change at least 1e-4 of the couplings,
+        # so last-bit differences in c cannot reach the 1e-12 tolerance.
+        arch = ArchConfig(stem_channels=8, num_types=2, primary_dim=8,
+                          digit_dim=16, decoder_hidden=(16, 32))
+        train = synthetic_dataset(seed=7, n=150, split="train")
+        test = synthetic_dataset(seed=8, n=40, split="test")
+        cfg = TrainConfig(batch_size=batch_size, epochs=1, seed=1)
+        model, records = train_run(train, test, arch,
+                                   RoutingConfig.from_name(name, iterations),
+                                   cfg, "r", timer=tick_timer())
+        for record, ds in zip(records, (train, test)):
+            with no_grad():
+                trace = forward(model, ds.images[:128], capture_trace=True)[3]
+            deltas = trace.coupling_deltas()
+            want = float(deltas[-1].mean()) if deltas else 0.0
+            assert record.mean_dc == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (record.mean_dc == 0.0) == (iterations == 1)
 
     def test_metrics_csv_is_bit_identical_across_reruns(self, tmp_path):
         train, test = tiny_sets()

@@ -2,6 +2,7 @@
 augmentation semantics, batch iteration arithmetic, and the synthetic
 fixture generator."""
 
+import gzip
 import struct
 
 import numpy as np
@@ -26,6 +27,20 @@ def make_pair(tmp_path, images, labels, stem="fix"):
     lp = str(tmp_path / f"{stem}-labels")
     write_idx(ip, lp, images, labels)
     return ip, lp
+
+
+def tiny_pair(tmp_path, compress):
+    """A two-image IDX pair, gzipped to ``<name>.gz`` when ``compress``."""
+    images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
+    pair = make_pair(tmp_path, images, np.array([1, 7], dtype=np.uint8))
+    if not compress:
+        return pair
+    for plain in pair:
+        with open(plain, "rb") as fh:
+            blob = gzip.compress(fh.read(), mtime=0)
+        with open(plain + ".gz", "wb") as fh:
+            fh.write(blob)
+    return tuple(plain + ".gz" for plain in pair)
 
 
 class TestLoadIdx:
@@ -94,6 +109,45 @@ class TestLoadIdx:
         ip.write_bytes(b"\x00\x00")
         with pytest.raises(IdxTruncatedError):
             load_idx(str(ip), str(ip))
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    def test_every_prefix_of_either_file_rejected(self, tmp_path, compress):
+        pair = tiny_pair(tmp_path, compress)
+        assert np.array_equal(load_idx(*pair).labels, [1, 7])
+        for which in (0, 1):
+            with open(pair[which], "rb") as fh:
+                blob = fh.read()
+            for cut in range(len(blob)):
+                # a new file per prefix: replacing one file is far slower
+                short = tmp_path / f"{which}-{cut}{'.gz' if compress else ''}"
+                short.write_bytes(blob[:cut])
+                paths = list(pair)
+                paths[which] = str(short)
+                with pytest.raises(IdxFormatError):
+                    load_idx(*paths)
+
+    def test_truncated_gzip_stream(self, tmp_path):
+        ip, lp = tiny_pair(tmp_path, compress=True)
+        blob = open(ip, "rb").read()
+        open(ip, "wb").write(blob[:-10])
+        with pytest.raises(IdxTruncatedError, match=f"{ip}: gzip stream ends"):
+            load_idx(ip, lp)
+
+    def test_corrupt_gzip_file(self, tmp_path):
+        ip, lp = tiny_pair(tmp_path, compress=True)
+        blob = bytearray(open(ip, "rb").read())
+        blob[-8] ^= 0xFF                       # the CRC-32 trailer
+        open(ip, "wb").write(bytes(blob))
+        with pytest.raises(IdxFormatError, match=f"{ip}: corrupt gzip data"):
+            load_idx(ip, lp)
+
+    def test_corrupt_deflate_data(self, tmp_path):
+        ip, lp = tiny_pair(tmp_path, compress=True)
+        blob = bytearray(open(ip, "rb").read())
+        blob[10] = 0b111                        # final block of reserved type 3
+        open(ip, "wb").write(bytes(blob))
+        with pytest.raises(IdxFormatError, match=f"{ip}: corrupt gzip data"):
+            load_idx(ip, lp)
 
 
 class TestDataset:

@@ -109,15 +109,15 @@ class TestForward:
         model = micro_model()
         rng = np.random.default_rng(51)
         images = rng.uniform(0, 1, (3, 1, 28, 28))
-        lengths, caps, per_type = forward(model, images)
+        lengths, caps, per_type, trace = forward(model, images)
         assert lengths.shape == (3, 10)
         assert caps.shape == (3, 10, 4)
-        assert per_type is None
+        assert per_type is None and trace is None
         assert (lengths.data >= 0).all() and (lengths.data < 1).all()
 
     def test_zero_image_zero_bias_scores_zero(self):
         model = micro_model()
-        lengths, _, _ = forward(model, np.zeros((2, 1, 28, 28)))
+        lengths, _, _, _ = forward(model, np.zeros((2, 1, 28, 28)))
         assert np.abs(lengths.data).max() < 1e-8
 
     def test_deterministic_given_seed_and_input(self):
@@ -131,7 +131,7 @@ class TestForward:
         model = micro_model("alg4")
         rng = np.random.default_rng(53)
         images = rng.uniform(0, 1, (2, 1, 28, 28))
-        _, caps, per_type = forward(model, images)
+        _, caps, per_type, _ = forward(model, images)
         assert per_type.shape == (2, 2, 10, 4)
         recombined = squash(Tensor(per_type.data.sum(axis=1))).data
         assert np.abs(caps.data - recombined).max() < 1e-10
@@ -343,6 +343,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(str(short))
 
+    def test_prefixes_through_framing_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        start = len(b"GCAPS1") + 8
+        offset = start + struct.unpack("<Q", blob[start - 8:start])[0]
+        cuts = set(range(offset + 1))
+        while offset < len(blob):
+            # every offset through one tensor's name and dims, then the
+            # first and last byte of its values
+            (name_len,) = struct.unpack("<Q", blob[offset:offset + 8])
+            at = offset + 8 + name_len
+            (rank,) = struct.unpack("<Q", blob[at:at + 8])
+            dims = struct.unpack(f"<{rank}Q", blob[at + 8:at + 8 + 8 * rank])
+            values = at + 8 + 8 * rank
+            cuts.update(range(offset, values + 1))
+            offset = values + 8 * int(np.prod(dims))
+            cuts.update((values + 1, offset - 1))
+        assert offset == len(blob)
+        cuts.discard(len(blob))
+        for cut in sorted(cuts):
+            # a new file per prefix: replacing one file is far slower
+            short = tmp_path / f"cut-{cut}.ckpt"
+            short.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_model(str(short))
+
     @staticmethod
     def saved_blob(tmp_path) -> bytes:
         path = str(tmp_path / "model.ckpt")
@@ -395,6 +420,24 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError,
                                match=f"non-finite value in {names[1]} at offset {at}"):
                 load_model(path)
+
+    def test_extra_entry_cannot_overwrite_manifest_key(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="'grouping' would overwrite"):
+            save_checkpoint(str(path), micro_model("alg1"),
+                            extra={"grouping": "by_type"})
+        assert not path.exists()
+
+    def test_duplicate_manifest_key_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        start = len(b"GCAPS1") + 8
+        (length,) = struct.unpack("<Q", blob[start - 8:start])
+        body = blob[start:start + length] + b"iterations=1\n"
+        bad = tmp_path / "dup-key.ckpt"
+        bad.write_bytes(b"GCAPS1" + struct.pack("<Q", len(body)) + body
+                        + blob[start + length:])
+        with pytest.raises(CheckpointError, match="duplicate manifest key 'iterations'"):
+            read_checkpoint(str(bad))
 
     def test_manifest_is_sorted_key_value_text(self, tmp_path):
         model = micro_model()

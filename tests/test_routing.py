@@ -10,7 +10,6 @@ from gcaps.routing import (
     Grouping,
     RateOfChangeRow,
     RoutingConfig,
-    RoutingTrace,
     initial_coupling,
     rate_of_change_report,
     route,
@@ -308,7 +307,26 @@ class TestTraceAndReport:
         with pytest.raises(ValueError):
             rate_of_change_report(trace)
 
-    def test_final_mean_dc_zero_for_single_iteration(self):
-        trace = RoutingTrace(spec=small_spec(),
-                             config=RoutingConfig.from_name("alg1", 1), c0=0.5)
-        assert trace.final_mean_dc() == 0.0
+    def test_final_dc_per_image_zero_for_single_iteration(self):
+        u_hat = Tensor(np.random.default_rng(45).standard_normal((3, 6, 2, 3)))
+        _, trace, _ = route(u_hat, small_spec(),
+                            RoutingConfig.from_name("alg1", 1), capture_trace=True)
+        assert np.array_equal(trace.final_dc_per_image(), np.zeros(3))
+
+    def test_trace_steps_keep_their_values_after_routing_returns(self):
+        # Steps hold the routing tensors' buffers, not copies: a backward
+        # pass and a second routing call must leave them as they were built.
+        spec = small_spec(num_lower=12, num_upper=3, num_types=3)
+        u = np.random.default_rng(46).standard_normal((2, 12, 3, 3))
+        for name in ALL_NAMES:
+            config = RoutingConfig.from_name(name, 4)
+            u_hat = Tensor(u, requires_grad=True)
+            v, trace, _ = route(u_hat, spec, config, capture_trace=True)
+            v.sum().backward()
+            route(u_hat, spec, config, capture_trace=True)
+            assert np.array_equal(trace.steps[0].b, np.zeros((2, 12, 3)))
+            assert np.abs(trace.steps[0].c - trace.c0).max() < 1e-12
+            for a, b in zip(trace.steps, trace.steps[1:]):
+                agreement = np.einsum("bnjd,bjd->bnj", u, a.v)
+                assert np.abs(b.b - (a.b + agreement)).max() < 1e-12
+            assert np.array_equal(trace.steps[-1].v, v.data)
