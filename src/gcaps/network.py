@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,28 +144,21 @@ class ArchConfig:
         return cls(stem_channels=32, num_types=8, decoder_hidden=(128, 256))
 
     def to_manifest(self) -> dict[str, str]:
-        return {
-            "input_channels": str(self.input_channels),
-            "input_height": str(self.input_height),
-            "input_width": str(self.input_width),
-            "stem_channels": str(self.stem_channels),
-            "stem_kernel": str(self.stem_kernel),
-            "stem_stride": str(self.stem_stride),
-            "num_types": str(self.num_types),
-            "primary_dim": str(self.primary_dim),
-            "primary_kernel": str(self.primary_kernel),
-            "primary_stride": str(self.primary_stride),
-            "num_classes": str(self.num_classes),
-            "digit_dim": str(self.digit_dim),
-            "decoder_hidden": ",".join(str(h) for h in self.decoder_hidden),
-        }
+        """Each field as text; ``decoder_hidden`` as comma-separated widths."""
+        manifest = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            manifest[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        return manifest
 
     @classmethod
     def from_manifest(cls, manifest: dict[str, str]) -> "ArchConfig":
-        hidden = tuple(int(h) for h in manifest["decoder_hidden"].split(","))
-        ints = {k: int(manifest[k]) for k in cls().to_manifest()
-                if k != "decoder_hidden"}
-        return cls(decoder_hidden=hidden, **ints)
+        values = {}
+        for f in fields(cls):
+            text = manifest[f.name]
+            values[f.name] = (tuple(int(v) for v in text.split(","))
+                              if isinstance(f.default, tuple) else int(text))
+        return cls(**values)
 
 
 @dataclass(frozen=True)

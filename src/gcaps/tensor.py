@@ -13,6 +13,7 @@ backward passes without a reset sum their contributions.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -242,20 +243,12 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def zeros(shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
-
-
 def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
     """Resolve the trailing-rule broadcast shape or raise ShapeError."""
-    out = []
-    for da, db in zip(reversed((1,) * max(0, len(sb) - len(sa)) + sa),
-                      reversed((1,) * max(0, len(sa) - len(sb)) + sb)):
-        if da == db or da == 1 or db == 1:
-            out.append(max(da, db))
-        else:
-            raise ShapeError(f"cannot broadcast shapes {sa} and {sb}")
-    return tuple(reversed(out))
+    try:
+        return np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {sa} and {sb}") from None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -505,33 +498,87 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  Implemented as im2col plus one matrix product.  The column
-    buffer, the layer's largest allocation, is kept only when the kernel needs
-    a gradient.  The input gradient is built one output position at a time,
-    adding that position's [C,kh,kw] block to the window it read.
+    width).  Each call runs one of two algorithms, chosen from the shapes by
+    ``_spectral_is_cheaper``: the one that makes fewer multiplications,
+    counting the backward products of every gradient that will be recorded.
+
+    * im2col (``_conv2d_im2col``): a column buffer of every window, then one
+      matrix product.  The buffer, the layer's largest allocation, is kept
+      only when the kernel needs a gradient.  The input gradient is built one
+      output position at a time.
+    * spectral (``_conv2d_spectral``): one channel product per frequency of
+      the padded grid's half spectrum, inverted only at the strided output
+      positions.  It keeps the input's spectrum when the kernel needs a
+      gradient and the kernel's spectrum when the input does.  Results differ
+      from im2col's by rounding (about 1e-15 of the largest value in
+      float64), and a NaN or infinity anywhere in one image reaches every
+      output of that image.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
-    batch, c_in, h, w = x.shape
-    c_out, kc, kh, kw = kernel.shape
-    if kc != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
+    spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
+                                    _grad_enabled and x.requires_grad,
+                                    _grad_enabled and kernel.requires_grad)
+    return (_conv2d_spectral if spectral else _conv2d_im2col)(x, kernel, stride, padding)
+
+
+def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
+                     stride: int, padding: int) -> tuple[int, int]:
+    """Validated output height and width of a conv2d call."""
+    if len(x_shape) != 4 or len(k_shape) != 4:
+        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x_shape} and {k_shape}")
+    if k_shape[1] != x_shape[1]:
+        raise ShapeError(f"conv2d channel mismatch: input {x_shape} vs kernel {k_shape}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got {stride}, {padding}")
-    hp, wp = h + 2 * padding, w + 2 * padding
+    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+    kh, kw = k_shape[2:]
     if kh > hp or kw > wp:
         raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {hp}x{wp} (shape {x.shape}, padding {padding})")
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
+            f"kernel {kh}x{kw} larger than padded input {hp}x{wp} (shape {x_shape}, padding {padding})")
+    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    if padding:
-        x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        x_pad = x.data
 
-    cols = _im2col(x_pad, kh, kw, stride, h_out, w_out)
+def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
+                         padding: int, x_grad: bool, k_grad: bool) -> bool:
+    """Whether ``_conv2d_spectral`` makes fewer multiplications than im2col.
+
+    A real product counts 1 and a complex one 4; the FFT of an n-point grid
+    counts n*log2(n).  ``x_grad`` and ``k_grad`` say which gradients will be
+    recorded, adding their backward products to both sides.
+    """
+    h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
+    batch, c_in, h, w = x_shape
+    c_out, _, kh, kw = k_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    freqs, taps, points = hp * (wp // 2 + 1), kh * kw, h_out * w_out
+    fft = batch * c_in * hp * wp * math.log2(hp * wp)
+    # forward: the input's spectrum, the kernel's, the channel products and
+    # the inverse at the output positions
+    spectral = fft + 4 * freqs * (c_out * c_in * taps + batch * c_in * c_out
+                                  + batch * c_out * points)
+    if x_grad or k_grad:   # the output gradient's spectrum
+        spectral += 4 * freqs * batch * c_out * points
+    if k_grad:   # channel products, inverse at the taps
+        spectral += 4 * freqs * (batch * c_out * c_in + c_out * c_in * taps)
+    if x_grad:   # channel products, inverse FFT
+        spectral += 4 * freqs * batch * c_out * c_in + fft
+    return spectral < batch * points * c_in * taps * c_out * (1 + x_grad + k_grad)
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
+    """conv2d as one product of the windows' column buffer with the kernel."""
+    h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    batch, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+
+    cols = _im2col(_pad(x.data, padding), kh, kw, stride, h_out, w_out)
     w_mat = kernel.data.reshape(c_out, -1)
     out = cols @ w_mat.T
     out_data = np.ascontiguousarray(
@@ -561,6 +608,83 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
     batch, c_in = x_pad.shape[:2]
     return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
         batch * h_out * w_out, c_in * kh * kw)
+
+
+def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
+    """conv2d as per-frequency channel products on the padded hp x wp grid.
+
+    With X, K and G the spectra of the padded input, the zero-padded kernel
+    and the output gradient placed at its strided positions, the output's
+    spectrum is X conj(K), the kernel gradient's sum_b conj(G) X and the
+    padded input gradient's G K, each a matrix product over channels at
+    every frequency.  No window wraps around the grid, so these circular
+    correlations equal the direct ones.  Spectra hold the F = hp * (wp//2 + 1)
+    frequencies of a real FFT, in the inputs' complex dtype (complex64 for
+    float32); the output and the kernel gradient are inverted only at their
+    own points.
+    """
+    h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    batch, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    freqs = hp * (wp // 2 + 1)
+    ctype = np.result_type(x.data.dtype, kernel.data.dtype, np.complex64)
+    tap_dft = _dft_matrix(hp, wp, np.arange(kh), np.arange(kw))
+    out_dft = _dft_matrix(hp, wp, np.arange(h_out) * stride, np.arange(w_out) * stride)
+
+    # The conjugate of X, [F, B, C]: then conj(X conj(K)) = conj(X) K needs no
+    # conjugated copy of the kernel's spectrum.
+    x_conj = np.empty((freqs, batch, c_in), dtype=ctype)
+    np.conjugate(np.fft.rfft2(_pad(x.data, padding)).reshape(batch, c_in, freqs)
+                 .transpose(2, 0, 1), out=x_conj)
+    k_spec = (tap_dft.astype(ctype) @ kernel.data.reshape(c_out * c_in, kh * kw).T
+              ).reshape(freqs, c_out, c_in)
+    out_conj = x_conj @ k_spec.transpose(0, 2, 1)
+    out = _inverse_at(out_dft, hp, wp, ctype) @ out_conj.reshape(freqs, batch * c_out)
+    out_data = _transposed(out.real).reshape(batch, c_out, h_out, w_out)
+    kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
+    kept_k = k_spec if (_grad_enabled and x.requires_grad) else None
+
+    def backward(g):
+        g_spec = (out_dft.astype(ctype) @ g.reshape(batch * c_out, h_out * w_out).T
+                  ).reshape(freqs, batch, c_out)
+        if kernel.requires_grad:
+            dk_conj = (g_spec.transpose(0, 2, 1) @ kept_x).reshape(freqs, c_out * c_in)
+            dk = (_inverse_at(tap_dft, hp, wp, ctype) @ dk_conj).real
+            kernel._accumulate(_transposed(dk).reshape(kernel.shape))
+        if x.requires_grad:
+            dx_spec = _transposed((g_spec @ kept_k).reshape(freqs, batch * c_in))
+            dx_pad = np.fft.irfft2(dx_spec.reshape(batch, c_in, hp, -1), s=(hp, wp))
+            x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
+
+    return Tensor._node(out_data, (x, kernel), backward, "conv2d")
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """C-contiguous ``a.T`` of a 2-D array with few, long rows, written in
+    ``a``'s order.  A plain copy reads ``a`` down its columns, at a stride
+    that is often a large power of two, and runs up to 20 times slower."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    np.positive(a, out=out.T)
+    return out
+
+
+def _dft_matrix(hp: int, wp: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """[F, R*C] complex128: the real-FFT frequencies of an hp x wp grid
+    against the points (rows x cols), exp(-2 pi i (f1 r / hp + f2 c / wp))."""
+    by_row = np.exp(-2j * np.pi * (np.outer(np.arange(hp), rows) % hp) / hp)
+    by_col = np.exp(-2j * np.pi * (np.outer(np.arange(wp // 2 + 1), cols) % wp) / wp)
+    return (by_row[:, None, :, None] * by_col[None, :, None, :]).reshape(hp * (wp // 2 + 1), -1)
+
+
+def _inverse_at(dft: np.ndarray, hp: int, wp: int, ctype) -> np.ndarray:
+    """[P, F] matrix whose product with the conjugate of a real signal's half
+    spectrum has, as real part, the signal at the P points ``dft`` was built
+    for.  The half spectrum stands for the whole one: each column other than
+    0 and wp/2 is weighted twice, for its conjugate twin."""
+    col = np.arange(wp // 2 + 1)
+    weight = np.where((col == 0) | (2 * col == wp), 1.0, 2.0) / (hp * wp)
+    return (dft * np.tile(weight, hp)[:, None]).T.astype(ctype)
 
 
 # -- numeric differentiation (shared by tests and diagnostics) ---------------

@@ -316,6 +316,31 @@ class TestCheckpoint:
         for k in model.params:
             assert np.array_equal(loaded.params[k].data, model.params[k].data)
 
+    @pytest.mark.parametrize("arch,routing,text", [
+        pytest.param(ArchConfig(), "alg1",
+                     "decoder_hidden=512,1024\ndigit_dim=16\ngrouping=ungrouped\n"
+                     "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
+                     "num_classes=10\nnum_types=32\nprimary_dim=8\nprimary_kernel=9\n"
+                     "primary_stride=2\nsoftmax_axis=upper_per_lower\nstem_channels=256\n"
+                     "stem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n", id="default"),
+        pytest.param(ArchConfig.compact(), "alg4",
+                     "decoder_hidden=128,256\ndigit_dim=16\ngrouping=by_type\n"
+                     "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
+                     "num_classes=10\nnum_types=8\nprimary_dim=8\nprimary_kernel=9\n"
+                     "primary_stride=2\nsoftmax_axis=lower_per_upper\nstem_channels=32\n"
+                     "stem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n", id="compact"),
+    ])
+    def test_manifest_text_is_fixed(self, tmp_path, arch, routing, text):
+        # Written checkpoints must stay byte-identical whatever builds the manifest.
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, Model(arch=arch, routing=RoutingConfig.from_name(routing),
+                                    params={}))
+        body = text.encode()
+        with open(path, "rb") as fh:
+            assert fh.read() == b"GCAPS1" + struct.pack("<Q", len(body)) + body
+        manifest, _ = read_checkpoint(path)
+        assert ArchConfig.from_manifest(manifest) == arch
+
     def test_expectations_enforced(self, tmp_path):
         model = micro_model("alg1")
         path = str(tmp_path / "model.ckpt")

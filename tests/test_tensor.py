@@ -5,11 +5,15 @@ structural invariants of the tape."""
 import numpy as np
 import pytest
 
+import gcaps.tensor as tensor_module
 from gcaps.tensor import (
     GradTape,
     NonFiniteError,
     ShapeError,
     Tensor,
+    _conv2d_im2col,
+    _conv2d_spectral,
+    _spectral_is_cheaper,
     add,
     conv2d,
     matmul,
@@ -237,12 +241,17 @@ def conv2d_direct(x, k, stride, padding):
 
 
 class TestConv2d:
+    """Each of conv2d's two algorithms, called directly; im2col here and
+    spectral in the subclass."""
+
+    conv = staticmethod(_conv2d_im2col)
+
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 2), (2, 1)])
     def test_matches_direct_evaluation(self, stride, padding):
         rng = np.random.default_rng(61)
         x = rng.standard_normal((2, 3, 9, 8))
         k = rng.standard_normal((4, 3, 3, 3))
-        got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+        got = self.conv(Tensor(x), Tensor(k), stride, padding)
         want = conv2d_direct(x, k, stride, padding)
         assert got.shape == want.shape
         assert np.allclose(got.data, want, atol=1e-10)
@@ -250,10 +259,10 @@ class TestConv2d:
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 1, 28, 28)))
         k9 = Tensor(np.zeros((4, 1, 9, 9)))
-        assert conv2d(x, k9, stride=1).shape == (1, 4, 20, 20)
+        assert self.conv(x, k9, 1, 0).shape == (1, 4, 20, 20)
         x20 = Tensor(np.zeros((1, 4, 20, 20)))
         k = Tensor(np.zeros((8, 4, 9, 9)))
-        assert conv2d(x20, k, stride=2).shape == (1, 8, 6, 6)
+        assert self.conv(x20, k, 2, 0).shape == (1, 8, 6, 6)
 
     @pytest.mark.parametrize("x_shape,k_shape,stride,padding,wrt", [
         pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 1, 0, (0, 1), id="1-0"),
@@ -262,21 +271,21 @@ class TestConv2d:
         # Row 5 and column 5 lie in no window, so their gradient must be zero.
         pytest.param((1, 2, 6, 6), (2, 2, 3, 3), 2, 0, (0, 1), id="stride2-uncovered-edge"),
         pytest.param((1, 2, 5, 6), (2, 2, 3, 3), 2, 2, (0, 1), id="stride2-padding2"),
-        # A constant kernel keeps no column buffer; a constant input (the stem's
-        # case) computes no input gradient.
+        # A constant kernel keeps nothing for a kernel gradient; a constant
+        # input (the stem's case) computes no input gradient.
         pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 2, 0, (0,), id="input-only"),
         pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 1, 0, (1,), id="kernel-only"),
     ])
     def test_gradients_match_finite_differences(self, x_shape, k_shape, stride, padding, wrt):
         rng = np.random.default_rng(62)
         const = [Tensor(rng.standard_normal(s)) for s in (x_shape, k_shape)]
-        wgt = Tensor(rng.standard_normal(conv2d(*const, stride=stride, padding=padding).shape))
+        wgt = Tensor(rng.standard_normal(self.conv(*const, stride, padding).shape))
 
         def build(ts):
             args = list(const)
             for i, t in zip(wrt, ts):
                 args[i] = t
-            return (conv2d(*args, stride=stride, padding=padding) * wgt).sum()
+            return (self.conv(*args, stride, padding) * wgt).sum()
 
         check_grad(build, [(x_shape, k_shape)[i] for i in wrt], rng, rel_tol=1e-6)
 
@@ -284,16 +293,87 @@ class TestConv2d:
         # A non-uniform cotangent exercises the column scatter fully.
         rng = np.random.default_rng(63)
         wgt = rng.standard_normal((1, 2, 3, 3))
-        check_grad(lambda ts: (conv2d(ts[0], ts[1], stride=2) * Tensor(wgt)).sum(),
+        check_grad(lambda ts: (self.conv(ts[0], ts[1], 2, 0) * Tensor(wgt)).sum(),
                    [(1, 2, 7, 7), (2, 2, 3, 3)], rng)
+
+    def test_float32_stays_float32(self):
+        # Each float32 result is within 16 float32 epsilons of its largest
+        # float64 value (both algorithms stay under 3).
+        rng = np.random.default_rng(64)
+        x64, k64 = rng.standard_normal((2, 6, 11, 10)), rng.standard_normal((5, 6, 4, 3))
+        g = rng.standard_normal(self.conv(Tensor(x64), Tensor(k64), 2, 1).shape)
+        results = []
+        for dtype in (np.float64, np.float32):
+            x = Tensor(x64, requires_grad=True, dtype=dtype)
+            k = Tensor(k64, requires_grad=True, dtype=dtype)
+            y = self.conv(x, k, 2, 1)
+            (y * Tensor(g, dtype=dtype)).sum().backward()
+            results.append((y.data, x.grad, k.grad))
+        for want, got in zip(*results):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
+            self.conv(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))), 1, 0)
 
     def test_oversized_kernel_raises(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))))
+            self.conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))), 1, 0)
+
+
+class TestConv2dSpectral(TestConv2d):
+    conv = staticmethod(_conv2d_spectral)
+
+    def test_default_primary_shape_matches_im2col(self):
+        rng = np.random.default_rng(65)
+        x0, k0 = rng.standard_normal((2, 256, 20, 20)), rng.standard_normal((256, 256, 9, 9))
+        g = Tensor(rng.standard_normal((2, 256, 6, 6)))
+        results = []
+        for path in (_conv2d_im2col, _conv2d_spectral):
+            x, k = Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True)
+            y = path(x, k, 2, 0)
+            (y * g).sum().backward()
+            results.append((y.data, x.grad, k.grad))
+        for want, got in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestConv2dPathChoice:
+    @pytest.mark.parametrize("x_shape,k_shape,stride,grads,spectral", [
+        pytest.param((128, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), True,
+                     id="default-primary"),
+        pytest.param((128, 256, 20, 20), (256, 256, 9, 9), 2, (False, False), True,
+                     id="default-primary-no-grad"),
+        pytest.param((128, 1, 28, 28), (256, 1, 9, 9), 1, (False, True), False,
+                     id="default-stem"),
+        pytest.param((128, 1, 28, 28), (256, 1, 9, 9), 1, (False, False), False,
+                     id="default-stem-no-grad"),
+        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), False,
+                     id="compact-primary-batch16"),
+        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), False,
+                     id="compact-primary-batch16-no-grad"),
+    ])
+    def test_cheaper_path_by_shape(self, x_shape, k_shape, stride, grads, spectral):
+        assert _spectral_is_cheaper(x_shape, k_shape, stride, 0, *grads) == spectral
+
+    def test_conv2d_counts_only_gradients_it_records(self, monkeypatch):
+        # At the compact primary conv's shape and batch 64 the backward
+        # products decide: spectral when both gradients are recorded, im2col
+        # under no_grad.
+        calls = []
+        monkeypatch.setattr(tensor_module, "_conv2d_spectral", lambda *a: calls.append("spectral"))
+        monkeypatch.setattr(tensor_module, "_conv2d_im2col", lambda *a: calls.append("im2col"))
+        x = Tensor(np.zeros((64, 32, 20, 20)), requires_grad=True)
+        k = Tensor(np.zeros((64, 32, 9, 9)), requires_grad=True)
+        conv2d(x, k, stride=2)
+        with no_grad():
+            conv2d(x, k, stride=2)
+        assert calls == ["spectral", "im2col"]
+
+    def test_conv2d_checks_shapes_before_choosing(self):
+        with pytest.raises(ShapeError):
+            conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
 
 
 class TestAutodiffMechanics:
