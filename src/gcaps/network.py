@@ -24,7 +24,6 @@ import numpy as np
 
 from .capsule import (
     RECON_WEIGHT,
-    AxisMode,
     CapsLayerSpec,
     _require_one_hot,
     margin_loss,
@@ -32,7 +31,7 @@ from .capsule import (
     reconstruction_loss,
     squash,
 )
-from .routing import Grouping, RoutingConfig, route
+from .routing import RoutingConfig, route
 from .seeds import SEED_ROLE_INIT, derived_rng
 from .tensor import NonFiniteError, ShapeError, Tensor, conv2d, first_nonfinite, no_grad
 
@@ -391,20 +390,11 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
 # -- checkpoint io -----------------------------------------------------------
 
 
-def _routing_manifest(routing: RoutingConfig) -> dict[str, str]:
-    return {
-        "softmax_axis": routing.softmax_axis.value,
-        "grouping": routing.grouping.value,
-        "iterations": str(routing.iterations),
-        "weight_init_std": repr(WEIGHT_INIT_STD),
-    }
-
-
 def save_checkpoint(path: str, model: Model,
                     extra: dict[str, str] | None = None) -> None:
     """Write the model atomically (temp file + rename)."""
-    manifest = dict(model.arch.to_manifest())
-    manifest.update(_routing_manifest(model.routing))
+    manifest = {**model.arch.to_manifest(), **model.routing.to_manifest(),
+                "weight_init_std": repr(WEIGHT_INIT_STD)}
     for k, v in (extra or {}).items():
         if "=" in k or "\n" in k or "\n" in str(v):
             raise ValueError(f"manifest entry {k!r} contains reserved characters")
@@ -506,10 +496,7 @@ def load_model(path: str, arch: ArchConfig | None = None,
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture description: {exc}") from None
     try:
-        stored_routing = RoutingConfig(
-            softmax_axis=AxisMode(manifest["softmax_axis"]),
-            grouping=Grouping(manifest["grouping"]),
-            iterations=int(manifest["iterations"]))
+        stored_routing = RoutingConfig.from_manifest(manifest)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" routing description: {exc}") from None

@@ -61,6 +61,16 @@ class RoutingConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
+    def to_manifest(self) -> dict[str, str]:
+        return {"softmax_axis": self.softmax_axis.value, "grouping": self.grouping.value,
+                "iterations": str(self.iterations)}
+
+    @classmethod
+    def from_manifest(cls, manifest: dict[str, str]) -> "RoutingConfig":
+        return cls(softmax_axis=AxisMode(manifest["softmax_axis"]),
+                   grouping=Grouping(manifest["grouping"]),
+                   iterations=int(manifest["iterations"]))
+
     @classmethod
     def from_name(cls, name: str, iterations: int = 3) -> "RoutingConfig":
         key = name.strip().lower()
@@ -148,8 +158,9 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
 
     Every iteration recomputes couplings from the logits, forms the
     weighted vote sum (one per type in grouped mode, in a single op),
-    squashes, and adds the prediction/output agreement back onto the logits
-    (for all lower capsules, against the combined output in grouped mode).
+    squashes, and, except the last, adds the prediction/output agreement
+    back onto the logits (for all lower capsules, against the combined
+    output in grouped mode).
     """
     u_t = as_tensor(u_hat)
     if u_t.ndim != 4:
@@ -180,7 +191,8 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             trace.steps.append(TraceStep(
                 iteration=it, b=b_t.data, c=c.data, v=v.data,
                 per_type_v=per_type.data if grouped else None))
-        b_t = agreement_update(b_t, u_t, v)
+        if it + 1 < config.iterations:   # the last logits would go unread
+            b_t = agreement_update(b_t, u_t, v)
     return v, trace, per_type
 
 

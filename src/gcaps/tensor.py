@@ -13,7 +13,6 @@ backward passes without a reset sum their contributions.
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -507,12 +506,14 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
       only when the kernel needs a gradient.  The input gradient is built one
       output position at a time.
     * spectral (``_conv2d_spectral``): one channel product per frequency of
-      the padded grid's half spectrum, inverted only at the strided output
-      positions.  It keeps the input's spectrum when the kernel needs a
-      gradient and the kernel's spectrum when the input does.  Results differ
-      from im2col's by rounding (about 1e-15 of the largest value in
-      float64), and a NaN or infinity anywhere in one image reaches every
-      output of that image.
+      the half spectrum of the grid the windows read, (h_out-1)*stride + kh
+      by (w_out-1)*stride + kw, with every transform done as a pair of 1-D
+      DFT-matrix products.  It keeps the input's spectrum when the kernel
+      needs a gradient and the kernel's spectrum when the input does.
+      Results differ from im2col's by rounding (about 1e-15 of the largest
+      value in float64).  A NaN or infinity at a point that some window
+      reads reaches every output of its image; points no window reads reach
+      none.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
@@ -538,31 +539,48 @@ def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
     return (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
 
+def _spectral_grid(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
+                   padding: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The hg x wg grid the windows read, and the grid rows and columns of
+    the input's points inside it (the padding shifts them)."""
+    h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
+    hg, wg = (h_out - 1) * stride + k_shape[2], (w_out - 1) * stride + k_shape[3]
+    return (hg, wg, np.arange(padding, min(x_shape[2] + padding, hg)),
+            np.arange(padding, min(x_shape[3] + padding, wg)))
+
+
 def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
                          padding: int, x_grad: bool, k_grad: bool) -> bool:
     """Whether ``_conv2d_spectral`` makes fewer multiplications than im2col.
 
-    A real product counts 1 and a complex one 4; the FFT of an n-point grid
-    counts n*log2(n).  ``x_grad`` and ``k_grad`` say which gradients will be
+    Each side counts the products of its matrix multiplications: a real
+    times a real counts 1, a real times a complex 2 and a complex times a
+    complex 4.  ``x_grad`` and ``k_grad`` say which gradients will be
     recorded, adding their backward products to both sides.
     """
     h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
-    batch, c_in, h, w = x_shape
+    hg, wg, x_rows, x_cols = _spectral_grid(x_shape, k_shape, stride, padding)
+    batch, c_in = x_shape[:2]
     c_out, _, kh, kw = k_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    freqs, taps, points = hp * (wp // 2 + 1), kh * kw, h_out * w_out
-    fft = batch * c_in * hp * wp * math.log2(hp * wp)
-    # forward: the input's spectrum, the kernel's, the channel products and
-    # the inverse at the output positions
-    spectral = fft + 4 * freqs * (c_out * c_in * taps + batch * c_in * c_out
-                                  + batch * c_out * points)
+    half = wg // 2 + 1
+
+    def transform(rows: int, cols: int, signals: int) -> int:
+        # a spectrum from rows x cols points, or the values at them: a real
+        # or real-part product along the columns, a complex one along the rows
+        return 2 * half * rows * signals * (cols + 2 * hg)
+
+    channels = 4 * hg * half * batch * c_in * c_out
+    inputs = transform(len(x_rows), len(x_cols), batch * c_in)
+    taps = transform(kh, kw, c_out * c_in)
+    outputs = transform(h_out, w_out, batch * c_out)
+    spectral = inputs + taps + channels + outputs
     if x_grad or k_grad:   # the output gradient's spectrum
-        spectral += 4 * freqs * batch * c_out * points
-    if k_grad:   # channel products, inverse at the taps
-        spectral += 4 * freqs * (batch * c_out * c_in + c_out * c_in * taps)
-    if x_grad:   # channel products, inverse FFT
-        spectral += 4 * freqs * batch * c_out * c_in + fft
-    return spectral < batch * points * c_in * taps * c_out * (1 + x_grad + k_grad)
+        spectral += outputs
+    if k_grad:
+        spectral += channels + taps
+    if x_grad:
+        spectral += channels + inputs
+    return spectral < batch * h_out * w_out * c_in * kh * kw * c_out * (1 + x_grad + k_grad)
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
@@ -611,80 +629,91 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
 
 
 def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
-    """conv2d as per-frequency channel products on the padded hp x wp grid.
+    """conv2d as per-frequency channel products on the grid the windows read.
 
-    With X, K and G the spectra of the padded input, the zero-padded kernel
-    and the output gradient placed at its strided positions, the output's
-    spectrum is X conj(K), the kernel gradient's sum_b conj(G) X and the
-    padded input gradient's G K, each a matrix product over channels at
-    every frequency.  No window wraps around the grid, so these circular
-    correlations equal the direct ones.  Spectra hold the F = hp * (wp//2 + 1)
-    frequencies of a real FFT, in the inputs' complex dtype (complex64 for
-    float32); the output and the kernel gradient are inverted only at their
-    own points.
+    The grid is hg x wg, hg = (h_out-1)*stride + kh (wg likewise).  No window
+    wraps around it, so circular correlations on it equal the direct ones,
+    and input points past it, which no window reads, get a zero gradient.
+    With X, K and G the spectra of the input (shifted by the padding), the
+    kernel's taps and the output gradient at its strided points, the
+    output's spectrum is X conj(K), the kernel gradient's sum_b conj(G) X and
+    the input gradient's G K: channel products at each of the F = hg *
+    (wg//2 + 1) half-spectrum frequencies, in the inputs' complex dtype.
+    Every transform is two 1-D DFT-matrix products (``_spectrum`` and
+    ``_values_at``).  X is kept for the kernel gradient and K for the input
+    gradient, each only when that gradient will be recorded.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    freqs = hp * (wp // 2 + 1)
+    hg, wg, x_rows, x_cols = _spectral_grid(x.shape, kernel.shape, stride, padding)
+    grid, freqs = (hg, wg), hg * (wg // 2 + 1)
     ctype = np.result_type(x.data.dtype, kernel.data.dtype, np.complex64)
-    tap_dft = _dft_matrix(hp, wp, np.arange(kh), np.arange(kw))
-    out_dft = _dft_matrix(hp, wp, np.arange(h_out) * stride, np.arange(w_out) * stride)
+    rtype = np.finfo(ctype).dtype
+    out_rows, out_cols = np.arange(h_out) * stride, np.arange(w_out) * stride
+    tap_rows, tap_cols = np.arange(kh), np.arange(kw)
 
-    # The conjugate of X, [F, B, C]: then conj(X conj(K)) = conj(X) K needs no
-    # conjugated copy of the kernel's spectrum.
-    x_conj = np.empty((freqs, batch, c_in), dtype=ctype)
-    np.conjugate(np.fft.rfft2(_pad(x.data, padding)).reshape(batch, c_in, freqs)
-                 .transpose(2, 0, 1), out=x_conj)
-    k_spec = (tap_dft.astype(ctype) @ kernel.data.reshape(c_out * c_in, kh * kw).T
-              ).reshape(freqs, c_out, c_in)
-    out_conj = x_conj @ k_spec.transpose(0, 2, 1)
-    out = _inverse_at(out_dft, hp, wp, ctype) @ out_conj.reshape(freqs, batch * c_out)
-    out_data = _transposed(out.real).reshape(batch, c_out, h_out, w_out)
+    # A signal reflected through the origin has the conjugate spectrum, so
+    # placing the input at the negated points gives conj(X), [F, B, C], and
+    # conj(X conj(K)) = conj(X) K needs no conjugated copy of either.
+    x_pts = x.data.reshape(batch * c_in, h, w)[:, :len(x_rows), :len(x_cols)]
+    x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
+    k_spec = _spectrum(kernel.data.reshape(c_out * c_in, kh, kw), tap_rows, tap_cols,
+                       grid, ctype).reshape(freqs, c_out, c_in)
+    out_data = _values_at(x_conj @ k_spec.transpose(0, 2, 1), out_rows, out_cols, grid,
+                          np.empty((batch, c_out, h_out, w_out), dtype=rtype))
     kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
     kept_k = k_spec if (_grad_enabled and x.requires_grad) else None
 
     def backward(g):
-        g_spec = (out_dft.astype(ctype) @ g.reshape(batch * c_out, h_out * w_out).T
-                  ).reshape(freqs, batch, c_out)
+        g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
+                           grid, ctype).reshape(freqs, batch, c_out)
         if kernel.requires_grad:
-            dk_conj = (g_spec.transpose(0, 2, 1) @ kept_x).reshape(freqs, c_out * c_in)
-            dk = (_inverse_at(tap_dft, hp, wp, ctype) @ dk_conj).real
-            kernel._accumulate(_transposed(dk).reshape(kernel.shape))
+            kernel._accumulate(_values_at(g_spec.transpose(0, 2, 1) @ kept_x, tap_rows,
+                                          tap_cols, grid, np.empty(kernel.shape, dtype=rtype)))
         if x.requires_grad:
-            dx_spec = _transposed((g_spec @ kept_k).reshape(freqs, batch * c_in))
-            dx_pad = np.fft.irfft2(dx_spec.reshape(batch, c_in, hp, -1), s=(hp, wp))
-            x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
+            # G K is the spectrum of the input gradient, so it is the conjugate
+            # spectrum of that gradient reflected: read it at the negated points.
+            x._accumulate(_values_at(g_spec @ kept_k, -x_rows, -x_cols, grid,
+                                     np.zeros(x.shape, dtype=rtype)))
 
     return Tensor._node(out_data, (x, kernel), backward, "conv2d")
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """C-contiguous ``a.T`` of a 2-D array with few, long rows, written in
-    ``a``'s order.  A plain copy reads ``a`` down its columns, at a stride
-    that is often a large power of two, and runs up to 20 times slower."""
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
-    np.positive(a, out=out.T)
+def _spectrum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              grid: tuple[int, int], ctype) -> np.ndarray:
+    """[F, M] half spectra on ``grid`` of the M real signals ``values``
+    [M, R, C] at grid rows ``rows`` and columns ``cols`` (modulo the grid):
+    cos and sin products along the columns, a complex one along the rows."""
+    hg, wg = grid
+    by_col = 2 * np.pi * (np.outer(np.arange(wg // 2 + 1), cols) % wg) / wg
+    by_row = np.exp(-2j * np.pi * (np.outer(np.arange(hg), rows) % hg) / hg).astype(ctype)
+    half = np.empty((len(rows), len(by_col), len(values)), dtype=ctype)
+    points = np.ascontiguousarray(values.transpose(1, 2, 0), dtype=half.real.dtype)
+    np.matmul(np.cos(by_col).astype(points.dtype), points, out=half.real)
+    np.matmul(-np.sin(by_col).astype(points.dtype), points, out=half.imag)
+    del points
+    return (by_row @ half.reshape(len(rows), -1)).reshape(hg * len(by_col), -1)
+
+
+def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               grid: tuple[int, int], out: np.ndarray) -> np.ndarray:
+    """``out`` [...M, H, W] with ``out[..., :R, :C]`` set to the M real
+    signals whose conjugate half spectra on ``grid`` are ``spec_conj``
+    [F, ...M], at grid rows ``rows`` [R] and columns ``cols`` [C]: a complex
+    product along the rows, then the real part of one along the columns.
+    Each column but 0 and wg/2 also stands for its conjugate twin."""
+    hg, wg = grid
+    half = wg // 2 + 1
+    by_row = np.exp(-2j * np.pi * (np.outer(rows, np.arange(hg)) % hg) / hg).astype(spec_conj.dtype)
+    near = (by_row @ spec_conj.reshape(hg, -1)).reshape(len(rows), half, -1)
+    col = np.arange(half)
+    weight = np.where((col == 0) | (2 * col == wg), 1.0, 2.0) / (hg * wg)
+    by_col = 2 * np.pi * (np.outer(cols, col) % wg) / wg
+    target = out.reshape(-1, *out.shape[-2:]).transpose(1, 2, 0)[:len(rows), :len(cols)]
+    np.add(np.matmul((weight * np.cos(by_col)).astype(out.dtype), near.real),
+           np.matmul((weight * np.sin(by_col)).astype(out.dtype), near.imag), out=target)
     return out
-
-
-def _dft_matrix(hp: int, wp: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """[F, R*C] complex128: the real-FFT frequencies of an hp x wp grid
-    against the points (rows x cols), exp(-2 pi i (f1 r / hp + f2 c / wp))."""
-    by_row = np.exp(-2j * np.pi * (np.outer(np.arange(hp), rows) % hp) / hp)
-    by_col = np.exp(-2j * np.pi * (np.outer(np.arange(wp // 2 + 1), cols) % wp) / wp)
-    return (by_row[:, None, :, None] * by_col[None, :, None, :]).reshape(hp * (wp // 2 + 1), -1)
-
-
-def _inverse_at(dft: np.ndarray, hp: int, wp: int, ctype) -> np.ndarray:
-    """[P, F] matrix whose product with the conjugate of a real signal's half
-    spectrum has, as real part, the signal at the P points ``dft`` was built
-    for.  The half spectrum stands for the whole one: each column other than
-    0 and wp/2 is weighted twice, for its conjugate twin."""
-    col = np.arange(wp // 2 + 1)
-    weight = np.where((col == 0) | (2 * col == wp), 1.0, 2.0) / (hp * wp)
-    return (dft * np.tile(weight, hp)[:, None]).T.astype(ctype)
 
 
 # -- numeric differentiation (shared by tests and diagnostics) ---------------

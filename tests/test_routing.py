@@ -5,6 +5,7 @@ gradient flow through unrolled iterations."""
 import numpy as np
 import pytest
 
+import gcaps.routing as routing_module
 from gcaps.capsule import AxisMode, CapsLayerSpec, squash, weighted_sum
 from gcaps.routing import (
     Grouping,
@@ -61,6 +62,11 @@ class TestRoutingConfig:
     def test_nonpositive_iterations_rejected(self):
         with pytest.raises(ValueError):
             RoutingConfig.from_name("alg1", iterations=0)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_manifest_round_trip(self, name):
+        config = RoutingConfig.from_name(name, iterations=5)
+        assert RoutingConfig.from_manifest(config.to_manifest()) == config
 
     def test_initial_coupling_closed_forms(self):
         spec = CapsLayerSpec.reference()
@@ -205,6 +211,17 @@ class TestRouteBehaviour:
                                                Tensor(u[:, a:z]))).data[:, 0]
                     assert np.abs(step.per_type_v[:, t] - want).max() < 1e-12
             assert np.array_equal(per_type.data, trace.steps[-1].per_type_v)
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_last_iteration_skips_the_unread_logit_update(self, monkeypatch, iterations):
+        calls = []
+        real = routing_module.agreement_update
+        monkeypatch.setattr(routing_module, "agreement_update",
+                            lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(7)
+        route(Tensor(rng.standard_normal((2, 6, 2, 3))), small_spec(),
+              RoutingConfig.from_name("alg3", iterations=iterations))
+        assert len(calls) == iterations - 1
 
     def test_ungrouped_exposes_no_per_type(self):
         spec = small_spec()

@@ -338,6 +338,16 @@ class TestConv2dSpectral(TestConv2d):
         for want, got in zip(*results):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_unread_points_do_not_reach_the_output(self):
+        # A 9x9 kernel at stride 2 reads rows and columns 0-18 of a 20x20
+        # input, so a NaN in row 19 must reach no output.
+        rng = np.random.default_rng(66)
+        x, k = rng.standard_normal((2, 3, 20, 20)), rng.standard_normal((4, 3, 9, 9))
+        x[1, 2, 19, 5] = np.nan
+        got = _conv2d_spectral(Tensor(x), Tensor(k), 2, 0).data
+        assert np.isfinite(got).all()
+        assert np.allclose(got, _conv2d_im2col(Tensor(x), Tensor(k), 2, 0).data, atol=1e-10)
+
 
 class TestConv2dPathChoice:
     @pytest.mark.parametrize("x_shape,k_shape,stride,grads,spectral", [
@@ -349,22 +359,24 @@ class TestConv2dPathChoice:
                      id="default-stem"),
         pytest.param((128, 1, 28, 28), (256, 1, 9, 9), 1, (False, False), False,
                      id="default-stem-no-grad"),
-        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), False,
+        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), True,
                      id="compact-primary-batch16"),
-        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), False,
+        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
                      id="compact-primary-batch16-no-grad"),
+        pytest.param((64, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
+                     id="compact-primary-batch64-no-grad"),
     ])
     def test_cheaper_path_by_shape(self, x_shape, k_shape, stride, grads, spectral):
         assert _spectral_is_cheaper(x_shape, k_shape, stride, 0, *grads) == spectral
 
     def test_conv2d_counts_only_gradients_it_records(self, monkeypatch):
-        # At the compact primary conv's shape and batch 64 the backward
+        # At the compact primary conv's shape and batch 4 the backward
         # products decide: spectral when both gradients are recorded, im2col
         # under no_grad.
         calls = []
         monkeypatch.setattr(tensor_module, "_conv2d_spectral", lambda *a: calls.append("spectral"))
         monkeypatch.setattr(tensor_module, "_conv2d_im2col", lambda *a: calls.append("im2col"))
-        x = Tensor(np.zeros((64, 32, 20, 20)), requires_grad=True)
+        x = Tensor(np.zeros((4, 32, 20, 20)), requires_grad=True)
         k = Tensor(np.zeros((64, 32, 9, 9)), requires_grad=True)
         conv2d(x, k, stride=2)
         with no_grad():
