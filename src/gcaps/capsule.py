@@ -11,6 +11,12 @@ Conventions used throughout:
 
 Type groups are contiguous lower-index ranges [t*caps_per_type,
 (t+1)*caps_per_type): the primary layer flattens as (type, row, col).
+
+``predict`` stores u_hat C-contiguous in [batch, num_lower, num_upper,
+dim_upper] order, and the routing ops read it through axis-swapped views
+without copying it.  ``weighted_sum`` and ``agreement_update`` defer u_hat's
+gradient to the tape as outer-product factor pairs, so it is settled into
+one buffer once per backward pass, however many iterations read u_hat.
 """
 
 from __future__ import annotations
@@ -100,14 +106,22 @@ def squash(s, axis: int = -1) -> Tensor:
 
 
 def predict(u, weights) -> Tensor:
-    """Apply per-pair transforms: u_hat[b,i,j] = W[i,j] @ u[b,i]."""
+    """Apply per-pair transforms: u_hat[b,i,j] = W[i,j] @ u[b,i].
+
+    One [B, K] @ [K, J*D] product per lower capsule, batched over the lower
+    index and written through a [N, B, J*D] view, so u_hat is C-contiguous.
+    """
     u_t, w_t = as_tensor(u), as_tensor(weights)
     if u_t.ndim != 3 or w_t.ndim != 4:
         raise ShapeError(f"predict expects u [b,n,k] and W [n,j,d,k],"
                          f" got {u_t.shape} and {w_t.shape}")
     if u_t.shape[1] != w_t.shape[0] or u_t.shape[2] != w_t.shape[3]:
         raise ShapeError(f"predict shape mismatch: u {u_t.shape} vs W {w_t.shape}")
-    out = np.einsum("njdk,bnk->bnjd", w_t.data, u_t.data, optimize=True)
+    batch, n, k = u_t.shape
+    _, j, d, _ = w_t.shape
+    out = np.empty((batch, n, j, d), dtype=np.result_type(u_t.data, w_t.data))
+    np.matmul(u_t.data.swapaxes(0, 1), w_t.data.reshape(n, j * d, k).swapaxes(1, 2),
+              out=out.reshape(batch, n, j * d).swapaxes(0, 1))
 
     def backward(g):
         if w_t.requires_grad:
@@ -172,7 +186,8 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
     The lower index splits into ``num_types`` contiguous equal ranges, so the
     result is [batch, num_types, num_upper, dim_upper]; one type sums the
     whole layer.  The op views c as [B, T, K, J] and u_hat as [B, T, K, J, D]
-    (K = N / T) and accumulates its gradients straight into both inputs.
+    (K = N / T).  Its c gradient is accumulated; its u_hat gradient,
+    c[b,t,k,j] * g[b,t,j,d], is deferred to the tape as that factor pair.
     """
     c_t, u_t = as_tensor(coupling), as_tensor(predictions)
     if c_t.ndim != 3 or u_t.ndim != 4 or c_t.shape != u_t.shape[:3]:
@@ -192,28 +207,31 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
         if c_t.requires_grad:
             dc = (u_jk @ g[..., None])[..., 0]
             c_t._accumulate(np.swapaxes(dc, -1, -2).reshape(c_t.shape))
-        if u_t.requires_grad:
-            u_t._accumulate((cv[..., None] * g[:, :, None]).reshape(u_t.shape))
+        u_t._defer(cv, g)
 
     return Tensor._node(out, (c_t, u_t), backward, "weighted_sum")
 
 
 def agreement_update(logits, predictions, v) -> Tensor:
-    """b'[b,i,j] = b[b,i,j] + <u_hat[b,i,j], v[b,j]> for every lower capsule."""
+    """b'[b,i,j] = b[b,i,j] + <u_hat[b,i,j], v[b,j]> for every lower capsule.
+
+    Both products are batched over (b, j) on a [B, J, N, D] view of u_hat;
+    the u_hat gradient, g[b,i,j] * v[b,j,d], is deferred to the tape.
+    """
     b_t, u_t, v_t = as_tensor(logits), as_tensor(predictions), as_tensor(v)
     if b_t.ndim != 3 or u_t.shape[:3] != b_t.shape or v_t.ndim != 3 \
             or v_t.shape[0] != u_t.shape[0] or v_t.shape[1] != u_t.shape[2] \
             or v_t.shape[2] != u_t.shape[3]:
         raise ShapeError(f"agreement_update shape mismatch: b {b_t.shape},"
                          f" u_hat {u_t.shape}, v {v_t.shape}")
-    out = b_t.data + np.einsum("bnjd,bjd->bnj", u_t.data, v_t.data, optimize=True)
+    u_jn = np.swapaxes(u_t.data, 1, 2)
+    out = b_t.data + np.matmul(u_jn, v_t.data[..., None])[..., 0].swapaxes(1, 2)
 
     def backward(g):
         b_t._accumulate(g)
-        if u_t.requires_grad:
-            u_t._accumulate(np.einsum("bnj,bjd->bnjd", g, v_t.data, optimize=True))
+        u_t._defer(g[:, None], v_t.data[:, None])
         if v_t.requires_grad:
-            v_t._accumulate(np.einsum("bnj,bnjd->bjd", g, u_t.data, optimize=True))
+            v_t._accumulate((g.swapaxes(1, 2)[..., None, :] @ u_jn)[..., 0, :])
 
     return Tensor._node(out, (b_t, u_t, v_t), backward, "agreement")
 

@@ -176,7 +176,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
 
     trace = RoutingTrace(spec=spec, config=config,
                          c0=initial_coupling(spec, config)) if capture_trace else None
-    b_t = Tensor(np.zeros((batch, n, j)))
+    b_t = Tensor(np.zeros((batch, n, j), dtype=u_t.data.dtype))
     v = None
     per_type = None
     for it in range(config.iterations):

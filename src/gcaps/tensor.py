@@ -7,12 +7,21 @@ trailing-dimension rules only: aligned from the right, a dimension pairs if
 the sizes are equal or one of them is 1.
 
 Gradients accumulate into ``.grad`` until explicitly cleared, so repeated
-backward passes without a reset sum their contributions.
+backward passes without a reset sum their contributions.  A closure either
+adds a finished gradient (``_accumulate``; the first one is copied, later
+ones added in place) or, for a [B, N, J, D] input whose gradient is a sum
+of outer products, hands over a factor pair (``_defer``): coefficients
+[B, T, K, J] and vectors [B, T or 1, J, D] (N = T*K) standing for
+coef[b,t,k,j] * vec[b,t,j,d].  ``GradTape.run`` settles a node's pairs with
+one batched matmul over the stacked factors just before the node's own
+backward runs, so such a gradient is written once per pass instead of once
+per use.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,7 +61,8 @@ class Tensor:
     Tensors are immutable after construction except for the ``grad`` buffer.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
+                 "_pending")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -66,6 +76,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
+        self._pending: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     @classmethod
     def _node(cls, data: np.ndarray, parents: Sequence["Tensor"],
@@ -74,6 +85,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
+        out._pending = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -122,8 +134,25 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
-        np.add(self.grad, g, out=self.grad)
+            self.grad = np.empty(self.data.shape, dtype=self.data.dtype)
+            np.copyto(self.grad, g)
+        else:
+            np.add(self.grad, g, out=self.grad)
+
+    def _defer(self, coef: np.ndarray, vec: np.ndarray) -> None:
+        """Add coef[b,t,k,j] * vec[b,t,j,d] to this [B, T*K, J, D] tensor's
+        gradient when ``GradTape.run`` reaches it; ``vec`` may have T = 1."""
+        if self.requires_grad:
+            self._pending = (self._pending or []) + [(coef, vec)]
+
+    def _settle(self) -> None:
+        """Write the deferred outer-product terms into ``grad``."""
+        pairs, self._pending = self._pending, None
+        settled = _outer_sum(pairs, self.data.shape, self.data.dtype)
+        if self.grad is None:
+            self.grad = settled
+        else:
+            np.add(self.grad, settled, out=self.grad)
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires_grad tensor.
@@ -202,7 +231,9 @@ class GradTape:
     """Topologically ordered record of the operations reaching one root.
 
     ``nodes`` lists every graph node with inputs strictly before outputs;
-    ``run`` walks it in reverse, invoking each node's local-gradient closure.
+    ``run`` walks it in reverse, settling each node's deferred terms and
+    then invoking its local-gradient closure.  Every consumer of a node runs
+    before it, so its terms are complete when it is settled.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -231,6 +262,8 @@ class GradTape:
 
     def run(self) -> None:
         for node in reversed(self.nodes):
+            if node._pending:
+                node._settle()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
@@ -240,6 +273,37 @@ class GradTape:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _outer_sum(pairs: list[tuple[np.ndarray, np.ndarray]], shape: tuple[int, ...],
+               dtype) -> np.ndarray:
+    """sum over pairs of coef[b,t,k,j] * vec[b,t,j,d] as a [B, N, J, D] array.
+
+    Pairs may split N into different type counts; all are refined to their
+    least common multiple T, so each (b, t, j) is one [K, P] @ [P, D]
+    product over the P stacked pairs, written through a view of the result.
+    """
+    batch, n, j, d = shape
+    types = math.lcm(*(c.shape[1] for c, _ in pairs))
+    k = n // types
+    coef = np.empty((batch, types, j, len(pairs), k), dtype=dtype)
+    vec = np.empty((batch, types, j, len(pairs), d), dtype=dtype)
+    for p, (c, v) in enumerate(pairs):
+        coef[:, :, :, p] = c.reshape(batch, types, k, j).swapaxes(2, 3)
+        vec[:, :, :, p] = np.repeat(v, types // v.shape[1], axis=1)
+    out = np.empty(shape, dtype=dtype)
+    np.matmul(coef.swapaxes(3, 4), vec, out=out.reshape(batch, types, k, j, d).swapaxes(2, 3))
+    return out
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a Python int or float takes the other
+    operand's dtype, so a float32 tensor stays float32."""
+    if isinstance(a, Tensor) and isinstance(b, (int, float)):
+        return a, Tensor(b, dtype=a.data.dtype)
+    if isinstance(b, Tensor) and isinstance(a, (int, float)):
+        return Tensor(a, dtype=b.data.dtype), b
+    return as_tensor(a), as_tensor(b)
 
 
 def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
@@ -273,7 +337,7 @@ def _normalize_axis(axis: int, ndim: int) -> int:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data + b.data
 
@@ -285,7 +349,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data - b.data
 
@@ -297,7 +361,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data * b.data
 
@@ -311,7 +375,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _broadcast_shape(a.shape, b.shape)
     out_data = a.data / b.data
 

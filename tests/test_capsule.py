@@ -2,6 +2,8 @@
 per-index loop, squash geometry, coupling normalization per axis mode, and
 loss values against scalar reference formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from gcaps.capsule import (
     squash,
     weighted_sum,
 )
-from gcaps.tensor import NonFiniteError, ShapeError, Tensor, numeric_gradient
+from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad, numeric_gradient
 
 from test_tensor import check_grad
 
@@ -156,6 +158,13 @@ class TestSquash:
         v2 = squash(Tensor(s.transpose(0, 2, 1)), axis=2).data.transpose(0, 2, 1)
         assert np.allclose(v1, v2, atol=1e-15)
 
+    def test_float32_stays_float32(self):
+        s = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True, dtype=np.float32)
+        out = squash(s)
+        out.sum().backward()
+        assert out.data.dtype == np.float32 and s.grad.dtype == np.float32
+        assert np.allclose(out.data[1], [0.6 * 25 / 26, 0.8 * 25 / 26], rtol=1e-6)
+
     def test_nonfinite_input_rejected(self):
         with pytest.raises(NonFiniteError):
             squash(Tensor(np.array([[np.inf, 0.0]])))
@@ -189,6 +198,20 @@ class TestPredict:
         rng = np.random.default_rng(93)
         check_grad(lambda ts: (predict(ts[0], ts[1]) * ts[2]).sum(),
                    [(2, 3, 4), (3, 2, 3, 4), (2, 3, 2, 3)], rng)
+
+    def test_output_is_c_contiguous(self):
+        rng = np.random.default_rng(94)
+        got = predict(Tensor(rng.standard_normal((3, 5, 4))),
+                      Tensor(rng.standard_normal((5, 2, 6, 4))))
+        assert got.data.flags.c_contiguous
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(95)
+        u = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True, dtype=np.float32)
+        w = Tensor(rng.standard_normal((3, 2, 5, 4)), requires_grad=True, dtype=np.float32)
+        out = predict(u, w)
+        out.sum().backward()
+        assert {out.data.dtype, u.grad.dtype, w.grad.dtype} == {np.dtype(np.float32)}
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -447,3 +470,149 @@ class TestReconstructionLoss:
         with pytest.raises(ShapeError):
             reconstruction_loss(Tensor(np.zeros((2, 10))),
                                 Tensor(np.zeros((2, 11))))
+
+
+class TestReferenceLayerFormulas:
+    """The routing ops at the 1152x10x16 layer, batch 2, against the einsum
+    and broadcast formulas they replaced, within 1e-12 of the largest value."""
+
+    @staticmethod
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.fixture
+    def layer(self):
+        rng = np.random.default_rng(131)
+        spec = CapsLayerSpec.reference()
+        batch, n, j, d, k = 2, spec.num_lower, spec.num_upper, spec.dim_upper, spec.dim_lower
+        return {"u": rng.standard_normal((batch, n, k)),
+                "w": rng.standard_normal((n, j, d, k)) * 0.1,
+                "c": rng.uniform(0.0, 0.2, (batch, n, j)),
+                "b": rng.standard_normal((batch, n, j)),
+                "v": rng.standard_normal((batch, j, d)) * 0.3,
+                "g_hat": rng.standard_normal((batch, n, j, d)),
+                "g_s": rng.standard_normal((batch, spec.num_types, j, d)),
+                "g_b": rng.standard_normal((batch, n, j)),
+                "types": spec.num_types}
+
+    def test_predict_and_its_gradients(self, layer):
+        u = Tensor(layer["u"], requires_grad=True)
+        w = Tensor(layer["w"], requires_grad=True)
+        out = predict(u, w)
+        assert out.data.flags.c_contiguous
+        self.close(out.data, np.einsum("njdk,bnk->bnjd", layer["w"], layer["u"]))
+        (out * Tensor(layer["g_hat"])).sum().backward()
+        self.close(w.grad, np.einsum("bnjd,bnk->njdk", layer["g_hat"], layer["u"]))
+        self.close(u.grad, np.einsum("njdk,bnjd->bnk", layer["w"], layer["g_hat"]))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_weighted_sum_gradients(self, layer, grouped):
+        types = layer["types"] if grouped else 1
+        u_hat = np.einsum("njdk,bnk->bnjd", layer["w"], layer["u"])
+        c_t, u_t = Tensor(layer["c"], requires_grad=True), Tensor(u_hat, requires_grad=True)
+        g = layer["g_s"][:, :types]
+        (weighted_sum(c_t, u_t, types) * Tensor(g)).sum().backward()
+        batch, n, j, d = u_hat.shape
+        cv = layer["c"].reshape(batch, types, n // types, j)
+        uv = u_hat.reshape(batch, types, n // types, j, d)
+        self.close(u_t.grad, (cv[..., None] * g[:, :, None]).reshape(u_hat.shape))
+        self.close(c_t.grad, np.einsum("btkjd,btjd->btkj", uv, g).reshape(batch, n, j))
+
+    def test_agreement_update_and_its_gradients(self, layer):
+        u_hat = np.einsum("njdk,bnk->bnjd", layer["w"], layer["u"])
+        b_t = Tensor(layer["b"], requires_grad=True)
+        u_t = Tensor(u_hat, requires_grad=True)
+        v_t = Tensor(layer["v"], requires_grad=True)
+        out = agreement_update(b_t, u_t, v_t)
+        self.close(out.data, layer["b"] + np.einsum("bnjd,bjd->bnj", u_hat, layer["v"]))
+        g = layer["g_b"]
+        (out * Tensor(g)).sum().backward()
+        self.close(u_t.grad, np.einsum("bnj,bjd->bnjd", g, layer["v"]))
+        self.close(v_t.grad, np.einsum("bnj,bnjd->bjd", g, u_hat))
+        assert np.array_equal(b_t.grad, g)
+
+
+class TestDeferredGradient:
+    """weighted_sum and agreement_update hand u_hat's gradient to the tape as
+    factor pairs, which ``GradTape.run`` settles once per pass."""
+
+    @staticmethod
+    def graph(rng, u):
+        c = Tensor(rng.uniform(0.0, 1.0, (2, 6, 3)))
+        v = Tensor(rng.standard_normal((2, 3, 4)))
+        g_s = Tensor(rng.standard_normal((2, 3, 3, 4)))
+        g_b = Tensor(rng.standard_normal((2, 6, 3)))
+        g_e = Tensor(rng.standard_normal((2, 6, 3, 4)))
+        return ((weighted_sum(c, u, num_types=3) * g_s).sum()
+                + (agreement_update(Tensor(np.zeros((2, 6, 3))), u, v) * g_b).sum()
+                + (u * u * g_e).sum()), (c.data, v.data, g_s.data, g_b.data, g_e.data)
+
+    def test_three_uses_sum_their_gradients(self):
+        rng = np.random.default_rng(141)
+        u_hat = rng.standard_normal((2, 6, 3, 4))
+        u = Tensor(u_hat, requires_grad=True)
+        out, (c, v, g_s, g_b, g_e) = self.graph(rng, u)
+        out.backward()
+        from_sum = (c.reshape(2, 3, 2, 3)[..., None] * g_s[:, :, None]).reshape(u_hat.shape)
+        from_agreement = g_b[..., None] * v[:, None]
+        want = from_sum + from_agreement + 2.0 * u_hat * g_e
+        assert np.allclose(u.grad, want, rtol=1e-13, atol=1e-14)
+
+    def test_two_passes_without_clear_double_the_gradient(self):
+        u = Tensor(np.random.default_rng(142).standard_normal((2, 6, 3, 4)),
+                   requires_grad=True)
+        self.graph(np.random.default_rng(0), u)[0].backward()
+        first = u.grad.copy()
+        self.graph(np.random.default_rng(0), u)[0].backward()
+        assert np.allclose(u.grad, 2.0 * first, rtol=1e-14, atol=0.0)
+
+    def test_no_tape_node_keeps_pending_terms(self):
+        rng = np.random.default_rng(143)
+        u = Tensor(rng.standard_normal((2, 6, 3, 4)), requires_grad=True)
+        out, _ = self.graph(rng, u)
+        tape = GradTape.from_root(out)
+        out._accumulate(np.ones(()))
+        tape.run()
+        assert all(node._pending is None for node in tape.nodes)
+        assert u.grad is not None
+
+    def test_nothing_deferred_under_no_grad(self):
+        rng = np.random.default_rng(144)
+        u = Tensor(rng.standard_normal((2, 6, 3, 4)), requires_grad=True)
+        with no_grad():
+            out, _ = self.graph(rng, u)
+        assert not out.requires_grad and out._backward_fn is None
+        assert u._pending is None and u.grad is None
+
+    def test_gradient_of_a_tensor_without_grad_is_not_deferred(self):
+        rng = np.random.default_rng(145)
+        c = Tensor(rng.uniform(0.0, 1.0, (1, 4, 2)), requires_grad=True)
+        u = Tensor(rng.standard_normal((1, 4, 2, 3)))
+        weighted_sum(c, u).sum().backward()
+        assert u._pending is None and u.grad is None and c.grad is not None
+
+    def test_backward_allocates_u_hat_once(self):
+        # Above the graph, the pass holds u_hat's settled gradient, the
+        # stacked coefficients (pairs / dim_upper of it) and [B, N, J]
+        # gradients: about 1.6 u_hat here.  Summing per use instead needs
+        # a zero-filled gradient plus a u_hat-sized temporary (2.3 u_hat).
+        rng = np.random.default_rng(146)
+        spec = CapsLayerSpec.reference()
+        shape = (4, spec.num_lower, spec.num_upper, spec.dim_upper)
+        u = Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = Tensor(np.zeros(shape[:3]))
+        c = Tensor(np.full(shape[:3], 0.1), requires_grad=True)
+        v1 = squash(weighted_sum(c, u, spec.num_types).sum(axis=1))
+        b = agreement_update(b, u, v1)
+        v2 = squash(weighted_sum(c, u).reshape(shape[0], *shape[2:]))
+        b = agreement_update(b, u, v2)
+        out = b.sum() + v1.sum() + v2.sum()
+        tracemalloc.start()
+        try:
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert u.grad.shape == shape
+        assert peak < 2.0 * u.data.nbytes

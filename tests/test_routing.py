@@ -255,6 +255,26 @@ class TestRoutingGradients:
             [(2, 6, 2, 3), (2, 2, 3)], rng, rel_tol=1e-5)
 
 
+class TestFloat32:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_route_and_u_hat_grad_stay_float32(self, name):
+        spec, config = small_spec(), RoutingConfig.from_name(name)
+        u64 = np.random.default_rng(251).standard_normal((2, 6, 2, 3))
+        results = []
+        for dtype in (np.float64, np.float32):
+            u = Tensor(u64, requires_grad=True, dtype=dtype)
+            v, trace, per_type = route(u, spec, config, capture_trace=True)
+            (v * v).sum().backward()
+            results.append((v.data, u.grad))
+        for step in trace.steps:
+            assert step.b.dtype == np.float32 and step.c.dtype == np.float32
+        if per_type is not None:
+            assert per_type.data.dtype == np.float32
+        for want, got in zip(*results):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
+
+
 class TestTraceAndReport:
     def test_trace_has_one_step_per_iteration(self):
         spec = small_spec()

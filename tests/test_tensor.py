@@ -388,6 +388,28 @@ class TestConv2dPathChoice:
             conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
 
 
+class TestScalarOperands:
+    @pytest.mark.parametrize("op", [add, sub, mul, tensor_module.div])
+    @pytest.mark.parametrize("scalar", [2, 0.5])
+    def test_python_scalar_takes_the_tensor_dtype(self, op, scalar):
+        for dtype in (np.float32, np.float64):
+            t = Tensor(np.full(3, 1.5), dtype=dtype)
+            assert op(t, scalar).data.dtype == dtype
+            assert op(scalar, t).data.dtype == dtype
+
+    def test_float64_results_unchanged(self):
+        t = Tensor(np.array([0.1, 0.7, 3.0]))
+        assert np.array_equal((1.0 + t / 3 - 0.2 * t).data,
+                              1.0 + t.data / 3.0 - 0.2 * t.data)
+
+    def test_float32_operator_sugar_and_gradient(self):
+        t = Tensor(np.array([0.5, 2.0]), requires_grad=True, dtype=np.float32)
+        out = (1.0 - t) * 3 / (t + 1e-18)
+        out.sum().backward()
+        assert out.data.dtype == np.float32
+        assert t.grad.dtype == np.float32
+
+
 class TestAutodiffMechanics:
     def test_tape_orders_inputs_before_outputs(self):
         a = Tensor(np.ones(3), requires_grad=True)
@@ -415,6 +437,20 @@ class TestAutodiffMechanics:
         assert np.array_equal(a.grad, 2.0 * first)
         a.clear_grad()
         assert a.grad is None
+
+    def test_first_contribution_is_copied(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = a.reshape(3)
+        (b * 2.0).sum().backward()
+        assert np.array_equal(a.grad, np.full(3, 2.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_broadcast_first_contribution_is_a_full_array(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        a.sum().backward()
+        assert a.grad.flags.writeable and a.grad.strides == (24, 8)
+        a.sum().backward()
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
 
     def test_backward_requires_scalar(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
