@@ -186,7 +186,8 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
     The lower index splits into ``num_types`` contiguous equal ranges, so the
     result is [batch, num_types, num_upper, dim_upper]; one type sums the
     whole layer.  The op views c as [B, T, K, J] and u_hat as [B, T, K, J, D]
-    (K = N / T).  Its c gradient is accumulated; its u_hat gradient,
+    (K = N / T).  Its c gradient is written once, through a swapped view of
+    a fresh [B, N, J] buffer that c adopts; its u_hat gradient,
     c[b,t,k,j] * g[b,t,j,d], is deferred to the tape as that factor pair.
     """
     c_t, u_t = as_tensor(coupling), as_tensor(predictions)
@@ -205,8 +206,10 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
 
     def backward(g):
         if c_t.requires_grad:
-            dc = (u_jk @ g[..., None])[..., 0]
-            c_t._accumulate(np.swapaxes(dc, -1, -2).reshape(c_t.shape))
+            dc = np.empty(c_t.shape, dtype=c_t.data.dtype)
+            np.matmul(u_jk, g[..., None],
+                      out=np.swapaxes(dc.reshape(cv.shape), -1, -2)[..., None])
+            c_t._adopt(dc)
         u_t._defer(cv, g)
 
     return Tensor._node(out, (c_t, u_t), backward, "weighted_sum")

@@ -6,11 +6,19 @@ ordered list of nodes) and walks it in reverse.  Broadcasting follows
 trailing-dimension rules only: aligned from the right, a dimension pairs if
 the sizes are equal or one of them is 1.
 
-Gradients accumulate into ``.grad`` until explicitly cleared, so repeated
-backward passes without a reset sum their contributions.  A closure either
-adds a finished gradient (``_accumulate``; the first one is copied, later
-ones added in place) or, for a [B, N, J, D] input whose gradient is a sum
-of outer products, hands over a factor pair (``_defer``): coefficients
+Gradients accumulate into ``.grad`` until explicitly cleared, so backward
+passes over newly built graphs sum their contributions.  A pass consumes
+the graph it walks: once a node's closure has run, the node lets go of its
+inputs and its closure, so every array the closure saved, and every
+gradient no caller holds, is freed as the walk moves down.  A second
+``backward()`` from the same root, or from a new root that reaches a node
+of a consumed graph, raises ``RuntimeError``.
+
+A closure either adds a finished gradient (``_accumulate``; the first one
+is copied, later ones added in place), hands over a fresh buffer that
+nothing else holds (``_adopt``, which takes it as the gradient when there
+is none yet), or, for a [B, N, J, D] input whose gradient is a sum of
+outer products, hands over a factor pair (``_defer``): coefficients
 [B, T, K, J] and vectors [B, T or 1, J, D] (N = T*K) standing for
 coef[b,t,k,j] * vec[b,t,j,d].  ``GradTape.run`` settles a node's pairs with
 one batched matmul over the stacked factors just before the node's own
@@ -58,7 +66,9 @@ class Tensor:
     """A dense n-dimensional array participating in a gradient tape.
 
     ``data`` is row-major float64 (float32 allowed for non-acceptance use).
-    Tensors are immutable after construction except for the ``grad`` buffer.
+    Operations never write their inputs' ``data``; a backward pass writes
+    ``grad``, and an optimizer step (``network.Adam.step``) updates a
+    parameter's ``data`` in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
@@ -145,19 +155,26 @@ class Tensor:
         if self.requires_grad:
             self._pending = (self._pending or []) + [(coef, vec)]
 
+    def _adopt(self, g: np.ndarray) -> None:
+        """Add ``g``, a fresh buffer of this tensor's shape that nothing else
+        holds, to ``grad``; with no ``grad`` yet, take it as is when its
+        dtype is this tensor's."""
+        if self.grad is None and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self._accumulate(g)
+
     def _settle(self) -> None:
         """Write the deferred outer-product terms into ``grad``."""
         pairs, self._pending = self._pending, None
-        settled = _outer_sum(pairs, self.data.shape, self.data.dtype)
-        if self.grad is None:
-            self.grad = settled
-        else:
-            np.add(self.grad, settled, out=self.grad)
+        self._adopt(_outer_sum(pairs, self.data.shape, self.data.dtype))
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires_grad tensor.
 
-        Only defined for single-element tensors.  Accumulates on repeat.
+        Only defined for single-element tensors.  The pass consumes the
+        graph (see the module docstring): ``grad`` stays on the tensors a
+        caller holds, and a second pass from this root raises.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
@@ -231,9 +248,12 @@ class GradTape:
     """Topologically ordered record of the operations reaching one root.
 
     ``nodes`` lists every graph node with inputs strictly before outputs;
-    ``run`` walks it in reverse, settling each node's deferred terms and
+    ``run`` pops them off the end, settling each node's deferred terms and
     then invoking its local-gradient closure.  Every consumer of a node runs
-    before it, so its terms are complete when it is settled.
+    before it, so its terms are complete when it is settled.  A node whose
+    closure the walk has reached drops its inputs and takes ``_consumed`` as
+    its closure, so once the tape has let go of it only a caller's
+    reference keeps it, its ``data`` and its ``grad`` alive.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -261,11 +281,21 @@ class GradTape:
         return cls(order)
 
     def run(self) -> None:
-        for node in reversed(self.nodes):
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
             if node._pending:
                 node._settle()
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node._parents, node._backward_fn = (), _consumed
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The closure of a node that a backward pass has already walked."""
+    raise RuntimeError("backward reached a node of a graph that an earlier pass"
+                       " consumed; build the graph again to differentiate it again")
 
 
 # -- helpers ---------------------------------------------------------------
@@ -670,7 +700,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tens
     def backward(g):
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if kernel.requires_grad:
-            kernel._accumulate((g_mat.T @ kept_cols).reshape(kernel.shape))
+            kernel._adopt((g_mat.T @ kept_cols).reshape(kernel.shape))
         if x.requires_grad:
             g_pos = g_mat.reshape(batch, h_out, w_out, c_out)
             dx_pad = np.zeros((batch, c_in, hp, wp), dtype=g.dtype)
@@ -730,16 +760,23 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
     kept_k = k_spec if (_grad_enabled and x.requires_grad) else None
 
     def backward(g):
+        # Each spectrum is dropped once its last product is formed.
+        nonlocal kept_x, kept_k
         g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
                            grid, ctype).reshape(freqs, batch, c_out)
         if kernel.requires_grad:
-            kernel._accumulate(_values_at(g_spec.transpose(0, 2, 1) @ kept_x, tap_rows,
-                                          tap_cols, grid, np.empty(kernel.shape, dtype=rtype)))
+            dk_spec, kept_x = g_spec.transpose(0, 2, 1) @ kept_x, None
+            kernel._adopt(_values_at(dk_spec, tap_rows, tap_cols, grid,
+                                     np.empty(kernel.shape, dtype=rtype)))
+            del dk_spec
         if x.requires_grad:
             # G K is the spectrum of the input gradient, so it is the conjugate
             # spectrum of that gradient reflected: read it at the negated points.
-            x._accumulate(_values_at(g_spec @ kept_k, -x_rows, -x_cols, grid,
-                                     np.zeros(x.shape, dtype=rtype)))
+            dx_spec, kept_k, g_spec = g_spec @ kept_k, None, None
+            dx = np.empty(x.shape, dtype=rtype)
+            dx[:, :, len(x_rows):] = 0.0
+            dx[:, :, :, len(x_cols):] = 0.0
+            x._adopt(_values_at(dx_spec, -x_rows, -x_cols, grid, dx))
 
     return Tensor._node(out_data, (x, kernel), backward, "conv2d")
 

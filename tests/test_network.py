@@ -3,6 +3,7 @@ behavior, decoder masking, Adam, the train/eval step contracts, and the
 checkpoint binary format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gcaps.network import (
     CheckpointError,
     Model,
     TrainConfig,
+    batch_loss,
     build_model,
     decode,
     derived_rng,
@@ -263,6 +265,40 @@ class TestTrainStep:
         with pytest.raises(NonFiniteError, match="parameter stem.kernel"):
             train_step(model, Adam(model.params),
                        np.zeros((1, 1, 28, 28)), np.array([0]))
+
+
+class TestBackwardMemory:
+    """A backward pass frees each node's saved arrays and interior gradient
+    as it walks down, so above what was live at its start it holds little
+    more than the parameter gradients it leaves behind."""
+
+    @staticmethod
+    def traced_backward(batch: int) -> tuple[int, int, int]:
+        model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg1"), seed=3)
+        rng = np.random.default_rng(73)
+        images = rng.uniform(0, 1, (batch, 1, 28, 28))
+        total, _, _, _ = batch_loss(model, images, one_hot(np.arange(batch) % 10, 10))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            total.backward()
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(t.data.nbytes for t in model.params.values())
+        return peak - start, end - start, param_bytes
+
+    def test_compact_backward_peak(self):
+        # Measured at batch 16: 20.7 MB; 30.5 MB when the tape kept every
+        # node, its saved arrays and its gradient until the pass ended.
+        peak, _, _ = self.traced_backward(16)
+        assert peak < 25 * 2**20
+
+    def test_only_parameter_gradients_outlive_the_pass(self):
+        # The caller holds the loss, lengths and probes (a few KB of
+        # gradient); the kept tape left 3.5x the parameter bytes here.
+        _, end, param_bytes = self.traced_backward(16)
+        assert end < 1.1 * param_bytes
 
 
 class TestEvaluate:

@@ -2,6 +2,8 @@
 differences, convolution against a direct seven-loop evaluation, and the
 structural invariants of the tape."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,15 @@ class TestConv2d:
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
 
+    def test_mixed_dtypes_keep_each_gradient_in_its_tensor_dtype(self):
+        rng = np.random.default_rng(67)
+        x64, k64 = rng.standard_normal((2, 3, 11, 10)), rng.standard_normal((4, 3, 4, 3))
+        for x_dtype, k_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+            x = Tensor(x64, requires_grad=True, dtype=x_dtype)
+            k = Tensor(k64, requires_grad=True, dtype=k_dtype)
+            self.conv(x, k, 2, 1).sum().backward()
+            assert x.grad.dtype == x_dtype and k.grad.dtype == k_dtype
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             self.conv(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))), 1, 0)
@@ -347,6 +358,34 @@ class TestConv2dSpectral(TestConv2d):
         got = _conv2d_spectral(Tensor(x), Tensor(k), 2, 0).data
         assert np.isfinite(got).all()
         assert np.allclose(got, _conv2d_im2col(Tensor(x), Tensor(k), 2, 0).data, atol=1e-10)
+
+    def test_backward_drops_each_spectrum_after_its_last_product(self):
+        # With many images and few channels, G and the input's spectrum
+        # (0.9 x's bytes each) are the largest arrays the pass holds.
+        # Measured: 4.9 x's bytes above the pass's start; 5.8 when G and the
+        # kernel's spectrum lived through the input gradient.
+        rng = np.random.default_rng(69)
+        x = Tensor(rng.standard_normal((64, 8, 20, 20)), requires_grad=True)
+        k = Tensor(rng.standard_normal((8, 8, 9, 9)), requires_grad=True)
+        y = _conv2d_spectral(x, k, 2, 0)
+        out = (y * Tensor(rng.standard_normal(y.shape))).sum()
+        del y
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 5.3 * x.data.nbytes
+
+    def test_unread_points_get_a_zero_gradient(self):
+        rng = np.random.default_rng(68)
+        x = Tensor(rng.standard_normal((2, 3, 20, 20)), requires_grad=True)
+        k = Tensor(rng.standard_normal((4, 3, 9, 9)))
+        _conv2d_spectral(x, k, 2, 0).sum().backward()
+        assert not x.grad[:, :, 19].any() and not x.grad[:, :, :, 19].any()
+        assert x.grad[:, :, :19, :19].all()
 
 
 class TestConv2dPathChoice:
@@ -437,6 +476,35 @@ class TestAutodiffMechanics:
         assert np.array_equal(a.grad, 2.0 * first)
         a.clear_grad()
         assert a.grad is None
+
+    def test_second_pass_from_a_consumed_root_raises(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        out = ((a * 3.0) * 2.0).sum()
+        out.backward()
+        assert np.array_equal(a.grad, [6.0, 6.0])
+        with pytest.raises(RuntimeError, match="consumed"):
+            out.backward()
+
+    def test_new_root_through_a_consumed_node_raises(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = a * 3.0
+        (b * 2.0).sum().backward()
+        assert np.array_equal(b.grad, [2.0, 2.0])
+        with pytest.raises(RuntimeError, match="consumed"):
+            (b * 5.0).sum().backward()
+
+    def test_pass_empties_the_tape_and_keeps_held_nodes(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = a * 2.0
+        out = (b * b).sum()
+        tape = GradTape.from_root(out)
+        out._accumulate(np.ones(()))
+        tape.run()
+        assert tape.nodes == []
+        assert np.array_equal(b.data, np.full(3, 2.0))
+        assert np.array_equal(b.grad, np.full(3, 4.0))
+        assert np.array_equal(a.grad, np.full(3, 8.0))
+        assert b._parents == () and out._parents == ()
 
     def test_first_contribution_is_copied(self):
         a = Tensor(np.ones(3), requires_grad=True)
