@@ -593,7 +593,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width).  Each call runs one of two algorithms, chosen from the shapes by
     ``_spectral_is_cheaper``: the one that makes fewer multiplications,
-    counting the backward products of every gradient that will be recorded.
+    counting the backward products of every gradient that will be recorded
+    and charging the spectral transforms for the bytes they move.
 
     * im2col (``_conv2d_im2col``): a column buffer of every window, then one
       matrix product.  The buffer, the layer's largest allocation, is kept
@@ -602,8 +603,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     * spectral (``_conv2d_spectral``): one channel product per frequency of
       the half spectrum of the grid the windows read, (h_out-1)*stride + kh
       by (w_out-1)*stride + kw, with every transform done as a pair of 1-D
-      DFT-matrix products.  It keeps the input's spectrum when the kernel
-      needs a gradient and the kernel's spectrum when the input does.
+      DFT-matrix products over cache-sized blocks of signals, so no
+      transform makes a temporary the size of its input.  It keeps the
+      input's spectrum when the kernel needs a gradient and the kernel's
+      spectrum when the input does.
       Results differ from im2col's by rounding (about 1e-15 of the largest
       value in float64).  A NaN or infinity at a point that some window
       reads reaches every output of its image; points no window reads reach
@@ -645,12 +648,17 @@ def _spectral_grid(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: i
 
 def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
                          padding: int, x_grad: bool, k_grad: bool) -> bool:
-    """Whether ``_conv2d_spectral`` makes fewer multiplications than im2col.
+    """Whether ``_conv2d_spectral`` costs less than im2col.
 
     Each side counts the products of its matrix multiplications: a real
     times a real counts 1, a real times a complex 2 and a complex times a
-    complex 4.  ``x_grad`` and ``k_grad`` say which gradients will be
-    recorded, adding their backward products to both sides.
+    complex 4.  Each spectral transform is also charged one per byte of the
+    points it reads or writes and of the spectrum it writes or reads
+    (float64 and complex128 sizes): its DFT products are only as long as a
+    grid side, so moving those bytes, not multiplying, bounds it when the
+    kernel's many small signals dominate, at small batches.  ``x_grad`` and
+    ``k_grad`` say which gradients will be recorded, adding their backward
+    work to both sides.
     """
     h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
     hg, wg, x_rows, x_cols = _spectral_grid(x_shape, k_shape, stride, padding)
@@ -660,8 +668,9 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
 
     def transform(rows: int, cols: int, signals: int) -> int:
         # a spectrum from rows x cols points, or the values at them: a real
-        # or real-part product along the columns, a complex one along the rows
-        return 2 * half * rows * signals * (cols + 2 * hg)
+        # or real-part product along the columns, a complex one along the
+        # rows, and the bytes of the points and of the spectrum
+        return signals * (2 * half * rows * (cols + 2 * hg) + 8 * rows * cols + 16 * hg * half)
 
     channels = 4 * hg * half * batch * c_in * c_out
     inputs = transform(len(x_rows), len(x_cols), batch * c_in)
@@ -733,9 +742,10 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
     output's spectrum is X conj(K), the kernel gradient's sum_b conj(G) X and
     the input gradient's G K: channel products at each of the F = hg *
     (wg//2 + 1) half-spectrum frequencies, in the inputs' complex dtype.
-    Every transform is two 1-D DFT-matrix products (``_spectrum`` and
-    ``_values_at``).  X is kept for the kernel gradient and K for the input
-    gradient, each only when that gradient will be recorded.
+    Every transform is two 1-D DFT-matrix products per cache-sized block of
+    signals (``_spectrum`` and ``_values_at``).  X is kept for the kernel
+    gradient and K for the input gradient, each only when that gradient
+    will be recorded.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     batch, c_in, h, w = x.shape
@@ -781,39 +791,74 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
     return Tensor._node(out_data, (x, kernel), backward, "conv2d")
 
 
+# Signals per transform block: enough that a block's spectra fill about this
+# many bytes, so every stage's operands stay in cache.  Sweeping 0.5-8 MiB
+# at the default primary conv moved nothing beyond the host's noise.
+_BLOCK_BYTES = 2 << 20
+
+
+def _signal_blocks(signals: int, freqs: int, ctype) -> list[slice]:
+    """Consecutive slices of ``signals`` whose F-point spectra in ``ctype``
+    take about ``_BLOCK_BYTES`` each (at least one signal)."""
+    step = max(1, _BLOCK_BYTES // (freqs * np.dtype(ctype).itemsize))
+    return [slice(m0, min(m0 + step, signals)) for m0 in range(0, signals, step)]
+
+
 def _spectrum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
               grid: tuple[int, int], ctype) -> np.ndarray:
     """[F, M] half spectra on ``grid`` of the M real signals ``values``
-    [M, R, C] at grid rows ``rows`` and columns ``cols`` (modulo the grid):
-    cos and sin products along the columns, a complex one along the rows."""
+    [M, R, C] at grid rows ``rows`` and columns ``cols`` (modulo the grid).
+
+    The signals go in cache-sized blocks.  In a block, one real GEMM of the
+    [Mb*R, C] points with interleaved cos and -sin columns gives each row's
+    complex half spectrum; after an in-cache transpose to [R, half*Mb], one
+    complex GEMM along the rows gives the block's columns of the result.
+    """
     hg, wg = grid
-    by_col = 2 * np.pi * (np.outer(np.arange(wg // 2 + 1), cols) % wg) / wg
+    half = wg // 2 + 1
+    angle = 2 * np.pi * (np.outer(cols, np.arange(half)) % wg) / wg
+    by_col = np.empty((len(cols), half, 2), dtype=np.finfo(ctype).dtype)
+    by_col[..., 0], by_col[..., 1] = np.cos(angle), -np.sin(angle)
+    by_col = by_col.reshape(len(cols), 2 * half)
     by_row = np.exp(-2j * np.pi * (np.outer(np.arange(hg), rows) % hg) / hg).astype(ctype)
-    half = np.empty((len(rows), len(by_col), len(values)), dtype=ctype)
-    points = np.ascontiguousarray(values.transpose(1, 2, 0), dtype=half.real.dtype)
-    np.matmul(np.cos(by_col).astype(points.dtype), points, out=half.real)
-    np.matmul(-np.sin(by_col).astype(points.dtype), points, out=half.imag)
-    del points
-    return (by_row @ half.reshape(len(rows), -1)).reshape(hg * len(by_col), -1)
+    spec = np.empty((hg, half, len(values)), dtype=ctype)
+    for blk in _signal_blocks(len(values), hg * half, ctype):
+        near = (values[blk].reshape(-1, len(cols)) @ by_col).view(ctype)
+        near = near.reshape(-1, len(rows) * half).T.copy()
+        spec[:, :, blk] = (by_row @ near.reshape(len(rows), -1)).reshape(hg, half, -1)
+    return spec.reshape(hg * half, -1)
 
 
 def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                grid: tuple[int, int], out: np.ndarray) -> np.ndarray:
     """``out`` [...M, H, W] with ``out[..., :R, :C]`` set to the M real
     signals whose conjugate half spectra on ``grid`` are ``spec_conj``
-    [F, ...M], at grid rows ``rows`` [R] and columns ``cols`` [C]: a complex
-    product along the rows, then the real part of one along the columns.
-    Each column but 0 and wg/2 also stands for its conjugate twin."""
+    [F, ...M], at grid rows ``rows`` [R] and columns ``cols`` [C].
+
+    The signals go in cache-sized blocks.  In a block, complex GEMMs along
+    the rows (one per column frequency, on strided slices of ``spec_conj``)
+    give [half, R, Mb]; after an in-cache transpose to [Mb*R, half], one
+    real GEMM of its interleaved real and imaginary parts with stacked cos
+    and sin rows gives the values, which are written into ``out``'s block.
+    Each column frequency but 0 and wg/2 also stands for its conjugate twin,
+    so its rows carry weight 2.
+    """
     hg, wg = grid
     half = wg // 2 + 1
     by_row = np.exp(-2j * np.pi * (np.outer(rows, np.arange(hg)) % hg) / hg).astype(spec_conj.dtype)
-    near = (by_row @ spec_conj.reshape(hg, -1)).reshape(len(rows), half, -1)
     col = np.arange(half)
-    weight = np.where((col == 0) | (2 * col == wg), 1.0, 2.0) / (hg * wg)
-    by_col = 2 * np.pi * (np.outer(cols, col) % wg) / wg
-    target = out.reshape(-1, *out.shape[-2:]).transpose(1, 2, 0)[:len(rows), :len(cols)]
-    np.add(np.matmul((weight * np.cos(by_col)).astype(out.dtype), near.real),
-           np.matmul((weight * np.sin(by_col)).astype(out.dtype), near.imag), out=target)
+    weight = (np.where((col == 0) | (2 * col == wg), 1.0, 2.0) / (hg * wg))[:, None]
+    angle = 2 * np.pi * (np.outer(col, cols) % wg) / wg
+    rtype = np.finfo(spec_conj.dtype).dtype
+    by_col = np.empty((half, 2, len(cols)), dtype=rtype)
+    by_col[:, 0], by_col[:, 1] = weight * np.cos(angle), weight * np.sin(angle)
+    by_col = by_col.reshape(2 * half, len(cols))
+    spec = spec_conj.reshape(hg, half, -1)
+    target = out.reshape(-1, *out.shape[-2:])[:, :len(rows), :len(cols)]
+    for blk in _signal_blocks(spec.shape[-1], hg * half, spec.dtype):
+        near = np.matmul(by_row, spec[:, :, blk].transpose(1, 0, 2)).transpose(2, 1, 0).copy()
+        target[blk] = (near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(
+            -1, len(rows), len(cols))
     return out
 
 

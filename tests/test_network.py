@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gcaps.network as network_module
 from gcaps.network import (
     Adam,
     ArchConfig,
@@ -214,6 +215,32 @@ class TestAdam:
         opt.step()
         assert y.data[0] == 2.0
         assert x.data[0] != 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_whole_array_update_bit_for_bit(self, dtype):
+        # A parameter of several pieces plus a partial one, a small one and
+        # a transposed (not C-contiguous) one.
+        rng = np.random.default_rng(5)
+        shapes = {"big": (3, network_module._ADAM_PIECE + 17), "small": (4,), "strided": (5, 3)}
+        params = {k: Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype)
+                  for k, s in shapes.items()}
+        params["strided"].data = params["strided"].data.T.copy().T
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(w) for k, w in want.items()}
+        v = {k: np.zeros_like(w) for k, w in want.items()}
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 4):
+            for k, p in params.items():
+                p.grad = rng.standard_normal(shapes[k]).astype(dtype)
+                g = p.grad
+                m[k] = m[k] * 0.9 + (1.0 - 0.9) * g
+                v[k] = v[k] * 0.999 + (1.0 - 0.999) * (g * g)
+                want[k] = want[k] - 0.01 * (m[k] / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+            opt.step()
+            for k, p in params.items():
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == want[k].tobytes()
 
 
 class TestTrainConfig:
