@@ -24,11 +24,19 @@ coef[b,t,k,j] * vec[b,t,j,d].  ``GradTape.run`` settles a node's pairs with
 one batched matmul over the stacked factors just before the node's own
 backward runs, so such a gradient is written once per pass instead of once
 per use.
+
+Importing this module changes the process's allocator: where glibc provides
+``mallopt``, it is told to keep freed memory for reuse (``M_TRIM_THRESHOLD``
+= INT_MAX, ``M_MMAP_MAX`` = 0), so the 100-200 MB arrays a step frees and
+allocates again are not handed back to the kernel and faulted in afresh.
+``FREED_PAGES_KEPT`` says whether that took effect; a host program that
+wants glibc's defaults back calls ``mallopt`` again after the import.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -45,6 +53,27 @@ class NonFiniteError(FloatingPointError):
 
 
 DEFAULT_DTYPE = np.float64
+
+
+def _keep_freed_pages() -> bool:
+    """Make glibc keep freed memory for reuse; whether both settings took.
+
+    By default glibc returns every block above its mmap ceiling (32 MiB at
+    most) to the kernel when it is freed, and trims the heap's free top, so
+    a step that frees and reallocates arrays of 100-200 MB faults each page
+    in again.  ``M_TRIM_THRESHOLD`` = INT_MAX stops the trims and
+    ``M_MMAP_MAX`` = 0 serves every block from the heap.  A no-op where
+    glibc or its ``mallopt`` is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return mallopt(-1, 2**31 - 1) == 1 and mallopt(-4, 0) == 1   # M_TRIM_THRESHOLD, M_MMAP_MAX
+
+
+# Set once at import, for the whole process (see the module docstring).
+FREED_PAGES_KEPT = _keep_freed_pages()
 
 # Module-level switch consulted at node-creation time; flipped by no_grad().
 _grad_enabled = True
@@ -592,9 +621,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width).  Each call runs one of two algorithms, chosen from the shapes by
-    ``_spectral_is_cheaper``: the one that makes fewer multiplications,
-    counting the backward products of every gradient that will be recorded
-    and charging the spectral transforms for the bytes they move.
+    ``_spectral_is_cheaper``: the one that makes fewer multiplications plus
+    bytes moved, counting the backward work of every gradient that will be
+    recorded.
 
     * im2col (``_conv2d_im2col``): a column buffer of every window, then one
       matrix product.  The buffer, the layer's largest allocation, is kept
@@ -606,7 +635,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
       DFT-matrix products over cache-sized blocks of signals, so no
       transform makes a temporary the size of its input.  It keeps the
       input's spectrum when the kernel needs a gradient and the kernel's
-      spectrum when the input does.
+      spectrum when the input does; otherwise the kernel's spectrum is
+      built per block of output channels and never held whole.
       Results differ from im2col's by rounding (about 1e-15 of the largest
       value in float64).  A NaN or infinity at a point that some window
       reads reaches every output of its image; points no window reads reach
@@ -650,15 +680,14 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
                          padding: int, x_grad: bool, k_grad: bool) -> bool:
     """Whether ``_conv2d_spectral`` costs less than im2col.
 
-    Each side counts the products of its matrix multiplications: a real
+    Each side counts the products of its matrix multiplications (a real
     times a real counts 1, a real times a complex 2 and a complex times a
-    complex 4.  Each spectral transform is also charged one per byte of the
-    points it reads or writes and of the spectrum it writes or reads
-    (float64 and complex128 sizes): its DFT products are only as long as a
-    grid side, so moving those bytes, not multiplying, bounds it when the
-    kernel's many small signals dominate, at small batches.  ``x_grad`` and
-    ``k_grad`` say which gradients will be recorded, adding their backward
-    work to both sides.
+    complex 4) plus one per byte that each of its stages reads or writes
+    (float64 and complex128 sizes).  The bytes decide the small batches:
+    there the kernel's many short transforms and the channel products'
+    reads of its spectrum are bound by moving memory, not by multiplying.
+    ``x_grad`` and ``k_grad`` say which gradients will be recorded, adding
+    their backward work to both sides.
     """
     h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
     hg, wg, x_rows, x_cols = _spectral_grid(x_shape, k_shape, stride, padding)
@@ -668,22 +697,36 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
 
     def transform(rows: int, cols: int, signals: int) -> int:
         # a spectrum from rows x cols points, or the values at them: a real
-        # or real-part product along the columns, a complex one along the
-        # rows, and the bytes of the points and of the spectrum
-        return signals * (2 * half * rows * (cols + 2 * hg) + 8 * rows * cols + 16 * hg * half)
+        # or real-part product along the columns and a complex one along the
+        # rows; the points and the spectrum pass up to three times, the
+        # row spectra four (written, transposed, read)
+        return signals * (2 * half * rows * (cols + 2 * hg)
+                          + 3 * (8 * rows * cols + 16 * hg * half) + 64 * rows * half)
 
-    channels = 4 * hg * half * batch * c_in * c_out
+    def product(m: int, n: int, k: int, reads: int = 1) -> int:
+        # [m, k] @ [k, n] at each frequency: both operands read, the first
+        # ``reads`` times, and the result written
+        return hg * half * (4 * m * n * k + 16 * (reads * m * k + k * n + m * n))
+
     inputs = transform(len(x_rows), len(x_cols), batch * c_in)
     taps = transform(kh, kw, c_out * c_in)
     outputs = transform(h_out, w_out, batch * c_out)
-    spectral = inputs + taps + channels + outputs
+    # without the input gradient, X is read once per block of output channels
+    spectral = inputs + taps + outputs + product(batch, c_out, c_in,
+                                                 1 if x_grad else -(-c_out // batch))
     if x_grad or k_grad:   # the output gradient's spectrum
         spectral += outputs
     if k_grad:
-        spectral += channels + taps
+        spectral += product(c_out, c_in, batch) + taps
     if x_grad:
-        spectral += channels + inputs
-    return spectral < batch * h_out * w_out * c_in * kh * kw * c_out * (1 + x_grad + k_grad)
+        spectral += product(batch, c_in, c_out) + inputs
+    # im2col: the column buffer written and read, the output written and
+    # transposed; the kernel gradient reads the buffer again, and the input
+    # gradient writes each position's product and adds it in
+    positions = batch * h_out * w_out
+    column = positions * c_in * kh * kw
+    return spectral < (column * (c_out * (1 + x_grad + k_grad) + 16 + 8 * k_grad + 24 * x_grad)
+                       + 24 * positions * c_out)
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
@@ -762,12 +805,26 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
     # conj(X conj(K)) = conj(X) K needs no conjugated copy of either.
     x_pts = x.data.reshape(batch * c_in, h, w)[:, :len(x_rows), :len(x_cols)]
     x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
-    k_spec = _spectrum(kernel.data.reshape(c_out * c_in, kh, kw), tap_rows, tap_cols,
-                       grid, ctype).reshape(freqs, c_out, c_in)
-    out_data = _values_at(x_conj @ k_spec.transpose(0, 2, 1), out_rows, out_cols, grid,
+
+    def taps_spectrum(channels: slice) -> np.ndarray:
+        return _spectrum(kernel.data[channels].reshape(-1, kh, kw), tap_rows, tap_cols,
+                         grid, ctype).reshape(freqs, -1, c_in)
+
+    kept_k = taps_spectrum(slice(None)) if (_grad_enabled and x.requires_grad) else None
+    if kept_k is not None:
+        product = x_conj @ kept_k.transpose(0, 2, 1)
+    else:
+        # Without the input gradient the kernel's spectrum is never whole: it
+        # is built and multiplied per block of ``batch`` output channels, so a
+        # block is no larger than X, and the extra reads of X it costs are no
+        # more bytes than the spectrum that is never held.
+        product = np.empty((freqs, batch, c_out), dtype=ctype)
+        for o in range(0, c_out, batch):
+            np.matmul(x_conj, taps_spectrum(slice(o, o + batch)).transpose(0, 2, 1),
+                      out=product[:, :, o:o + batch])
+    out_data = _values_at(product, out_rows, out_cols, grid,
                           np.empty((batch, c_out, h_out, w_out), dtype=rtype))
     kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
-    kept_k = k_spec if (_grad_enabled and x.requires_grad) else None
 
     def backward(g):
         # Each spectrum is dropped once its last product is formed.

@@ -2,7 +2,10 @@
 differences, convolution against a direct seven-loop evaluation, and the
 structural invariants of the tape."""
 
+import ctypes
+import platform
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -381,6 +384,27 @@ class TestConv2dSpectral(TestConv2d):
             tracemalloc.stop()
         assert peak - start < 4.4 * x.data.nbytes
 
+    def test_no_grad_forward_never_holds_the_whole_kernel_spectrum(self):
+        # Three images through the default primary conv: the kernel's
+        # spectrum (199 MB) dwarfs the input's (2.3 MB).  Built per block of
+        # three output channels (the last block holds one), the forward
+        # measured 10.1 MB above the start; built whole, 205.5 MB.
+        rng = np.random.default_rng(74)
+        x = Tensor(rng.standard_normal((3, 256, 20, 20)))
+        k = Tensor(rng.standard_normal((256, 256, 9, 9)))
+        x_spectrum = 19 * 10 * 3 * 256 * np.dtype(np.complex128).itemsize
+        with no_grad():
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                got = _conv2d_spectral(x, k, 2, 0).data
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            want = _conv2d_im2col(x, k, 2, 0).data
+        assert peak - start < 3 * x_spectrum + 4 * tensor_module._BLOCK_BYTES
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_unread_points_get_a_zero_gradient(self):
         rng = np.random.default_rng(68)
         x = Tensor(rng.standard_normal((2, 3, 20, 20)), requires_grad=True)
@@ -475,12 +499,21 @@ class TestConv2dPathChoice:
                      id="default-stem-no-grad"),
         pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), True,
                      id="compact-primary-batch16"),
-        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
+        pytest.param((16, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), False,
                      id="compact-primary-batch16-no-grad"),
+        pytest.param((32, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
+                     id="compact-primary-batch32-no-grad"),
         pytest.param((64, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
                      id="compact-primary-batch64-no-grad"),
-        # Small batches, where the kernel's transforms dominate and are bound
-        # by the bytes they move: im2col ran 1.3-1.9x faster at each of these.
+        # Small batches, where the kernel's transforms and the reads of its
+        # spectrum are bound by the bytes they move: im2col ran 1.02-2.6x
+        # faster at each of these, with freed pages kept.
+        pytest.param((4, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), False,
+                     id="default-primary-batch4"),
+        pytest.param((8, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), False,
+                     id="default-primary-batch8"),
+        pytest.param((8, 256, 20, 20), (256, 256, 9, 9), 2, (False, False), False,
+                     id="default-primary-batch8-no-grad"),
         pytest.param((3, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), False,
                      id="default-primary-batch3"),
         pytest.param((6, 256, 20, 20), (256, 256, 9, 9), 2, (False, False), False,
@@ -492,13 +525,13 @@ class TestConv2dPathChoice:
         assert _spectral_is_cheaper(x_shape, k_shape, stride, 0, *grads) == spectral
 
     def test_conv2d_counts_only_gradients_it_records(self, monkeypatch):
-        # At the compact primary conv's shape and batch 8 the backward
+        # At the compact primary conv's shape and batch 16 the backward
         # products decide: spectral when both gradients are recorded, im2col
         # under no_grad.
         calls = []
         monkeypatch.setattr(tensor_module, "_conv2d_spectral", lambda *a: calls.append("spectral"))
         monkeypatch.setattr(tensor_module, "_conv2d_im2col", lambda *a: calls.append("im2col"))
-        x = Tensor(np.zeros((8, 32, 20, 20)), requires_grad=True)
+        x = Tensor(np.zeros((16, 32, 20, 20)), requires_grad=True)
         k = Tensor(np.zeros((64, 32, 9, 9)), requires_grad=True)
         conv2d(x, k, stride=2)
         with no_grad():
@@ -508,6 +541,42 @@ class TestConv2dPathChoice:
     def test_conv2d_checks_shapes_before_choosing(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestFreedPagesKept:
+    """Importing ``gcaps.tensor`` makes glibc keep freed memory for reuse."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_large_block_comes_from_the_heap(self):
+        # glibc would mmap a 64 MiB block, and unmap it when it is freed;
+        # ``hblkhd`` counts the bytes held in such blocks.
+        libc = ctypes.CDLL("libc.so.6")
+        if not hasattr(libc, "mallinfo2"):
+            pytest.skip("mallinfo2 needs glibc 2.33")
+        libc.mallinfo2.restype = _MallInfo2
+        before = libc.mallinfo2().hblkhd
+        block = np.ones(8 << 20)
+        assert libc.mallinfo2().hblkhd == before
+        assert block.nbytes == 64 << 20 and tensor_module.FREED_PAGES_KEPT is True
+
+    @pytest.mark.parametrize("lookup", [
+        pytest.param(lambda name: SimpleNamespace(), id="no-mallopt"),
+        pytest.param(_no_library, id="no-library"),
+        pytest.param(lambda name: SimpleNamespace(mallopt=lambda option, value: 0), id="rejected"),
+    ])
+    def test_without_glibc_mallopt_setup_does_nothing(self, monkeypatch, lookup):
+        monkeypatch.setattr(ctypes, "CDLL", lookup)
+        assert tensor_module._keep_freed_pages() is False
 
 
 class TestScalarOperands:
