@@ -27,6 +27,7 @@ from .network import (
     forward,
     one_hot,
     train_step,
+    write_atomic,
 )
 from .routing import RoutingConfig, initial_coupling, rate_of_change_report, route
 from .seeds import SEED_ROLE_TRIALS, derived_rng
@@ -43,13 +44,10 @@ def fmt(value) -> str:
 
 
 def write_csv(path: str, header: str, rows) -> None:
-    """Write rows of cells atomically (temp + rename), LF endings."""
+    """Write rows of cells atomically (see write_atomic), LF endings."""
     text = header + "\n" + "".join(
         ",".join(fmt(c) for c in row) + "\n" for row in rows)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode())
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,4 @@ def write_pgm_grid(path: str, panels: np.ndarray, per_row: int = 11) -> None:
                c * (w + 1):c * (w + 1) + w] = panels[idx]
     quantized = np.round(np.clip(canvas, 0.0, 1.0) * 255).astype(np.uint8)
     header = f"P5\n{quantized.shape[1]} {quantized.shape[0]}\n255\n".encode()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header + quantized.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, header + quantized.tobytes())

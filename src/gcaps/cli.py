@@ -28,7 +28,8 @@ from .analysis import (
     write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
-from .network import ArchConfig, TrainConfig, load_model, save_checkpoint, evaluate
+from .network import (ArchConfig, TrainConfig, evaluate, format_value, load_model,
+                      parse_value, save_checkpoint, write_atomic)
 from .routing import RoutingConfig
 
 VARIANT_NAMES = ("alg1", "alg2", "alg3", "alg4")
@@ -39,44 +40,6 @@ OUT_DIR_ENV = "GCAPS_OUT_DIR"
 
 class ConfigError(ValueError):
     """Bad key, value, or flag combination; maps to exit code 1."""
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
-def _parse_names(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _format_plain(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-# key -> parser; formatting is uniform (_format_plain)
-_SCHEMA = {
-    "arch": str, "routing": str, "iterations": int, "configs": _parse_names,
-    "lr0": float, "decay": float, "beta1": float, "beta2": float,
-    "eps": float, "batch_size": int, "epochs": int, "seed": int,
-    "seeds": _parse_ints, "dataset": str, "data_dir": str, "out_dir": str,
-    "train_limit": int, "test_limit": int, "augment": _parse_bool,
-    "trials": int, "run_id": str, "split": str, "index": int,
-    "fixed_timer": _parse_bool,
-}
 
 
 @dataclass(frozen=True)
@@ -112,13 +75,6 @@ class RunConfig:
     def __post_init__(self):
         if self.arch not in ARCH_NAMES:
             raise ConfigError(f"arch must be one of {ARCH_NAMES}, got {self.arch!r}")
-        if self.routing not in VARIANT_NAMES:
-            raise ConfigError(
-                f"routing must be one of {VARIANT_NAMES}, got {self.routing!r}")
-        for name in self.configs:
-            if name not in VARIANT_NAMES:
-                raise ConfigError(f"configs entry {name!r} is not one"
-                                  f" of {VARIANT_NAMES}")
         if not self.configs:
             raise ConfigError("configs must list at least one variant")
         if self.dataset not in DATASET_NAMES:
@@ -126,12 +82,6 @@ class RunConfig:
                 f"dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
         if self.split not in ("train", "test"):
             raise ConfigError(f"split must be train or test, got {self.split!r}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if not self.lr0 > 0 or not 0 < self.decay <= 1:
-            raise ConfigError("lr0 must be positive and decay in (0, 1]")
         if self.trials < 10:
             raise ConfigError(f"trials must be >= 10, got {self.trials}")
         if not self.seeds:
@@ -140,11 +90,17 @@ class RunConfig:
             raise ConfigError("train_limit and test_limit must be >= 0")
         if self.index < 0:
             raise ConfigError("index must be >= 0")
+        try:
+            self.train_config()
+            for name in (self.routing, *self.configs):
+                self.routing_config(name)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def resolved_text(self) -> str:
         """Flat key=value dump; parsing it back reproduces this config."""
         lines = ["# resolved run configuration"]
-        lines += [f"{f.name}={_format_plain(getattr(self, f.name))}"
+        lines += [f"{f.name}={format_value(getattr(self, f.name))}"
                   for f in fields(self)]
         return "\n".join(lines) + "\n"
 
@@ -152,7 +108,7 @@ class RunConfig:
         return ArchConfig.compact() if self.arch == "compact" else ArchConfig()
 
     def routing_config(self, name: str | None = None) -> RoutingConfig:
-        return RoutingConfig.from_name(name or self.routing,
+        return RoutingConfig.from_name(self.routing if name is None else name,
                                        iterations=self.iterations)
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
@@ -188,14 +144,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def config_from_pairs(pairs: dict[str, str]) -> RunConfig:
     """Typed RunConfig from raw string pairs; unknown keys are an error."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {}
     for key, raw in pairs.items():
-        if key not in _SCHEMA:
+        if key not in defaults:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            values[key] = _SCHEMA[key](raw)
+            values[key] = parse_value(key, raw, defaults[key])
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            raise ConfigError(str(exc)) from None
     return RunConfig(**values)
 
 
@@ -212,20 +169,15 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
         pairs["out_dir"] = env_out
-    for key in _SCHEMA:
-        raw = getattr(args, key, None)
-        if raw is not None:
-            pairs[key] = raw
+    pairs.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                  if getattr(args, f.name) is not None})
     return config_from_pairs(pairs), set(pairs)
 
 
 def _write_resolved(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"config-{name}.txt")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(cfg.resolved_text())
-    os.replace(tmp, path)
+    write_atomic(path, cfg.resolved_text().encode())
     return path
 
 
@@ -259,12 +211,8 @@ def load_split(cfg: RunConfig, split: str) -> Dataset:
     return ds.subset(limit or None)
 
 
-def _default_run_id(cfg: RunConfig) -> str:
-    return cfg.run_id or f"{cfg.routing}-s{cfg.seed}"
-
-
 def cmd_train(cfg: RunConfig, provided: set, args) -> int:
-    run_id = _default_run_id(cfg)
+    run_id = cfg.run_id or f"{cfg.routing}-s{cfg.seed}"
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
     model, records = train_run(train_ds, test_ds, cfg.arch_config(),
@@ -389,10 +337,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="key=value run configuration file")
-    for key in _SCHEMA:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, metavar="VALUE",
-                            help=f"override the {key} configuration key")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, metavar="VALUE",
+                            help=f"override the {f.name} configuration key")
 
 
 def build_parser() -> argparse.ArgumentParser:

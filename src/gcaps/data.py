@@ -133,20 +133,6 @@ def load_idx(images_path: str, labels_path: str, name: str = "dataset",
     return Dataset(images=images, labels=labels, name=name, split=split)
 
 
-def write_idx(images_path: str, labels_path: str, images_u8: np.ndarray,
-              labels_u8: np.ndarray) -> None:
-    """Inverse of load_idx for fixtures and dataset export (uint8 [n,h,w])."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
-    n, rows, cols = images_u8.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images_u8.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels_u8)))
-        fh.write(labels_u8.tobytes())
-
-
 def augment_shift(image: np.ndarray, max_shift: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Translate [channels, h, w] by a uniform integer offset, zero filling."""

@@ -47,6 +47,34 @@ def _conv_out(size: int, kernel: int, stride: int) -> int:
     return (size - kernel) // stride + 1
 
 
+def format_value(value) -> str:
+    """A configuration or manifest value as key=value text: bools as
+    true/false, tuples comma-joined, floats by repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(key: str, text: str, default):
+    """Inverse of format_value, typed by a dataclass field's ``default``: a
+    tuple default reads a comma-separated list of its first element's type,
+    with no empty entries.  A ValueError names ``key``."""
+    many = isinstance(default, tuple)
+    kind = type(default[0] if many else default)
+    parts = [part.strip() for part in text.split(",")] if many else [text]
+    try:
+        if many and "" in parts:
+            raise ValueError(f"empty list entry in {text!r}")
+        if kind is bool and not {"true", "false"} >= set(parts):
+            raise ValueError(f"expected true or false, got {text!r}")
+        values = tuple(part == "true" if kind is bool else kind(part) for part in parts)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
+    return values if many else values[0]
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Static geometry of the network; everything else is derived from it."""
@@ -143,21 +171,13 @@ class ArchConfig:
         return cls(stem_channels=32, num_types=8, decoder_hidden=(128, 256))
 
     def to_manifest(self) -> dict[str, str]:
-        """Each field as text; ``decoder_hidden`` as comma-separated widths."""
-        manifest = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            manifest[f.name] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        return manifest
+        """Each field as text in the key=value format (see format_value)."""
+        return {f.name: format_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_manifest(cls, manifest: dict[str, str]) -> "ArchConfig":
-        values = {}
-        for f in fields(cls):
-            text = manifest[f.name]
-            values[f.name] = (tuple(int(v) for v in text.split(","))
-                              if isinstance(f.default, tuple) else int(text))
-        return cls(**values)
+        return cls(**{f.name: parse_value(f.name, manifest[f.name], f.default)
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -174,8 +194,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0 or not 0 < self.decay <= 1:
-            raise ValueError("lr0 must be positive and decay in (0, 1]")
+        # written so that NaN fails every comparison and is rejected
+        if not (0 < self.lr0 < math.inf and 0 < self.decay <= 1):
+            raise ValueError("lr0 must be finite and positive and decay in (0, 1]")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
 
@@ -217,7 +242,7 @@ def build_model(arch: ArchConfig, routing: RoutingConfig, seed: int) -> Model:
     return Model(arch=arch, routing=routing, params=params)
 
 
-def forward(model: Model, images, capture_trace: bool = False):
+def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
     """Images to (lengths, digit_caps, per_type_caps-or-None, trace-or-None).
 
     ``lengths`` [batch, num_classes] are the class scores; ``digit_caps``
@@ -226,7 +251,7 @@ def forward(model: Model, images, capture_trace: bool = False):
     the RoutingTrace only with ``capture_trace``.
     """
     arch = model.arch
-    x = images if isinstance(images, Tensor) else Tensor(images)
+    x = Tensor(images)
     if x.ndim != 4 or x.shape[1:] != (arch.input_channels, arch.input_height,
                                       arch.input_width):
         raise ShapeError(f"expected images [batch, {arch.input_channels},"
@@ -344,15 +369,14 @@ class Adam:
                 p.data[...] = flat[3].reshape(p.data.shape)
 
 
-def batch_loss(model: Model, images, labels_1h, capture_trace: bool = False):
+def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray,
+               capture_trace: bool = False):
     """Forward pass and total loss; returns (loss, lengths, named probes,
     RoutingTrace-or-None)."""
     lengths, digit_caps, _, trace = forward(model, images, capture_trace)
     margin = margin_loss(lengths, Tensor(labels_1h))
     decoded = decode(model, digit_caps, Tensor(labels_1h))
-    flat = images.reshape(images.shape[0], -1) if isinstance(images, np.ndarray) \
-        else images.data.reshape(images.shape[0], -1)
-    recon = reconstruction_loss(decoded, Tensor(flat))
+    recon = reconstruction_loss(decoded, Tensor(images.reshape(images.shape[0], -1)))
     total = margin + RECON_WEIGHT * recon
     probes = [("digit_caps", digit_caps), ("lengths", lengths),
               ("decoded", decoded), ("margin_loss", margin),
@@ -415,16 +439,17 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
 
 def save_checkpoint(path: str, model: Model,
                     extra: dict[str, str] | None = None) -> None:
-    """Write the model atomically (temp file + rename)."""
+    """Write the model atomically (see write_atomic)."""
     manifest = {**model.arch.to_manifest(), **model.routing.to_manifest(),
-                "weight_init_std": repr(WEIGHT_INIT_STD)}
+                "weight_init_std": format_value(WEIGHT_INIT_STD)}
     for k, v in (extra or {}).items():
-        if "=" in k or "\n" in k or "\n" in str(v):
+        text = format_value(v)
+        if "=" in k or "\n" in k or "\n" in text:
             raise ValueError(f"manifest entry {k!r} contains reserved characters")
         if k in manifest:
             raise ValueError(f"manifest entry {k!r} would overwrite an"
                              f" architecture or routing key")
-        manifest[k] = str(v)
+        manifest[k] = text
     body = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items())).encode()
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
@@ -437,9 +462,15 @@ def save_checkpoint(path: str, model: Model,
         blob += struct.pack("<Q", tensor.ndim)
         blob += struct.pack(f"<{tensor.ndim}Q", *tensor.shape)
         blob += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+    write_atomic(path, blob)
+
+
+def write_atomic(path: str, blob: bytes) -> None:
+    """Write ``blob`` to a temp file beside ``path``, then rename it over
+    ``path``, so readers never see a partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
     os.replace(tmp, path)
 
 
@@ -515,14 +546,10 @@ def load_model(path: str, arch: ArchConfig | None = None,
     manifest, arrays = read_checkpoint(path)
     try:
         stored_arch = ArchConfig.from_manifest(manifest)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
-                              f" architecture description: {exc}") from None
-    try:
         stored_routing = RoutingConfig.from_manifest(manifest)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
-                              f" routing description: {exc}") from None
+                              f" architecture or routing description: {exc}") from None
     if arch is not None and arch != stored_arch:
         diffs = [k for k, v in arch.to_manifest().items()
                  if stored_arch.to_manifest()[k] != v]

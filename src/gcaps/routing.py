@@ -73,11 +73,10 @@ class RoutingConfig:
 
     @classmethod
     def from_name(cls, name: str, iterations: int = 3) -> "RoutingConfig":
-        key = name.strip().lower()
-        if key not in _VARIANTS:
+        if name not in _VARIANTS:
             raise ValueError(f"unknown routing variant {name!r};"
                              f" expected one of {sorted(_VARIANTS)}")
-        axis, grouping, _ = _VARIANTS[key]
+        axis, grouping, _ = _VARIANTS[name]
         return cls(softmax_axis=axis, grouping=grouping, iterations=iterations)
 
     @property

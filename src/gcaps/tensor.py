@@ -125,16 +125,15 @@ class Tensor:
         out.data = data
         out.grad = None
         out._pending = None
+        out._op = op
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
-            out._op = op
         else:
             out.requires_grad = False
             out._parents = ()
             out._backward_fn = None
-            out._op = op
         return out
 
     # -- introspection ----------------------------------------------------
@@ -917,27 +916,6 @@ def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         target[blk] = (near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(
             -1, len(rows), len(cols))
     return out
-
-
-# -- numeric differentiation (shared by tests and diagnostics) ---------------
-
-
-def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar-valued function at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 def first_nonfinite(named: Iterable[tuple[str, Tensor]]) -> str | None:

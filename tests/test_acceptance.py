@@ -29,7 +29,7 @@ from gcaps.capsule import (
     weighted_sum,
 )
 from gcaps.cli import _find_idx_pair
-from gcaps.data import load_idx, synthetic_dataset, write_idx, batches
+from gcaps.data import load_idx, synthetic_dataset, batches
 from gcaps.network import (
     Adam,
     ArchConfig,
@@ -43,6 +43,7 @@ from gcaps.network import (
 )
 from gcaps.routing import RoutingConfig, initial_coupling, route, route_reference
 from gcaps.tensor import Tensor, conv2d, no_grad, softmax_along
+from test_data import write_idx
 from test_network import micro_arch, micro_model
 from test_tensor import check_grad
 

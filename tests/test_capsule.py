@@ -18,9 +18,9 @@ from gcaps.capsule import (
     squash,
     weighted_sum,
 )
-from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad, numeric_gradient
+from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad
 
-from test_tensor import check_grad
+from test_tensor import check_grad, numeric_gradient
 
 
 # -- loop oracles (definition-level, no vectorization) -----------------------

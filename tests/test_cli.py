@@ -72,6 +72,30 @@ class TestConfigParsing:
         cfg = config_from_pairs({"seeds": "3,1,4"})
         assert cfg.seeds == (3, 1, 4)
 
+    @pytest.mark.parametrize("key,value", [
+        ("configs", "alg1,,alg2"), ("configs", "alg1,alg2,"), ("configs", ""),
+        ("seeds", "1,,2"), ("seeds", " , 1"),
+    ])
+    def test_empty_list_entry_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'.*empty list entry"):
+            config_from_pairs({key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("routing", "ALG1"), ("routing", " alg1"), ("configs", "alg1,Alg2"),
+    ])
+    def test_variant_names_are_exact(self, key, value):
+        with pytest.raises(ConfigError, match="unknown routing variant"):
+            config_from_pairs({key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr0", "nan"), ("lr0", "inf"), ("decay", "0"), ("beta1", "1"),
+        ("beta2", "nan"), ("eps", "0"), ("batch_size", "0"), ("epochs", "0"),
+        ("iterations", "0"),
+    ])
+    def test_training_and_routing_checks_are_config_errors(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_pairs({key: value})
+
 
 class TestTrainCommand:
     def test_success_writes_all_artifacts(self, tmp_path, capsys):
@@ -91,6 +115,12 @@ class TestTrainCommand:
         bad.write_text("routting=alg1\n")
         assert main(["train", "--config", str(bad)]) == 1
         assert "routting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--lr0", "nan"), ("--beta1", "1")])
+    def test_bad_optimizer_value_exits_1(self, tmp_path, capsys, flag, value):
+        assert run_train(tmp_path, flag, value) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from gcaps.data import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
     Dataset,
     IdxCountMismatchError,
     IdxFormatError,
@@ -18,8 +20,20 @@ from gcaps.data import (
     batches,
     load_idx,
     synthetic_dataset,
-    write_idx,
 )
+
+
+def write_idx(images_path, labels_path, images_u8, labels_u8):
+    """Inverse of load_idx, for fixtures (uint8 [n, h, w] and [n])."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
+    n, rows, cols = images_u8.shape
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
+        fh.write(images_u8.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels_u8)))
+        fh.write(labels_u8.tobytes())
 
 
 def make_pair(tmp_path, images, labels, stem="fix"):

@@ -257,6 +257,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr0", float("nan")), ("lr0", float("inf")), ("lr0", -1e-3),
+        ("decay", float("nan")), ("decay", 0.0),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", float("inf")), ("eps", float("nan")),
+    ])
+    def test_non_finite_and_out_of_range_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_range_edges_accepted(self):
+        TrainConfig(decay=1.0, beta1=0.0, beta2=0.0, eps=1e-300)
+
 
 class TestTrainStep:
     def test_loss_decreases_on_memorization_set(self):
@@ -526,6 +540,27 @@ class TestCheckpoint:
                         + blob[start + length:])
         with pytest.raises(CheckpointError, match="duplicate manifest key 'iterations'"):
             read_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("line", [b"stem_channels=abc", b"decoder_hidden=512,,1024"])
+    def test_bad_manifest_value_names_its_key(self, tmp_path, line):
+        blob = self.saved_blob(tmp_path)
+        start = len(b"GCAPS1") + 8
+        (length,) = struct.unpack("<Q", blob[start - 8:start])
+        key = line.split(b"=")[0]
+        body = b"".join(entry + b"\n" for entry in blob[start:start + length].splitlines()
+                        if entry.split(b"=")[0] != key) + line + b"\n"
+        bad = tmp_path / "bad-value.ckpt"
+        bad.write_bytes(b"GCAPS1" + struct.pack("<Q", len(body)) + body
+                        + blob[start + length:])
+        with pytest.raises(CheckpointError, match=f"bad value for '{key.decode()}'"):
+            load_model(str(bad))
+
+    def test_extra_values_use_the_manifest_value_format(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, micro_model(),
+                        extra={"run_id": "x", "augment": True, "seeds": (3, 1)})
+        manifest, _ = read_checkpoint(path)
+        assert (manifest["run_id"], manifest["augment"], manifest["seeds"]) == ("x", "true", "3,1")
 
     def test_manifest_is_sorted_key_value_text(self, tmp_path):
         model = micro_model()

@@ -26,11 +26,27 @@ from gcaps.tensor import (
     matmul,
     mul,
     no_grad,
-    numeric_gradient,
     reduce,
     softmax_along,
     sub,
 )
+
+
+def numeric_gradient(f, x, eps=1e-5):
+    """Central finite differences of a scalar-valued function at ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    out = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(x)
+        flat[i] = orig - eps
+        lo = f(x)
+        flat[i] = orig
+        out[i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def check_grad(build, shapes, rng, rel_tol=1e-6, eps=1e-5, scale=1.0):
