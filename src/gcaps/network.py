@@ -258,11 +258,10 @@ def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
                          f" {arch.input_height}, {arch.input_width}],"
                          f" got {x.shape}")
     p = model.params
-    stem = conv2d(x, p["stem.kernel"], stride=arch.stem_stride)
-    stem = (stem + p["stem.bias"].reshape(1, arch.stem_channels, 1, 1)).relu()
-    prim = conv2d(stem, p["primary.kernel"], stride=arch.primary_stride)
-    prim = prim + p["primary.bias"].reshape(1, arch.num_types * arch.primary_dim,
-                                            1, 1)
+    stem = conv2d(x, p["stem.kernel"], stride=arch.stem_stride, bias=p["stem.bias"],
+                  relu=True)
+    prim = conv2d(stem, p["primary.kernel"], stride=arch.primary_stride,
+                  bias=p["primary.bias"])
     batch = x.shape[0]
     # channels are type-major: capsule index = (type, row, col), so the
     # per-type index ranges used by grouped routing are contiguous
@@ -278,23 +277,21 @@ def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
     return lengths, v, per_type, trace
 
 
-def decode(model: Model, digit_caps, labels) -> Tensor:
+def decode(model: Model, digit_caps: Tensor, labels: Tensor) -> Tensor:
     """Reconstruct pixels from the capsules of the labeled class only.
 
     All other class capsules are zeroed before the decoder; the same decoder
     weights serve combined and per-type capsules.
     """
-    caps = digit_caps if isinstance(digit_caps, Tensor) else Tensor(digit_caps)
-    labels_t = labels if isinstance(labels, Tensor) else Tensor(labels)
-    if caps.ndim != 3 or labels_t.shape != caps.shape[:2]:
+    if digit_caps.ndim != 3 or labels.shape != digit_caps.shape[:2]:
         raise ShapeError(f"decode expects capsules [batch, classes, dim] and"
-                         f" matching one-hot labels, got {caps.shape}"
-                         f" and {labels_t.shape}")
-    _require_one_hot(labels_t.data)
+                         f" matching one-hot labels, got {digit_caps.shape}"
+                         f" and {labels.shape}")
+    _require_one_hot(labels.data)
     p = model.params
-    batch = caps.shape[0]
-    masked = caps * labels_t.reshape(batch, caps.shape[1], 1)
-    h = masked.reshape(batch, caps.shape[1] * caps.shape[2])
+    batch, classes, dim = digit_caps.shape
+    masked = digit_caps * labels.reshape(batch, classes, 1)
+    h = masked.reshape(batch, classes * dim)
     h = ((h @ p["decoder.w1"]) + p["decoder.b1"]).relu()
     h = ((h @ p["decoder.w2"]) + p["decoder.b2"]).relu()
     return ((h @ p["decoder.w3"]) + p["decoder.b3"]).sigmoid()

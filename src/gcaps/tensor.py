@@ -615,11 +615,20 @@ def softmax_along(t, axis: int) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw].
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
+           relu: bool = False) -> Tensor:
+    """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw],
+    plus ``bias`` [O] per output channel when given, clamped at zero when
+    ``relu`` is set.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  Each call runs one of two algorithms, chosen from the shapes by
+    width).  The bias and the clamp go in place on the buffer the
+    convolution writes, so the call is one tape node holding one output
+    with the values of ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.
+    Its backward zeroes the gradient where that output is not positive,
+    which is where the clamp's input was not (NaN included), and sums the
+    bias gradient over batch and positions; it keeps nothing else for
+    either.  Each call runs one of two algorithms, chosen from the shapes by
     ``_spectral_is_cheaper``: the one that makes fewer multiplications plus
     bytes moved, counting the backward work of every gradient that will be
     recorded.
@@ -642,10 +651,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
       none.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
+    bias = None if bias is None else as_tensor(bias)
     spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
                                     _grad_enabled and x.requires_grad,
                                     _grad_enabled and kernel.requires_grad)
-    return (_conv2d_spectral if spectral else _conv2d_im2col)(x, kernel, stride, padding)
+    return (_conv2d_spectral if spectral else _conv2d_im2col)(x, kernel, stride, padding,
+                                                              bias, relu)
 
 
 def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
@@ -728,15 +739,48 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
                        + 24 * positions * c_out)
 
 
+def _conv2d_inputs(x: Tensor, kernel: Tensor, bias: Tensor | None) -> tuple[Tensor, ...]:
+    """The node's inputs: ``x``, ``kernel`` and, when given, ``bias`` [O]."""
+    if bias is None:
+        return x, kernel
+    if bias.shape != kernel.shape[:1]:
+        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
+    return x, kernel, bias
+
+
+def _add_bias_relu(out: np.ndarray, bias: Tensor | None, relu: bool, trailing: int) -> None:
+    """Add ``bias`` along the axis of ``out`` that ``trailing`` axes follow,
+    then clamp ``out`` at zero when ``relu`` is set; both in place."""
+    if bias is not None:
+        out += bias.data.reshape(-1, *(1,) * trailing)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+
+def _through_bias_relu(g: np.ndarray, out: np.ndarray, bias: Tensor | None,
+                       relu: bool) -> np.ndarray:
+    """The gradient at the convolution's own result, from ``g`` at the
+    node's output ``out`` [B, O, h, w]: masked where ``relu`` clamped, and
+    summed over batch and positions into ``bias``'s gradient."""
+    if relu:
+        g = g * (out > 0.0)
+    if bias is not None and bias.requires_grad:
+        bias._adopt(g.sum(axis=(0, 2, 3)))
+    return g
+
+
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     if not padding:
         return x
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
-    """conv2d as one product of the windows' column buffer with the kernel."""
+def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
+                   bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """conv2d as one product of the windows' column buffer with the kernel;
+    the bias and the clamp go on that product's [positions, O] result."""
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    parents = _conv2d_inputs(x, kernel, bias)
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -744,12 +788,14 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tens
     cols = _im2col(_pad(x.data, padding), kh, kw, stride, h_out, w_out)
     w_mat = kernel.data.reshape(c_out, -1)
     out = cols @ w_mat.T
+    _add_bias_relu(out, bias, relu, 0)
     out_data = np.ascontiguousarray(
         out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
     kept_cols = cols if (_grad_enabled and kernel.requires_grad) else None
 
     def backward(g):
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        g_mat = _through_bias_relu(g, out_data, bias, relu).transpose(0, 2, 3, 1).reshape(
+            -1, c_out)
         if kernel.requires_grad:
             kernel._adopt((g_mat.T @ kept_cols).reshape(kernel.shape))
         if x.requires_grad:
@@ -761,7 +807,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tens
                         (g_pos[:, i, j] @ w_mat).reshape(batch, c_in, kh, kw)
             x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
 
-    return Tensor._node(out_data, (x, kernel), backward, "conv2d")
+    return Tensor._node(out_data, parents, backward, "conv2d")
 
 
 def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
@@ -773,7 +819,8 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
         batch * h_out * w_out, c_in * kh * kw)
 
 
-def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
+def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
+                     bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """conv2d as per-frequency channel products on the grid the windows read.
 
     The grid is hg x wg, hg = (h_out-1)*stride + kh (wg likewise).  No window
@@ -787,9 +834,10 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
     Every transform is two 1-D DFT-matrix products per cache-sized block of
     signals (``_spectrum`` and ``_values_at``).  X is kept for the kernel
     gradient and K for the input gradient, each only when that gradient
-    will be recorded.
+    will be recorded.  The bias and the clamp go on the values.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    parents = _conv2d_inputs(x, kernel, bias)
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hg, wg, x_rows, x_cols = _spectral_grid(x.shape, kernel.shape, stride, padding)
@@ -823,13 +871,16 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
                       out=product[:, :, o:o + batch])
     out_data = _values_at(product, out_rows, out_cols, grid,
                           np.empty((batch, c_out, h_out, w_out), dtype=rtype))
+    _add_bias_relu(out_data, bias, relu, 2)
     kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
 
     def backward(g):
         # Each spectrum is dropped once its last product is formed.
         nonlocal kept_x, kept_k
+        g = _through_bias_relu(g, out_data, bias, relu)
         g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
                            grid, ctype).reshape(freqs, batch, c_out)
+        del g
         if kernel.requires_grad:
             dk_spec, kept_x = g_spec.transpose(0, 2, 1) @ kept_x, None
             kernel._adopt(_values_at(dk_spec, tap_rows, tap_cols, grid,
@@ -844,7 +895,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int) -> Te
             dx[:, :, :, len(x_cols):] = 0.0
             x._adopt(_values_at(dx_spec, -x_rows, -x_cols, grid, dx))
 
-    return Tensor._node(out_data, (x, kernel), backward, "conv2d")
+    return Tensor._node(out_data, parents, backward, "conv2d")
 
 
 # Signals per transform block: enough that a block's spectra fill about this

@@ -29,7 +29,7 @@ from gcaps.network import (
 )
 from gcaps.capsule import squash
 from gcaps.routing import RoutingConfig
-from gcaps.tensor import NonFiniteError, ShapeError, Tensor
+from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor
 
 
 def micro_arch() -> ArchConfig:
@@ -142,6 +142,28 @@ class TestForward:
     def test_wrong_image_shape_raises(self):
         with pytest.raises(ShapeError):
             forward(micro_model(), np.zeros((2, 1, 27, 28)))
+
+    def test_each_conv_is_one_tape_node(self, monkeypatch):
+        # The biases and the stem's ReLU live inside the two conv2d nodes;
+        # the three nodes after them regroup the primary conv's channels
+        # into capsules for squash.
+        seen = []
+        monkeypatch.setattr(network_module, "squash", lambda u: seen.append(u) or squash(u))
+        model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg1"), seed=0)
+        forward(model, np.zeros((2, 1, 28, 28)))
+        nodes = [n for n in GradTape.from_root(seen[0]).nodes if n._parents]
+        assert [n._op for n in nodes] == ["conv2d", "conv2d", "reshape", "transpose", "reshape"]
+        p = model.params
+        assert nodes[0]._parents[1:] == (p["stem.kernel"], p["stem.bias"])
+        assert nodes[1]._parents == (nodes[0], p["primary.kernel"], p["primary.bias"])
+
+    def test_default_step_tape_size(self):
+        # Leaves included.  Each conv's bias and the stem's ReLU are inside
+        # its conv2d node; as separate reshape, add and relu nodes they
+        # would make 115.
+        model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), seed=0)
+        total, _, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2]), 10))
+        assert len(GradTape.from_root(total).nodes) == 110
 
 
 class TestDecode:

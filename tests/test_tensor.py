@@ -430,6 +430,88 @@ class TestConv2dSpectral(TestConv2d):
         assert x.grad[:, :, :19, :19].all()
 
 
+@pytest.mark.parametrize("conv", [_conv2d_im2col, _conv2d_spectral], ids=["im2col", "spectral"])
+class TestConv2dBiasRelu:
+    """The bias and ReLU taken inside one conv2d node, on both algorithms,
+    against the composition of separate nodes they replace."""
+
+    shapes = [(2, 3, 9, 8), (4, 3, 3, 3), (4,)]
+
+    @classmethod
+    def inputs(cls, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype)
+                for s in cls.shapes]
+
+    @staticmethod
+    def unfused(conv, x, k, b, relu):
+        y = conv(x, k, 2, 1) + b.reshape(1, -1, 1, 1)
+        return y.relu() if relu else y
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "bias-only"])
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    def test_matches_unfused_composition_bit_for_bit(self, conv, relu, nan):
+        results = []
+        for fused in (True, False):
+            x, k, b = self.inputs(80)
+            if nan:
+                x.data[1, 0, 4, 4] = np.nan
+            y = conv(x, k, 2, 1, b, relu) if fused else self.unfused(conv, x, k, b, relu)
+            g = np.random.default_rng(81).standard_normal(y.shape)
+            (y * Tensor(g)).sum().backward()
+            results.append((y.data, x.grad, k.grad, b.grad))
+        assert (results[0][0] == 0).any() == relu
+        for got, want in zip(*results):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_gradients_match_finite_differences(self, conv):
+        # check_grad draws these same inputs from the same seed.  Every
+        # pre-activation lies at least 1e-3 from the kink; a 1e-5 step of
+        # one input moves none of them by more than 1e-4.
+        x, k, b = self.inputs(82)
+        pre = conv(x, k, 2, 1, b).data
+        assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
+        wgt = Tensor(np.random.default_rng(83).standard_normal(pre.shape))
+        check_grad(lambda ts: (conv(ts[0], ts[1], 2, 1, ts[2], True) * wgt).sum(),
+                   self.shapes, np.random.default_rng(82))
+
+    def test_only_the_bias_requires_a_gradient(self, conv):
+        grads = []
+        for fused in (True, False):
+            x, k, b = self.inputs(84)
+            x.requires_grad = k.requires_grad = False
+            y = conv(x, k, 2, 1, b, True) if fused else self.unfused(conv, x, k, b, True)
+            assert y.requires_grad
+            y.sum().backward()
+            assert x.grad is None and k.grad is None
+            grads.append(b.grad)
+        assert np.array_equal(*grads)
+
+    def test_float32_stays_float32(self, conv):
+        results = []
+        for dtype in (np.float64, np.float32):
+            x, k, b = self.inputs(85, dtype)
+            y = conv(x, k, 2, 1, b, True)
+            (y * y).sum().backward()
+            results.append((y.data, x.grad, k.grad, b.grad))
+        for want, got in zip(*results):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
+
+    def test_no_grad_records_nothing(self, conv):
+        x, k, b = self.inputs(86)
+        with no_grad():
+            y = conv(x, k, 2, 1, b, True)
+            want = self.unfused(conv, x, k, b, True).data
+        assert not y.requires_grad and y._parents == () and y._backward_fn is None
+        assert np.array_equal(y.data, want)
+
+    def test_bias_of_the_wrong_length_raises(self, conv):
+        x, k, _ = self.inputs(87)
+        with pytest.raises(ShapeError, match="bias"):
+            conv(x, k, 2, 1, Tensor(np.zeros(3)), False)
+
+
 class TestBlockedTransforms:
     """``_spectrum`` and ``_values_at`` against numpy's FFT, on grids of odd
     and even width (the Nyquist column exists only for even ones) and at
