@@ -29,11 +29,12 @@ from .network import (
     train_step,
     write_atomic,
 )
-from .routing import RoutingConfig, initial_coupling, rate_of_change_report, route
+from .routing import RoutingConfig, initial_coupling, route
 from .seeds import SEED_ROLE_TRIALS, derived_rng
 from .tensor import NonFiniteError, Tensor, no_grad
 
 METRICS_HEADER = "run_id,epoch,split,accuracy,loss,lr,config,wall_seconds,c0,mean_dc"
+PROBE_IMAGES = 128   # mean_dc is taken over the first this-many images of a split
 
 
 def fmt(value) -> str:
@@ -74,21 +75,20 @@ def write_metrics(path: str, records: list[MetricsRecord]) -> None:
     write_csv(path, METRICS_HEADER, [r.row() for r in records])
 
 
-def _probe_mean_dc(dc_per_image: np.ndarray, probe_batch: int) -> float:
+def _probe_mean_dc(dc_per_image: np.ndarray) -> float:
     """Mean |c - c_prev| at the final routing iteration over the first
-    ``probe_batch`` images of an evaluation (``evaluate(capture_trace=True)``)."""
-    return float(dc_per_image[:probe_batch].mean())
+    PROBE_IMAGES images of an evaluation (``evaluate(capture_trace=True)``)."""
+    return float(dc_per_image[:PROBE_IMAGES].mean())
 
 
 def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
               routing: RoutingConfig, train_config: TrainConfig, run_id: str,
-              timer=time.perf_counter, augment: bool = True,
-              probe_batch: int = 128):
+              timer=time.perf_counter, augment: bool = True):
     """Train one model, returning (model, per-epoch MetricsRecords).
 
     Emits one train-split and one test-split record per epoch; accuracy and
     loss come from full evaluation passes on un-augmented data, and so does
-    ``mean_dc``, over the first ``probe_batch`` images of each split.  Raises
+    ``mean_dc``, over the first PROBE_IMAGES images of each split.  Raises
     NonFiniteError if optimization diverges (callers may catch and flag).
     """
     model = build_model(arch, routing, seed=train_config.seed)
@@ -112,7 +112,7 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
                 run_id=run_id, epoch=epoch, split=split, accuracy=accuracy,
                 loss=loss, lr=optimizer.lr, config=label,
                 wall_seconds=timer() - start, c0=c0,
-                mean_dc=_probe_mean_dc(dc_per_image, probe_batch)))
+                mean_dc=_probe_mean_dc(dc_per_image)))
     return model, records
 
 
@@ -206,8 +206,9 @@ STUDY_HEADER = "config,trial,iteration,c0,mean_dc,max_dc,rel_dc"
 
 def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
                            seed: int, batch: int = 1):
-    """Route shared random prediction tensors under each config and collect
-    per-iteration coupling-change statistics.
+    """Route shared random prediction tensors under each config (each needs
+    >= 2 iterations) and collect, for every iteration t >= 1, the mean and
+    max of |c_t - c_{t-1}| and the mean over the initial coupling c0.
 
     Returns (rows, summary): long-form rows matching STUDY_HEADER, and per-
     config mean |dc| plus, when both are present, the fraction of trials
@@ -217,6 +218,10 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
     if num_trials < 10:
         raise ValueError(f"init_sensitivity_study needs >= 10 trials,"
                          f" got {num_trials}")
+    for config in configs:
+        if config.iterations < 2:
+            raise ValueError(f"init_sensitivity_study needs >= 2 routing"
+                             f" iterations, {config.name} has {config.iterations}")
     rows = []
     per_trial_mean: dict[str, list[float]] = {c.name: [] for c in configs}
     for trial in range(num_trials):
@@ -224,14 +229,16 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
         u_hat = Tensor(rng.standard_normal(
             (batch, spec.num_lower, spec.num_upper, spec.dim_upper)))
         for config in configs:
+            c0 = initial_coupling(spec, config)
             with no_grad():
-                _, trace, _ = route(u_hat, spec, config, capture_trace=True)
-            report = rate_of_change_report(trace)
-            for r in report:
-                rows.append((config.name, trial, r.iteration, r.c0,
-                             r.mean_dc, r.max_dc, r.rel_dc))
-            per_trial_mean[config.name].append(
-                float(np.mean([r.mean_dc for r in report])))
+                _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+            mean_dcs = []
+            for t in range(1, len(couplings)):
+                delta = np.abs(couplings[t] - couplings[t - 1])
+                mean_dcs.append(float(delta.mean()))
+                rows.append((config.name, trial, t, c0, mean_dcs[-1],
+                             float(delta.max()), mean_dcs[-1] / c0))
+            per_trial_mean[config.name].append(float(np.mean(mean_dcs)))
     summary = {name: float(np.mean(vals))
                for name, vals in per_trial_mean.items() if vals}
     if "alg1" in per_trial_mean and "alg2" in per_trial_mean:

@@ -11,6 +11,8 @@ Conventions used throughout:
 
 Type groups are contiguous lower-index ranges [t*caps_per_type,
 (t+1)*caps_per_type): the primary layer flattens as (type, row, col).
+``coupling_from_logits`` normalizes over lower capsules with one segment
+softmax over such ranges; ungrouped, the whole layer is the one range.
 
 ``predict`` stores u_hat C-contiguous in [batch, num_lower, num_upper,
 dim_upper] order, and the routing ops read it through axis-swapped views
@@ -138,44 +140,34 @@ def coupling_from_logits(logits, axis_mode: AxisMode,
 
     UPPER_PER_LOWER normalizes over upper capsules for each lower capsule;
     a type partition changes nothing there (each row is its own group).
-    LOWER_PER_UPPER normalizes over lower capsules per upper capsule, across
-    the whole layer or within each type group when a partition is given.
+    LOWER_PER_UPPER normalizes over lower capsules per upper capsule within
+    each (start, stop) group of the partition, the whole layer being the one
+    group (0, num_lower) when none is given.  That is one tape node whatever
+    the groups: their maxima and sums are ``reduceat`` over the group starts,
+    spread back over each group's lower capsules by ``repeat``.
     """
     b = as_tensor(logits)
     if b.ndim != 3:
         raise ShapeError(f"routing logits must be 3-d, got {b.shape}")
     if axis_mode is AxisMode.UPPER_PER_LOWER:
         return softmax_along(b, axis=2)
-    if type_partition is None:
-        return softmax_along(b, axis=1)
-    groups = _partition_or_error(type_partition, b.shape[1])
-    sizes = {z - a for a, z in groups}
-    if len(sizes) > 1:
-        return _segment_softmax_lower(b, groups)
-    # Equal groups: reshape so the group axis is its own dimension.
-    size = sizes.pop()
-    batch, n, j = b.shape
-    folded = b.reshape(batch, n // size, size, j)
-    return softmax_along(folded, axis=2).reshape(batch, n, j)
-
-
-def _segment_softmax_lower(b: Tensor, groups) -> Tensor:
-    """Softmax over axis 1 run independently per contiguous (start, stop)."""
+    n = b.shape[1]
+    groups = _partition_or_error(((0, n),) if type_partition is None
+                                 else type_partition, n)
     if not np.isfinite(b.data).all():
         raise NonFiniteError("softmax requires finite input")
-    out = np.empty_like(b.data)
-    for a, z in groups:
-        seg = b.data[:, a:z, :]
-        e = np.exp(seg - seg.max(axis=1, keepdims=True))
-        out[:, a:z, :] = e / e.sum(axis=1, keepdims=True)
+    starts = [a for a, _ in groups]
+    sizes = [z - a for a, z in groups]
+
+    def per_group(reduce, x):
+        """Each group's reduction over axis 1, repeated over its capsules."""
+        return np.repeat(reduce.reduceat(x, starts, axis=1), sizes, axis=1)
+
+    out = np.exp(b.data - per_group(np.maximum, b.data))
+    out /= per_group(np.add, out)
 
     def backward(g):
-        db = np.empty_like(g)
-        for a, z in groups:
-            y = out[:, a:z, :]
-            gs = g[:, a:z, :]
-            db[:, a:z, :] = y * (gs - (gs * y).sum(axis=1, keepdims=True))
-        b._accumulate(db)
+        b._accumulate(out * (g - per_group(np.add, g * out)))
 
     return Tensor._node(out, (b,), backward, "segment_softmax")
 

@@ -214,9 +214,6 @@ class Model:
     routing: RoutingConfig
     params: dict[str, Tensor] = field(repr=False)
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
 
 def _init_std(name: str, shape: tuple[int, ...]) -> float:
     """Normal init scale of one parameter; 0 means it starts at zero."""
@@ -243,12 +240,12 @@ def build_model(arch: ArchConfig, routing: RoutingConfig, seed: int) -> Model:
 
 
 def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
-    """Images to (lengths, digit_caps, per_type_caps-or-None, trace-or-None).
+    """Images to (lengths, digit_caps, per_type_caps-or-None, couplings-or-None).
 
     ``lengths`` [batch, num_classes] are the class scores; ``digit_caps``
     [batch, num_classes, digit_dim] the routed capsules; ``per_type_caps``
     [batch, num_types, num_classes, digit_dim] only in grouped routing;
-    the RoutingTrace only with ``capture_trace``.
+    the per-iteration couplings (see ``route``) only with ``capture_trace``.
     """
     arch = model.arch
     x = Tensor(images)
@@ -271,10 +268,10 @@ def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
                                               arch.primary_dim)
     u = squash(u)
     u_hat = predict(u, p["routing.weights"])
-    v, trace, per_type = route(u_hat, arch.layer_spec(), model.routing,
-                               capture_trace=capture_trace)
+    v, couplings, per_type = route(u_hat, arch.layer_spec(), model.routing,
+                                   capture_trace=capture_trace)
     lengths = ((v * v).sum(axis=2) + 1e-18).sqrt()
-    return lengths, v, per_type, trace
+    return lengths, v, per_type, couplings
 
 
 def decode(model: Model, digit_caps: Tensor, labels: Tensor) -> Tensor:
@@ -369,8 +366,8 @@ class Adam:
 def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray,
                capture_trace: bool = False):
     """Forward pass and total loss; returns (loss, lengths, named probes,
-    RoutingTrace-or-None)."""
-    lengths, digit_caps, _, trace = forward(model, images, capture_trace)
+    couplings-or-None)."""
+    lengths, digit_caps, _, couplings = forward(model, images, capture_trace)
     margin = margin_loss(lengths, Tensor(labels_1h))
     decoded = decode(model, digit_caps, Tensor(labels_1h))
     recon = reconstruction_loss(decoded, Tensor(images.reshape(images.shape[0], -1)))
@@ -378,7 +375,7 @@ def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray,
     probes = [("digit_caps", digit_caps), ("lengths", lengths),
               ("decoded", decoded), ("margin_loss", margin),
               ("reconstruction_loss", recon), ("total_loss", total)]
-    return total, lengths, probes, trace
+    return total, lengths, probes, couplings
 
 
 def train_step(model: Model, optimizer: Adam, images: np.ndarray,
@@ -419,14 +416,16 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _, trace = batch_loss(
+            total, lengths, _, couplings = batch_loss(
                 model, img, one_hot(lab, num_classes), capture_trace)
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
             correct += int((pred == lab).sum())
             np.add.at(confusion, (lab, pred), 1)
-            if capture_trace:
-                dc_per_image[start:start + len(lab)] = trace.final_dc_per_image()
+            if capture_trace:   # zeros for a single routing iteration
+                prev = couplings[max(len(couplings) - 2, 0)]
+                dc_per_image[start:start + len(lab)] = np.abs(
+                    couplings[-1] - prev).mean(axis=(1, 2))
     result = (correct / n, loss_sum / n, confusion)
     return result + (dc_per_image,) if capture_trace else result
 

@@ -12,14 +12,15 @@ A RoutingConfig is the cross product of two choices:
 The four combinations give initial couplings of 1/num_upper, 1/num_lower,
 1/num_upper, and 1/caps_per_type respectively; the configured iteration
 count unrolls into the differentiable graph, so gradients flow through
-every coupling update.
+every coupling update.  ``route`` can hand back each iteration's couplings,
+from which the analysis harness measures how fast they move.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,53 +105,14 @@ def initial_coupling(spec: CapsLayerSpec, config: RoutingConfig) -> float:
     return 1.0 / spec.num_lower
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """Values from one routing iteration: the routing tensors' own arrays,
-    not copies, which is safe because no tensor is mutated once built."""
-
-    iteration: int
-    b: np.ndarray             # logits the iteration's couplings came from
-    c: np.ndarray             # couplings used this iteration
-    v: np.ndarray             # combined output after this iteration's squash
-    per_type_v: np.ndarray | None   # [batch, num_types, num_upper, dim_upper]
-
-
-@dataclass
-class RoutingTrace:
-    """All iterations of one routing call, for coupling-dynamics analysis."""
-
-    spec: CapsLayerSpec
-    config: RoutingConfig
-    c0: float
-    steps: list[TraceStep] = field(default_factory=list)
-
-    def coupling_deltas(self) -> list[np.ndarray]:
-        """|c_t - c_{t-1}| for t = 1..r-1 (empty when r = 1)."""
-        return [np.abs(b.c - a.c) for a, b in zip(self.steps, self.steps[1:])]
-
-    def final_dc_per_image(self) -> np.ndarray:
-        """Mean |c_r - c_{r-1}| of each batch item at the last iteration, [batch];
-        zeros for single-iteration runs."""
-        prev = self.steps[-2] if len(self.steps) > 1 else self.steps[-1]
-        return np.abs(self.steps[-1].c - prev.c).mean(axis=(1, 2))
-
-
-@dataclass(frozen=True)
-class RateOfChangeRow:
-    iteration: int
-    mean_dc: float
-    max_dc: float
-    rel_dc: float   # mean_dc / c0
-    c0: float
-
-
 def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
           capture_trace: bool = False):
-    """Run routing-by-agreement; returns (v, trace, per_type_caps).
+    """Run routing-by-agreement; returns (v, couplings, per_type_caps).
 
     ``v`` is the final combined output [batch, num_upper, dim_upper];
-    ``trace`` is a RoutingTrace or None per ``capture_trace``;
+    ``couplings`` is, with ``capture_trace``, the list of every iteration's
+    couplings [batch, num_lower, num_upper] (the coupling tensors' own
+    arrays, which no op mutates once built), and None otherwise;
     ``per_type_caps`` holds the final iteration's per-type outputs
     [batch, num_types, num_upper, dim_upper] as a constant tensor in
     BY_TYPE mode and is None otherwise.
@@ -173,8 +135,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
     partition = spec.type_partition() if grouped else None
     num_types = spec.num_types if grouped else 1
 
-    trace = RoutingTrace(spec=spec, config=config,
-                         c0=initial_coupling(spec, config)) if capture_trace else None
+    couplings = [] if capture_trace else None
     b_t = Tensor(np.zeros((batch, n, j), dtype=u_t.data.dtype))
     v = None
     per_type = None
@@ -186,13 +147,11 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             v = squash(v.sum(axis=1))
         else:
             v = v.reshape(batch, j, d)
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                iteration=it, b=b_t.data, c=c.data, v=v.data,
-                per_type_v=per_type.data if grouped else None))
+        if couplings is not None:
+            couplings.append(c.data)
         if it + 1 < config.iterations:   # the last logits would go unread
             b_t = agreement_update(b_t, u_t, v)
-    return v, trace, per_type
+    return v, couplings, per_type
 
 
 def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor:
@@ -269,16 +228,3 @@ def _couplings_scalar(b_mat, axis_mode: AxisMode, partition, n: int, j: int):
                 for k, i in enumerate(range(a, z_end)):
                     c[i][jj] = e[k] / z
     return c
-
-
-def rate_of_change_report(trace: RoutingTrace) -> list[RateOfChangeRow]:
-    """Per-iteration coupling-change statistics from a captured trace."""
-    if len(trace.steps) < 2:
-        raise ValueError("rate_of_change_report needs a trace with >= 2 iterations")
-    rows = []
-    for t, delta in enumerate(trace.coupling_deltas(), start=1):
-        mean_dc = float(delta.mean())
-        rows.append(RateOfChangeRow(
-            iteration=t, mean_dc=mean_dc, max_dc=float(delta.max()),
-            rel_dc=mean_dc / trace.c0, c0=trace.c0))
-    return rows

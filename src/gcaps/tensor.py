@@ -159,10 +159,6 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
 
-    def detach(self) -> "Tensor":
-        """A leaf sharing this tensor's values, cut from the graph."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def clear_grad(self) -> None:
         self.grad = None
 

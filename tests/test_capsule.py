@@ -307,6 +307,50 @@ class TestCoupling:
                                              partition) * ts[1]).sum(),
             [(2, 8, 3), (2, 8, 3)], rng)
 
+    # Every LOWER_PER_UPPER case runs through one segment softmax: the whole
+    # layer as one group, equal type groups, and unequal ones.
+    LOWER_PARTITIONS = pytest.mark.parametrize(
+        "partition", [None, ((0, 3), (3, 6)), ((0, 2), (2, 6))],
+        ids=["no-partition", "equal", "unequal"])
+
+    @LOWER_PARTITIONS
+    def test_extreme_logit_takes_its_whole_group(self, partition):
+        rng = np.random.default_rng(108)
+        logits = rng.standard_normal((2, 6, 3))
+        groups = partition or ((0, 6),)
+        for a, _ in groups:
+            logits[:, a + 1, 1] = 1e300
+        b = Tensor(logits, requires_grad=True)
+        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+        (c * Tensor(rng.standard_normal((2, 6, 3)))).sum().backward()
+        for a, z in groups:
+            column = c.data[:, a:z, 1]
+            assert (column[:, 1] == 1.0).all()
+            assert (np.delete(column, 1, axis=1) == 0.0).all()
+        assert np.isfinite(b.grad).all()
+
+    @LOWER_PARTITIONS
+    def test_float32_logits_give_float32_couplings_and_gradient(self, partition):
+        rng = np.random.default_rng(109)
+        logits, weights = rng.standard_normal((2, 2, 6, 3))
+        results = []
+        for dtype in (np.float64, np.float32):
+            b = Tensor(logits, requires_grad=True, dtype=dtype)
+            c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+            (c * Tensor(weights, dtype=dtype)).sum().backward()
+            results.append((c.data, b.grad))
+        for want, got in zip(*results):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
+
+    @LOWER_PARTITIONS
+    def test_lower_per_upper_is_one_tape_node(self, partition):
+        b = Tensor(np.zeros((2, 6, 3)), requires_grad=True)
+        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+        nodes = [n for n in GradTape.from_root(c).nodes if n._parents]
+        assert len(nodes) == 1 and nodes[0] is c
+        assert c._parents == (b,)
+
     def test_bad_partition_rejected(self):
         b = Tensor(np.zeros((1, 8, 3)))
         for bad in [((0, 4), (5, 8)), ((0, 4), (4, 7)), ((1, 8),),

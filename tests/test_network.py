@@ -73,12 +73,12 @@ class TestArchConfig:
 class TestBuildModel:
     def test_default_parameter_count_is_fixed(self):
         model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), 0)
-        assert model.parameter_count() == 8_215_568
+        assert sum(t.size for t in model.params.values()) == 8_215_568
 
     def test_compact_parameter_count_is_fixed(self):
         model = build_model(ArchConfig.compact(),
                             RoutingConfig.from_name("alg3"), 1)
-        assert model.parameter_count() == 792_336
+        assert sum(t.size for t in model.params.values()) == 792_336
 
     def test_parameter_names_and_shapes(self):
         model = micro_model()
@@ -164,6 +164,15 @@ class TestForward:
         model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), seed=0)
         total, _, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2]), 10))
         assert len(GradTape.from_root(total).nodes) == 110
+
+    def test_grouped_loss_graphs_are_the_same_size(self):
+        # Leaves included.  Each coupling softmax is one node on either
+        # axis; as a reshape, softmax and reshape alg4 would make 144.
+        for name in ("alg3", "alg4"):
+            model = build_model(ArchConfig.compact(), RoutingConfig.from_name(name), seed=0)
+            total, _, _, _ = batch_loss(model, np.zeros((4, 1, 28, 28)),
+                                        one_hot(np.arange(4), 10))
+            assert len(GradTape.from_root(total).nodes) == 140
 
 
 class TestDecode:

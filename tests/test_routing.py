@@ -1,23 +1,25 @@
 """Routing engine checks: agreement with the loop-based reference on every
-configuration, degeneracy and permutation properties, trace contents, and
-gradient flow through unrolled iterations."""
+configuration, degeneracy and permutation properties, the per-iteration
+couplings ``route`` hands back, and gradient flow through unrolled
+iterations."""
 
 import numpy as np
 import pytest
 
 import gcaps.routing as routing_module
 from gcaps.capsule import AxisMode, CapsLayerSpec, squash, weighted_sum
+from gcaps.analysis import init_sensitivity_study
+from gcaps.network import build_model, evaluate
 from gcaps.routing import (
     Grouping,
-    RateOfChangeRow,
     RoutingConfig,
     initial_coupling,
-    rate_of_change_report,
     route,
     route_reference,
 )
 from gcaps.tensor import ShapeError, Tensor
 
+from test_network import micro_arch
 from test_tensor import check_grad
 
 ALL_NAMES = ("alg1", "alg2", "alg3", "alg4")
@@ -130,11 +132,11 @@ class TestRouteBehaviour:
                              dim_upper=3, num_types=2, caps_per_type=4)
         rng = np.random.default_rng(32)
         u_hat = Tensor(rng.standard_normal((2, 8, 10, 3)))
-        v, trace, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1),
-                            capture_trace=True)
+        v, couplings, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1),
+                                capture_trace=True)
         want = squash(Tensor(0.1 * u_hat.data.sum(axis=1))).data
         assert np.abs(v.data - want).max() < 1e-12
-        assert np.abs(trace.steps[0].c - 0.1).max() < 1e-15
+        assert np.abs(couplings[0] - 0.1).max() < 1e-15
 
     def test_grouped_single_type_equals_ungrouped_with_outer_squash(self):
         # With one type the group sum has a single term, so the grouped
@@ -198,19 +200,26 @@ class TestRouteBehaviour:
         assert np.abs(v.data - recombined).max() < 1e-10
 
     def test_grouped_trace_keeps_full_couplings_and_per_type_sums(self):
+        # The couplings cover every lower capsule, normalized per type for
+        # alg4 and per lower capsule for alg3; the final per-type outputs
+        # are the squashed per-type sums under the last couplings.
         spec = small_spec(num_lower=12, num_upper=3, num_types=3)
         rng = np.random.default_rng(38)
         u = rng.standard_normal((2, 12, 3, 3))
         for name in ("alg3", "alg4"):
-            _, trace, per_type = route(Tensor(u), spec, RoutingConfig.from_name(name),
-                                       capture_trace=True)
-            for step in trace.steps:
-                assert step.c.shape == (2, 12, 3)
-                for t, (a, z) in enumerate(spec.type_partition()):
-                    want = squash(weighted_sum(Tensor(step.c[:, a:z]),
-                                               Tensor(u[:, a:z]))).data[:, 0]
-                    assert np.abs(step.per_type_v[:, t] - want).max() < 1e-12
-            assert np.array_equal(per_type.data, trace.steps[-1].per_type_v)
+            _, couplings, per_type = route(Tensor(u), spec, RoutingConfig.from_name(name),
+                                           capture_trace=True)
+            for c in couplings:
+                assert c.shape == (2, 12, 3)
+                if name == "alg3":
+                    assert np.abs(c.sum(axis=2) - 1.0).max() < 1e-12
+                for a, z in spec.type_partition():
+                    if name == "alg4":
+                        assert np.abs(c[:, a:z].sum(axis=1) - 1.0).max() < 1e-12
+            for t, (a, z) in enumerate(spec.type_partition()):
+                want = squash(weighted_sum(Tensor(couplings[-1][:, a:z]),
+                                           Tensor(u[:, a:z]))).data[:, 0]
+                assert np.abs(per_type.data[:, t] - want).max() < 1e-12
 
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_last_iteration_skips_the_unread_logit_update(self, monkeypatch, iterations):
@@ -263,11 +272,10 @@ class TestFloat32:
         results = []
         for dtype in (np.float64, np.float32):
             u = Tensor(u64, requires_grad=True, dtype=dtype)
-            v, trace, per_type = route(u, spec, config, capture_trace=True)
+            v, couplings, per_type = route(u, spec, config, capture_trace=True)
             (v * v).sum().backward()
             results.append((v.data, u.grad))
-        for step in trace.steps:
-            assert step.b.dtype == np.float32 and step.c.dtype == np.float32
+        assert all(c.dtype == np.float32 for c in couplings)
         if per_type is not None:
             assert per_type.data.dtype == np.float32
         for want, got in zip(*results):
@@ -280,11 +288,11 @@ class TestTraceAndReport:
         spec = small_spec()
         u_hat = Tensor(np.random.default_rng(41).standard_normal((1, 6, 2, 3)))
         for r in (1, 2, 5):
-            _, trace, _ = route(u_hat, spec,
-                                RoutingConfig.from_name("alg2", r),
-                                capture_trace=True)
-            assert len(trace.steps) == r
-            assert [s.iteration for s in trace.steps] == list(range(r))
+            _, couplings, _ = route(u_hat, spec,
+                                    RoutingConfig.from_name("alg2", r),
+                                    capture_trace=True)
+            assert len(couplings) == r
+            assert all(c.shape == (1, 6, 2) for c in couplings)
 
     def test_iteration_zero_coupling_is_uniform(self):
         rng = np.random.default_rng(42)
@@ -292,20 +300,19 @@ class TestTraceAndReport:
         u_hat = Tensor(rng.standard_normal((1, 12, 3, 3)))
         for name in ALL_NAMES:
             config = RoutingConfig.from_name(name)
-            _, trace, _ = route(u_hat, spec, config, capture_trace=True)
+            _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
             c0 = initial_coupling(spec, config)
-            assert trace.c0 == c0
-            assert np.abs(trace.steps[0].c - c0).max() < 1e-12
+            assert np.abs(couplings[0] - c0).max() < 1e-12
 
     def test_full_width_initial_couplings(self):
         # At reference width the two softmax axes expose 0.1 vs 1/1152.
         spec = CapsLayerSpec.reference()
         u_hat = Tensor(np.zeros((1, 1152, 10, 16)))
         for name, want in (("alg1", 0.1), ("alg2", 1.0 / 1152)):
-            _, trace, _ = route(u_hat, spec,
-                                RoutingConfig.from_name(name, 1),
-                                capture_trace=True)
-            assert np.abs(trace.steps[0].c - want).max() < 1e-12
+            _, couplings, _ = route(u_hat, spec,
+                                    RoutingConfig.from_name(name, 1),
+                                    capture_trace=True)
+            assert np.abs(couplings[0] - want).max() < 1e-12
 
     def test_balanced_votes_produce_zero_change(self):
         # Prediction vectors cancel within every type group, so every vote
@@ -315,55 +322,51 @@ class TestTraceAndReport:
         half = rng.standard_normal((1, 4, 3, 3))
         u = np.concatenate([half, -half], axis=1)[:, [0, 4, 1, 5, 2, 6, 3, 7]]
         for name in ("alg1", "alg4"):
-            _, trace, _ = route(Tensor(u), spec,
-                                RoutingConfig.from_name(name, 3),
-                                capture_trace=True)
-            for row in rate_of_change_report(trace):
-                assert row.mean_dc == 0.0
-                assert row.max_dc == 0.0
+            _, couplings, _ = route(Tensor(u), spec,
+                                    RoutingConfig.from_name(name, 3),
+                                    capture_trace=True)
+            assert len(couplings) == 3
+            for c in couplings[1:]:
+                assert np.array_equal(c, couplings[0])
 
     def test_report_rows_and_relative_change(self):
+        # The study's rows are |c_t - c_{t-1}| of one traced route per
+        # trial, t = 1..r-1, with rel_dc the mean over the initial coupling.
         spec = small_spec()
-        rng = np.random.default_rng(44)
-        u_hat = Tensor(rng.standard_normal((2, 6, 2, 3)))
-        _, trace, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 4),
-                            capture_trace=True)
-        rows = rate_of_change_report(trace)
-        assert [r.iteration for r in rows] == [1, 2, 3]
-        for row in rows:
-            assert isinstance(row, RateOfChangeRow)
-            assert row.c0 == 0.5      # two upper capsules
-            assert row.rel_dc == pytest.approx(row.mean_dc / row.c0)
-            assert row.max_dc >= row.mean_dc >= 0.0
+        rows, _ = init_sensitivity_study(spec, [RoutingConfig.from_name("alg1", 4)],
+                                         num_trials=10, seed=0, batch=2)
+        assert [r[2] for r in rows[:3]] == [1, 2, 3]
+        assert len(rows) == 10 * 3
+        for name, _, _, c0, mean_dc, max_dc, rel_dc in rows:
+            assert name == "alg1"
+            assert c0 == 0.5      # two upper capsules
+            assert rel_dc == mean_dc / c0
+            assert max_dc >= mean_dc >= 0.0
 
     def test_report_requires_two_iterations(self):
-        spec = small_spec()
-        u_hat = Tensor(np.zeros((1, 6, 2, 3)))
-        _, trace, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1),
-                            capture_trace=True)
-        with pytest.raises(ValueError):
-            rate_of_change_report(trace)
+        with pytest.raises(ValueError, match="iterations"):
+            init_sensitivity_study(small_spec(),
+                                   [RoutingConfig.from_name("alg1", 1)],
+                                   num_trials=10, seed=0)
 
     def test_final_dc_per_image_zero_for_single_iteration(self):
-        u_hat = Tensor(np.random.default_rng(45).standard_normal((3, 6, 2, 3)))
-        _, trace, _ = route(u_hat, small_spec(),
-                            RoutingConfig.from_name("alg1", 1), capture_trace=True)
-        assert np.array_equal(trace.final_dc_per_image(), np.zeros(3))
+        model = build_model(micro_arch(), RoutingConfig.from_name("alg1", 1), seed=0)
+        images = np.random.default_rng(45).uniform(0, 1, (3, 1, 28, 28))
+        *_, dc_per_image = evaluate(model, images, np.arange(3), capture_trace=True)
+        assert np.array_equal(dc_per_image, np.zeros(3))
 
     def test_trace_steps_keep_their_values_after_routing_returns(self):
-        # Steps hold the routing tensors' buffers, not copies: a backward
-        # pass and a second routing call must leave them as they were built.
+        # The list holds the coupling tensors' buffers, not copies: a
+        # backward pass and a second routing call must leave them as they
+        # were built.
         spec = small_spec(num_lower=12, num_upper=3, num_types=3)
         u = np.random.default_rng(46).standard_normal((2, 12, 3, 3))
         for name in ALL_NAMES:
             config = RoutingConfig.from_name(name, 4)
             u_hat = Tensor(u, requires_grad=True)
-            v, trace, _ = route(u_hat, spec, config, capture_trace=True)
+            v, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+            copies = [c.copy() for c in couplings]
             v.sum().backward()
             route(u_hat, spec, config, capture_trace=True)
-            assert np.array_equal(trace.steps[0].b, np.zeros((2, 12, 3)))
-            assert np.abs(trace.steps[0].c - trace.c0).max() < 1e-12
-            for a, b in zip(trace.steps, trace.steps[1:]):
-                agreement = np.einsum("bnjd,bjd->bnj", u, a.v)
-                assert np.abs(b.b - (a.b + agreement)).max() < 1e-12
-            assert np.array_equal(trace.steps[-1].v, v.data)
+            for got, want in zip(couplings, copies, strict=True):
+                assert np.array_equal(got, want)
