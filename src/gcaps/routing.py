@@ -117,11 +117,11 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
     [batch, num_types, num_upper, dim_upper] as a constant tensor in
     BY_TYPE mode and is None otherwise.
 
-    Every iteration recomputes couplings from the logits, forms the
-    weighted vote sum (one per type in grouped mode, in a single op),
-    squashes, and, except the last, adds the prediction/output agreement
-    back onto the logits (for all lower capsules, against the combined
-    output in grouped mode).
+    The couplings start uniform (``initial_coupling``).  Every iteration
+    forms the weighted vote sum (one per type in grouped mode, in a single
+    op), squashes, and, except the last, adds the prediction/output
+    agreement back onto the logits (for all lower capsules, against the
+    combined output in grouped mode) and recomputes the couplings from them.
     """
     u_t = as_tensor(u_hat)
     if u_t.ndim != 4:
@@ -137,10 +137,11 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
 
     couplings = [] if capture_trace else None
     b_t = Tensor(np.zeros((batch, n, j), dtype=u_t.data.dtype))
+    # the softmax of those all-zero logits, without computing it
+    c = Tensor(np.full((batch, n, j), initial_coupling(spec, config), dtype=u_t.data.dtype))
     v = None
     per_type = None
     for it in range(config.iterations):
-        c = coupling_from_logits(b_t, config.softmax_axis, partition)
         v = squash(weighted_sum(c, u_t, num_types))
         if grouped:
             per_type = Tensor(v.data)
@@ -151,6 +152,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             couplings.append(c.data)
         if it + 1 < config.iterations:   # the last logits would go unread
             b_t = agreement_update(b_t, u_t, v)
+            c = coupling_from_logits(b_t, config.softmax_axis, partition)
     return v, couplings, per_type
 
 

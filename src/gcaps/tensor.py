@@ -8,9 +8,10 @@ the sizes are equal or one of them is 1.
 
 Gradients accumulate into ``.grad`` until explicitly cleared, so backward
 passes over newly built graphs sum their contributions.  A pass consumes
-the graph it walks: once a node's closure has run, the node lets go of its
-inputs and its closure, so every array the closure saved, and every
-gradient no caller holds, is freed as the walk moves down.  A second
+the graph it walks: the tape lets go of each node it reaches, and the node
+of its inputs and closure, before the node's gradient is settled and its
+closure runs, so a node no caller holds, every array its closure saved and
+every gradient no caller holds are freed as the walk moves down.  A second
 ``backward()`` from the same root, or from a new root that reaches a node
 of a consumed graph, raises ``RuntimeError``.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -101,7 +103,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
-                 "_pending")
+                 "_pending", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -188,11 +190,6 @@ class Tensor:
         else:
             self._accumulate(g)
 
-    def _settle(self) -> None:
-        """Write the deferred outer-product terms into ``grad``."""
-        pairs, self._pending = self._pending, None
-        self._adopt(_outer_sum(pairs, self.data.shape, self.data.dtype))
-
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires_grad tensor.
 
@@ -274,10 +271,12 @@ class GradTape:
     ``nodes`` lists every graph node with inputs strictly before outputs;
     ``run`` pops them off the end, settling each node's deferred terms and
     then invoking its local-gradient closure.  Every consumer of a node runs
-    before it, so its terms are complete when it is settled.  A node whose
-    closure the walk has reached drops its inputs and takes ``_consumed`` as
-    its closure, so once the tape has let go of it only a caller's
-    reference keeps it, its ``data`` and its ``grad`` alive.
+    before it, so its terms are complete when it is settled.  Before either,
+    the node drops its inputs and takes ``_consumed`` as its closure, and
+    ``run`` lets go of it: with no caller holding it (a weak reference
+    tells), its ``data`` is freed before its gradient is written;
+    otherwise the gradient is stored on it.  Closures never read their own
+    node; one that needs its output captures the array.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -308,12 +307,21 @@ class GradTape:
         nodes = self.nodes
         while nodes:
             node = nodes.pop()
-            if node._pending:
-                node._settle()
-            if node._backward_fn is not None:
-                if node.grad is not None:
-                    node._backward_fn(node.grad)
+            fn, pairs, grad = node._backward_fn, node._pending, node.grad
+            shape, dtype = node.data.shape, node.data.dtype
+            node._pending = None
+            if fn is not None:
                 node._parents, node._backward_fn = (), _consumed
+            held = weakref.ref(node)
+            del node   # with no caller holding it, its data is freed here
+            if pairs:
+                settled = _outer_sum(pairs, shape, dtype)
+                grad = settled if grad is None else np.add(grad, settled, out=grad)
+                del pairs, settled
+                if held() is not None:
+                    held().grad = grad
+            if fn is not None and grad is not None:
+                fn(grad)
 
 
 def _consumed(g: np.ndarray) -> None:
@@ -638,9 +646,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
       by (w_out-1)*stride + kw, with every transform done as a pair of 1-D
       DFT-matrix products over cache-sized blocks of signals, so no
       transform makes a temporary the size of its input.  It keeps the
-      input's spectrum when the kernel needs a gradient and the kernel's
-      spectrum when the input does; otherwise the kernel's spectrum is
-      built per block of output channels and never held whole.
+      input's spectrum when the kernel needs a gradient; the kernel's is
+      built per block of output channels for the forward and again per
+      block of input channels for the input gradient, never held whole.
       Results differ from im2col's by rounding (about 1e-15 of the largest
       value in float64).  A NaN or infinity at a point that some window
       reads reaches every output of its image; points no window reads reach
@@ -717,21 +725,23 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
     inputs = transform(len(x_rows), len(x_cols), batch * c_in)
     taps = transform(kh, kw, c_out * c_in)
     outputs = transform(h_out, w_out, batch * c_out)
-    # without the input gradient, X is read once per block of output channels
-    spectral = inputs + taps + outputs + product(batch, c_out, c_in,
-                                                 1 if x_grad else -(-c_out // batch))
+    # the kernel's spectrum is built per block of ``batch`` output channels,
+    # each multiplying X, and for the input gradient built again per block
+    # of ``batch`` input channels, each multiplying G
+    spectral = inputs + taps + outputs + product(batch, c_out, c_in, -(-c_out // batch))
     if x_grad or k_grad:   # the output gradient's spectrum
         spectral += outputs
     if k_grad:
         spectral += product(c_out, c_in, batch) + taps
     if x_grad:
-        spectral += product(batch, c_in, c_out) + inputs
+        spectral += product(batch, c_in, c_out, -(-c_in // batch)) + taps + inputs
     # im2col: the column buffer written and read, the output written and
     # transposed; the kernel gradient reads the buffer again, and the input
-    # gradient writes each position's product and adds it in
+    # gradient writes each position's product, then reads it and the window
+    # it adds into and writes that window
     positions = batch * h_out * w_out
     column = positions * c_in * kh * kw
-    return spectral < (column * (c_out * (1 + x_grad + k_grad) + 16 + 8 * k_grad + 24 * x_grad)
+    return spectral < (column * (c_out * (1 + x_grad + k_grad) + 16 + 8 * k_grad + 32 * x_grad)
                        + 24 * positions * c_out)
 
 
@@ -829,8 +839,10 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     (wg//2 + 1) half-spectrum frequencies, in the inputs' complex dtype.
     Every transform is two 1-D DFT-matrix products per cache-sized block of
     signals (``_spectrum`` and ``_values_at``).  X is kept for the kernel
-    gradient and K for the input gradient, each only when that gradient
-    will be recorded.  The bias and the clamp go on the values.
+    gradient only when that gradient will be recorded.  K is never whole:
+    it is built per block of ``batch`` output channels for the forward and
+    of ``batch`` input channels for the input gradient, each block's
+    product written into its columns.  The bias and the clamp go on the values.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     parents = _conv2d_inputs(x, kernel, bias)
@@ -849,22 +861,18 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     x_pts = x.data.reshape(batch * c_in, h, w)[:, :len(x_rows), :len(x_cols)]
     x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
 
-    def taps_spectrum(channels: slice) -> np.ndarray:
-        return _spectrum(kernel.data[channels].reshape(-1, kh, kw), tap_rows, tap_cols,
-                         grid, ctype).reshape(freqs, -1, c_in)
+    def taps_spectrum(taps: np.ndarray) -> np.ndarray:
+        # [F, o, c] from o x c taps [o, c, kh, kw]
+        return _spectrum(taps.reshape(-1, kh, kw), tap_rows, tap_cols, grid,
+                         ctype).reshape(freqs, *taps.shape[:2])
 
-    kept_k = taps_spectrum(slice(None)) if (_grad_enabled and x.requires_grad) else None
-    if kept_k is not None:
-        product = x_conj @ kept_k.transpose(0, 2, 1)
-    else:
-        # Without the input gradient the kernel's spectrum is never whole: it
-        # is built and multiplied per block of ``batch`` output channels, so a
-        # block is no larger than X, and the extra reads of X it costs are no
-        # more bytes than the spectrum that is never held.
-        product = np.empty((freqs, batch, c_out), dtype=ctype)
-        for o in range(0, c_out, batch):
-            np.matmul(x_conj, taps_spectrum(slice(o, o + batch)).transpose(0, 2, 1),
-                      out=product[:, :, o:o + batch])
+    # A block of ``batch`` channels is no larger than X (or G, for the
+    # input gradient), and the extra reads of X and G it costs are no more
+    # bytes than the kernel's spectrum that is never held.
+    product = np.empty((freqs, batch, c_out), dtype=ctype)
+    for o in range(0, c_out, batch):
+        np.matmul(x_conj, taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1),
+                  out=product[:, :, o:o + batch])
     out_data = _values_at(product, out_rows, out_cols, grid,
                           np.empty((batch, c_out, h_out, w_out), dtype=rtype))
     _add_bias_relu(out_data, bias, relu, 2)
@@ -872,7 +880,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
 
     def backward(g):
         # Each spectrum is dropped once its last product is formed.
-        nonlocal kept_x, kept_k
+        nonlocal kept_x
         g = _through_bias_relu(g, out_data, bias, relu)
         g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
                            grid, ctype).reshape(freqs, batch, c_out)
@@ -885,7 +893,11 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
         if x.requires_grad:
             # G K is the spectrum of the input gradient, so it is the conjugate
             # spectrum of that gradient reflected: read it at the negated points.
-            dx_spec, kept_k, g_spec = g_spec @ kept_k, None, None
+            dx_spec = np.empty((freqs, batch, c_in), dtype=ctype)
+            for c in range(0, c_in, batch):
+                np.matmul(g_spec, taps_spectrum(kernel.data[:, c:c + batch]),
+                          out=dx_spec[:, :, c:c + batch])
+            del g_spec
             dx = np.empty(x.shape, dtype=rtype)
             dx[:, :, len(x_rows):] = 0.0
             dx[:, :, :, len(x_cols):] = 0.0

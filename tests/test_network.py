@@ -372,6 +372,24 @@ class TestBackwardMemory:
         _, end, param_bytes = self.traced_backward(16)
         assert end < 1.1 * param_bytes
 
+    def test_compact_train_step_peak(self):
+        # One whole step, forward and backward, after a first step has made
+        # Adam's moments.  Measured at batch 16: 24.1 MiB; 33.3 MiB when the
+        # tape held u_hat until its gradient was settled and the primary
+        # conv kept its kernel's whole spectrum for the input gradient.
+        model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg1"), seed=3)
+        optimizer = Adam(model.params)
+        rng = np.random.default_rng(74)
+        images, labels = rng.uniform(0, 1, (16, 1, 28, 28)), np.arange(16) % 10
+        train_step(model, optimizer, images, labels)
+        tracemalloc.start()
+        try:
+            train_step(model, optimizer, images, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
+
 
 class TestEvaluate:
     def test_pure_and_repeatable(self):

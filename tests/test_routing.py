@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import gcaps.routing as routing_module
-from gcaps.capsule import AxisMode, CapsLayerSpec, squash, weighted_sum
+from gcaps.capsule import AxisMode, CapsLayerSpec, coupling_from_logits, squash, weighted_sum
 from gcaps.analysis import init_sensitivity_study
-from gcaps.network import build_model, evaluate
+from gcaps.network import ArchConfig, build_model, evaluate
 from gcaps.routing import (
     Grouping,
     RoutingConfig,
@@ -137,6 +137,23 @@ class TestRouteBehaviour:
         want = squash(Tensor(0.1 * u_hat.data.sum(axis=1))).data
         assert np.abs(v.data - want).max() < 1e-12
         assert np.abs(couplings[0] - 0.1).max() < 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("arch", ["reference", "compact"])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_first_couplings_are_the_softmax_of_zero_logits_bit_for_bit(self, name, arch,
+                                                                         dtype):
+        spec = CapsLayerSpec.reference() if arch == "reference" \
+            else ArchConfig.compact().layer_spec()
+        config = RoutingConfig.from_name(name, 1)
+        partition = spec.type_partition() if config.grouping is Grouping.BY_TYPE else None
+        u_hat = Tensor(np.ones((2, spec.num_lower, spec.num_upper, spec.dim_upper)),
+                       dtype=dtype)
+        _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+        zeros = Tensor(np.zeros(u_hat.shape[:3]), dtype=dtype)
+        want = coupling_from_logits(zeros, config.softmax_axis, partition).data
+        assert couplings[0].dtype == dtype
+        assert np.array_equal(couplings[0], want)
 
     def test_grouped_single_type_equals_ungrouped_with_outer_squash(self):
         # With one type the group sum has a single term, so the grouped

@@ -5,12 +5,14 @@ structural invariants of the tape."""
 import ctypes
 import platform
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gcaps.tensor as tensor_module
+from gcaps.capsule import agreement_update, predict, weighted_sum
 from gcaps.tensor import (
     GradTape,
     NonFiniteError,
@@ -421,6 +423,34 @@ class TestConv2dSpectral(TestConv2d):
         assert peak - start < 3 * x_spectrum + 4 * tensor_module._BLOCK_BYTES
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("grads", [(True, False), (False, True), (True, True)],
+                             ids=["input-only", "kernel-only", "both"])
+    def test_kernel_spectrum_is_built_per_block_of_channels(self, monkeypatch, grads):
+        # Three images, seven output and eight input channels: the kernel's
+        # taps are transformed three output channels at a time for the
+        # forward (3x8, 3x8, 1x8 signals) and three input channels at a time
+        # for the input gradient (7x3, 7x3, 7x2), never all 7x8 at once.
+        rng = np.random.default_rng(75)
+        x0, k0 = rng.standard_normal((3, 8, 20, 20)), rng.standard_normal((7, 8, 9, 9))
+        g = Tensor(rng.standard_normal((3, 7, 6, 6)))
+        taps, real = [], tensor_module._spectrum
+
+        def spectrum(values, *args):
+            if values.shape[1:] == (9, 9):
+                taps.append(len(values))
+            return real(values, *args)
+
+        monkeypatch.setattr(tensor_module, "_spectrum", spectrum)
+        results = []
+        for path in (_conv2d_im2col, _conv2d_spectral):
+            x, k = Tensor(x0, requires_grad=grads[0]), Tensor(k0, requires_grad=grads[1])
+            y = path(x, k, 2, 0)
+            (y * g).sum().backward()
+            results.append([y.data] + [t.grad for t, on in zip((x, k), grads) if on])
+        assert taps == [24, 24, 8] + ([21, 21, 14] if grads[0] else [])
+        for want, got in zip(*results):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_unread_points_get_a_zero_gradient(self):
         rng = np.random.default_rng(68)
         x = Tensor(rng.standard_normal((2, 3, 20, 20)), requires_grad=True)
@@ -742,6 +772,53 @@ class TestAutodiffMechanics:
         assert np.array_equal(b.grad, [2.0, 2.0])
         with pytest.raises(RuntimeError, match="consumed"):
             (b * 5.0).sum().backward()
+
+    def test_node_only_the_tape_holds_is_gone_when_its_closure_runs(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        alive = []
+
+        def backward(g):
+            alive.append(node() is not None)
+            a._accumulate(2.0 * g)
+
+        b = Tensor._node(2.0 * a.data, (a,), backward, "double")
+        node = weakref.ref(b)
+        out = b.sum()
+        del b
+        out.backward()
+        assert alive == [False]
+        assert np.array_equal(a.grad, np.full(3, 2.0))
+
+    def test_held_node_with_deferred_terms_keeps_data_and_gets_full_gradient(self):
+        # u_hat's gradient is two deferred factor pairs plus a dense term; the
+        # same graph with the routing ops written as products and sums defers
+        # nothing.  Both hold u_hat, so the pass must leave its data and grad.
+        rng = np.random.default_rng(76)
+        u0, w0 = rng.standard_normal((2, 6, 4)), rng.standard_normal((6, 3, 5, 4))
+        c0, v0 = rng.uniform(0.0, 1.0, (2, 6, 3)), rng.standard_normal((2, 3, 5))
+        g_s, g_b = rng.standard_normal((2, 2, 3, 5)), rng.standard_normal((2, 6, 3))
+
+        def graph(deferred):
+            u_hat = predict(Tensor(u0, requires_grad=True), Tensor(w0, requires_grad=True))
+            c, v = Tensor(c0), Tensor(v0)
+            if deferred:
+                s = weighted_sum(c, u_hat, num_types=2)
+                b = agreement_update(Tensor(np.zeros((2, 6, 3))), u_hat, v)
+            else:
+                s = (c.reshape(2, 6, 3, 1) * u_hat).reshape(2, 2, 3, 3, 5).sum(axis=2)
+                b = (u_hat * v.reshape(2, 1, 3, 5)).sum(axis=3)
+            return u_hat, ((s * Tensor(g_s)).sum() + (b * Tensor(g_b)).sum()
+                           + (u_hat * u_hat).sum())
+
+        u_hat, out = graph(deferred=True)
+        data = u_hat.data.copy()
+        out.backward()
+        want, want_out = graph(deferred=False)
+        want_out.backward()
+        assert np.array_equal(u_hat.data, data)
+        assert np.allclose(u_hat.grad, want.grad, rtol=1e-13, atol=1e-14)
+        with pytest.raises(RuntimeError, match="consumed"):
+            (u_hat * 2.0).sum().backward()
 
     def test_pass_empties_the_tape_and_keeps_held_nodes(self):
         a = Tensor(np.ones(3), requires_grad=True)
