@@ -231,7 +231,7 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
         for config in configs:
             c0 = initial_coupling(spec, config)
             with no_grad():
-                _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+                _, couplings, _ = route(u_hat, spec, config)
             mean_dcs = []
             for t in range(1, len(couplings)):
                 delta = np.abs(couplings[t] - couplings[t - 1])

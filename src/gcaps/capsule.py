@@ -9,10 +9,11 @@ Conventions used throughout:
   s      per-type weighted vote sums  [batch, num_types, num_upper, dim_upper]
   v      upper-capsule outputs        [batch, num_upper, dim_upper]
 
-Type groups are contiguous lower-index ranges [t*caps_per_type,
-(t+1)*caps_per_type): the primary layer flattens as (type, row, col).
-``coupling_from_logits`` normalizes over lower capsules with one segment
-softmax over such ranges; ungrouped, the whole layer is the one range.
+Types are ``num_types`` contiguous equal lower-index ranges [t*K, (t+1)*K),
+K = num_lower / num_types: the primary layer flattens as (type, row, col).
+``weighted_sum`` sums each type separately, and ``coupling_from_logits``
+normalizes over lower capsules with one segment softmax over the types;
+ungrouped, the whole layer is the one type.
 
 ``predict`` stores u_hat C-contiguous in [batch, num_lower, num_upper,
 dim_upper] order, and the routing ops read it through axis-swapped views
@@ -70,26 +71,13 @@ class CapsLayerSpec:
         return cls(num_lower=1152, num_upper=10, dim_lower=8, dim_upper=16,
                    num_types=32, caps_per_type=36)
 
-    def type_partition(self) -> tuple[tuple[int, int], ...]:
-        """Contiguous (start, stop) lower-index ranges, one per type."""
-        step = self.caps_per_type
-        return tuple((t * step, (t + 1) * step) for t in range(self.num_types))
 
-
-def _partition_or_error(partition, num_lower: int) -> tuple[tuple[int, int], ...]:
-    """Require contiguous groups covering [0, num_lower) exactly."""
-    groups = tuple((int(a), int(z)) for a, z in partition)
-    cursor = 0
-    for a, z in groups:
-        if a != cursor or z <= a:
-            raise ValueError(
-                f"type partition must cover [0, {num_lower}) contiguously;"
-                f" got group ({a}, {z}) at position {cursor}")
-        cursor = z
-    if cursor != num_lower:
-        raise ValueError(
-            f"type partition covers [0, {cursor}), expected [0, {num_lower})")
-    return groups
+def _type_size(num_lower: int, num_types: int) -> int:
+    """Capsules per type of ``num_lower`` split into ``num_types`` equal types."""
+    if num_types < 1 or num_lower % num_types:
+        raise ShapeError(f"cannot split {num_lower} lower capsules"
+                         f" into {num_types} equal types")
+    return num_lower // num_types
 
 
 def squash(s, axis: int = -1) -> Tensor:
@@ -134,40 +122,36 @@ def predict(u, weights) -> Tensor:
     return Tensor._node(out, (u_t, w_t), backward, "predict")
 
 
-def coupling_from_logits(logits, axis_mode: AxisMode,
-                         type_partition=None) -> Tensor:
+def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Tensor:
     """Softmax the routing logits along the configured normalization axis.
 
     UPPER_PER_LOWER normalizes over upper capsules for each lower capsule;
-    a type partition changes nothing there (each row is its own group).
-    LOWER_PER_UPPER normalizes over lower capsules per upper capsule within
-    each (start, stop) group of the partition, the whole layer being the one
-    group (0, num_lower) when none is given.  That is one tape node whatever
-    the groups: their maxima and sums are ``reduceat`` over the group starts,
-    spread back over each group's lower capsules by ``repeat``.
+    the types change nothing there (each row is its own group).
+    LOWER_PER_UPPER normalizes over the lower capsules of each of the
+    ``num_types`` equal types per upper capsule, one type being the whole
+    layer.  That is one tape node whatever the types: their maxima and sums
+    are ``reduceat`` over the type starts, spread back over each type's
+    capsules by ``repeat``.
     """
     b = as_tensor(logits)
     if b.ndim != 3:
         raise ShapeError(f"routing logits must be 3-d, got {b.shape}")
     if axis_mode is AxisMode.UPPER_PER_LOWER:
         return softmax_along(b, axis=2)
-    n = b.shape[1]
-    groups = _partition_or_error(((0, n),) if type_partition is None
-                                 else type_partition, n)
+    k = _type_size(b.shape[1], num_types)
     if not np.isfinite(b.data).all():
         raise NonFiniteError("softmax requires finite input")
-    starts = [a for a, _ in groups]
-    sizes = [z - a for a, z in groups]
+    starts = np.arange(0, b.shape[1], k)
 
-    def per_group(reduce, x):
-        """Each group's reduction over axis 1, repeated over its capsules."""
-        return np.repeat(reduce.reduceat(x, starts, axis=1), sizes, axis=1)
+    def per_type(reduce, x):
+        """Each type's reduction over axis 1, repeated over its capsules."""
+        return np.repeat(reduce.reduceat(x, starts, axis=1), k, axis=1)
 
-    out = np.exp(b.data - per_group(np.maximum, b.data))
-    out /= per_group(np.add, out)
+    out = np.exp(b.data - per_type(np.maximum, b.data))
+    out /= per_type(np.add, out)
 
     def backward(g):
-        b._accumulate(out * (g - per_group(np.add, g * out)))
+        b._accumulate(out * (g - per_type(np.add, g * out)))
 
     return Tensor._node(out, (b,), backward, "segment_softmax")
 
@@ -187,11 +171,9 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
         raise ShapeError(f"weighted_sum shape mismatch: c {c_t.shape}"
                          f" vs u_hat {u_t.shape}")
     batch, n, j, d = u_t.shape
-    if num_types < 1 or n % num_types:
-        raise ShapeError(f"weighted_sum cannot split {n} lower capsules"
-                         f" into {num_types} equal types")
-    cv = c_t.data.reshape(batch, num_types, n // num_types, j)
-    uv = u_t.data.reshape(batch, num_types, n // num_types, j, d)
+    k = _type_size(n, num_types)
+    cv = c_t.data.reshape(batch, num_types, k, j)
+    uv = u_t.data.reshape(batch, num_types, k, j, d)
     # Batched over (b, t, j): [1, K] @ [K, D] on axis-swapped views.
     u_jk = np.swapaxes(uv, -3, -2)
     out = (np.swapaxes(cv, -1, -2)[..., None, :] @ u_jk)[..., 0, :]

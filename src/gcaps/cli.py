@@ -48,16 +48,16 @@ class RunConfig:
 
     arch: str = "default"
     routing: str = "alg1"
-    iterations: int = 3
+    iterations: int = RoutingConfig.iterations
     configs: tuple[str, ...] = VARIANT_NAMES
-    lr0: float = 0.001
-    decay: float = 0.95
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 128
-    epochs: int = 5
-    seed: int = 0
+    lr0: float = TrainConfig.lr0
+    decay: float = TrainConfig.decay
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
     seeds: tuple[int, ...] = (0, 1, 2)
     dataset: str = "synthetic"
     data_dir: str = "data"
@@ -111,11 +111,8 @@ class RunConfig:
         return RoutingConfig.from_name(self.routing if name is None else name,
                                        iterations=self.iterations)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(lr0=self.lr0, decay=self.decay, beta1=self.beta1,
-                           beta2=self.beta2, eps=self.eps,
-                           batch_size=self.batch_size, epochs=self.epochs,
-                           seed=self.seed if seed is None else seed)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def timer(self):
         if not self.fixed_timer:
@@ -127,7 +124,7 @@ class RunConfig:
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """key=value lines to a dict; blank lines and # comments are skipped."""
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

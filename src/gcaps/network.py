@@ -239,13 +239,13 @@ def build_model(arch: ArchConfig, routing: RoutingConfig, seed: int) -> Model:
     return Model(arch=arch, routing=routing, params=params)
 
 
-def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
-    """Images to (lengths, digit_caps, per_type_caps-or-None, couplings-or-None).
+def forward(model: Model, images: np.ndarray):
+    """Images to (lengths, digit_caps, per_type_caps-or-None, couplings).
 
     ``lengths`` [batch, num_classes] are the class scores; ``digit_caps``
     [batch, num_classes, digit_dim] the routed capsules; ``per_type_caps``
     [batch, num_types, num_classes, digit_dim] only in grouped routing;
-    the per-iteration couplings (see ``route``) only with ``capture_trace``.
+    ``couplings`` the per-iteration couplings (see ``route``).
     """
     arch = model.arch
     x = Tensor(images)
@@ -268,8 +268,7 @@ def forward(model: Model, images: np.ndarray, capture_trace: bool = False):
                                               arch.primary_dim)
     u = squash(u)
     u_hat = predict(u, p["routing.weights"])
-    v, couplings, per_type = route(u_hat, arch.layer_spec(), model.routing,
-                                   capture_trace=capture_trace)
+    v, couplings, per_type = route(u_hat, arch.layer_spec(), model.routing)
     lengths = ((v * v).sum(axis=2) + 1e-18).sqrt()
     return lengths, v, per_type, couplings
 
@@ -363,11 +362,10 @@ class Adam:
                 p.data[...] = flat[3].reshape(p.data.shape)
 
 
-def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray,
-               capture_trace: bool = False):
+def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray):
     """Forward pass and total loss; returns (loss, lengths, named probes,
-    couplings-or-None)."""
-    lengths, digit_caps, _, couplings = forward(model, images, capture_trace)
+    couplings)."""
+    lengths, digit_caps, _, couplings = forward(model, images)
     margin = margin_loss(lengths, Tensor(labels_1h))
     decoded = decode(model, digit_caps, Tensor(labels_1h))
     recon = reconstruction_loss(decoded, Tensor(images.reshape(images.shape[0], -1)))
@@ -384,7 +382,8 @@ def train_step(model: Model, optimizer: Adam, images: np.ndarray,
     labels_1h = one_hot(labels, model.arch.num_classes)
     param_probes = [(f"parameter {k}", t) for k, t in model.params.items()]
     try:
-        total, lengths, probes, _ = batch_loss(model, images, labels_1h)
+        # not the couplings: held, they would outlive backward and raise its peak
+        total, lengths, probes = batch_loss(model, images, labels_1h)[:3]
     except NonFiniteError as exc:
         culprit = first_nonfinite(param_probes) or "an intermediate activation"
         raise NonFiniteError(f"non-finite values in forward pass ({exc});"
@@ -411,22 +410,19 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     dc_per_image = np.zeros(n)
     loss_sum = 0.0
-    correct = 0
     with no_grad():
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _, couplings = batch_loss(
-                model, img, one_hot(lab, num_classes), capture_trace)
+            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab, num_classes))
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
-            correct += int((pred == lab).sum())
             np.add.at(confusion, (lab, pred), 1)
             if capture_trace:   # zeros for a single routing iteration
-                prev = couplings[max(len(couplings) - 2, 0)]
                 dc_per_image[start:start + len(lab)] = np.abs(
-                    couplings[-1] - prev).mean(axis=(1, 2))
-    result = (correct / n, loss_sum / n, confusion)
+                    couplings[-1] - couplings[max(len(couplings) - 2, 0)]).mean(axis=(1, 2))
+            del couplings   # held into the next batch, they would raise its peak
+    result = (int(confusion.trace()) / n, loss_sum / n, confusion)
     return result + (dc_per_image,) if capture_trace else result
 
 
@@ -501,7 +497,7 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
 
     manifest_len = take_u64("manifest length")
     manifest: dict[str, str] = {}
-    for line in take_text(manifest_len, "manifest").splitlines():
+    for line in take_text(manifest_len, "manifest").split("\n"):
         if not line.strip():
             continue
         if "=" not in line:

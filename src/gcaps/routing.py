@@ -12,7 +12,7 @@ A RoutingConfig is the cross product of two choices:
 The four combinations give initial couplings of 1/num_upper, 1/num_lower,
 1/num_upper, and 1/caps_per_type respectively; the configured iteration
 count unrolls into the differentiable graph, so gradients flow through
-every coupling update.  ``route`` can hand back each iteration's couplings,
+every coupling update.  ``route`` hands back each iteration's couplings,
 from which the analysis harness measures how fast they move.
 """
 
@@ -105,17 +105,15 @@ def initial_coupling(spec: CapsLayerSpec, config: RoutingConfig) -> float:
     return 1.0 / spec.num_lower
 
 
-def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
-          capture_trace: bool = False):
+def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
     """Run routing-by-agreement; returns (v, couplings, per_type_caps).
 
     ``v`` is the final combined output [batch, num_upper, dim_upper];
-    ``couplings`` is, with ``capture_trace``, the list of every iteration's
-    couplings [batch, num_lower, num_upper] (the coupling tensors' own
-    arrays, which no op mutates once built), and None otherwise;
-    ``per_type_caps`` holds the final iteration's per-type outputs
-    [batch, num_types, num_upper, dim_upper] as a constant tensor in
-    BY_TYPE mode and is None otherwise.
+    ``couplings`` is the list of every iteration's couplings
+    [batch, num_lower, num_upper] (the coupling tensors' own arrays, which
+    no op mutates once built); ``per_type_caps`` holds the final
+    iteration's per-type outputs [batch, num_types, num_upper, dim_upper]
+    as a constant tensor in BY_TYPE mode and is None otherwise.
 
     The couplings start uniform (``initial_coupling``).  Every iteration
     forms the weighted vote sum (one per type in grouped mode, in a single
@@ -132,10 +130,9 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             f"u_hat shape {u_t.shape} does not match layer spec"
             f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
     grouped = config.grouping is Grouping.BY_TYPE
-    partition = spec.type_partition() if grouped else None
     num_types = spec.num_types if grouped else 1
 
-    couplings = [] if capture_trace else None
+    couplings = []
     b_t = Tensor(np.zeros((batch, n, j), dtype=u_t.data.dtype))
     # the softmax of those all-zero logits, without computing it
     c = Tensor(np.full((batch, n, j), initial_coupling(spec, config), dtype=u_t.data.dtype))
@@ -148,11 +145,10 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig,
             v = squash(v.sum(axis=1))
         else:
             v = v.reshape(batch, j, d)
-        if couplings is not None:
-            couplings.append(c.data)
+        couplings.append(c.data)
         if it + 1 < config.iterations:   # the last logits would go unread
             b_t = agreement_update(b_t, u_t, v)
-            c = coupling_from_logits(b_t, config.softmax_axis, partition)
+            c = coupling_from_logits(b_t, config.softmax_axis, num_types)
     return v, couplings, per_type
 
 
@@ -170,18 +166,18 @@ def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor
             f"u_hat shape {u_arr.shape} does not match layer spec"
             f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
     grouped = config.grouping is Grouping.BY_TYPE
-    partition = spec.type_partition() if grouped else ((0, n),)
+    size = spec.caps_per_type if grouped else n
+    ranges = [(a, a + size) for a in range(0, n, size)]
     out = np.zeros((batch, j, d))
     for bi in range(batch):
         u = u_arr[bi]
         b_mat = [[0.0] * j for _ in range(n)]
         v = [[0.0] * d for _ in range(j)]
         for _ in range(config.iterations):
-            c = _couplings_scalar(b_mat, config.softmax_axis,
-                                  partition if grouped else None, n, j)
+            c = _couplings_scalar(b_mat, config.softmax_axis, ranges, n, j)
             if grouped:
                 combined = [[0.0] * d for _ in range(j)]
-                for a, z in partition:
+                for a, z in ranges:
                     for jj in range(j):
                         s = [sum(c[i][jj] * u[i, jj, di] for i in range(a, z))
                              for di in range(d)]
@@ -210,7 +206,7 @@ def _squash_scalar(s: list[float]) -> list[float]:
     return [x * scale for x in s]
 
 
-def _couplings_scalar(b_mat, axis_mode: AxisMode, partition, n: int, j: int):
+def _couplings_scalar(b_mat, axis_mode: AxisMode, ranges, n: int, j: int):
     c = [[0.0] * j for _ in range(n)]
     if axis_mode is AxisMode.UPPER_PER_LOWER:
         for i in range(n):
@@ -220,8 +216,7 @@ def _couplings_scalar(b_mat, axis_mode: AxisMode, partition, n: int, j: int):
             for jj in range(j):
                 c[i][jj] = e[jj] / z
     else:
-        groups = partition if partition is not None else ((0, n),)
-        for a, z_end in groups:
+        for a, z_end in ranges:
             for jj in range(j):
                 col = [b_mat[i][jj] for i in range(a, z_end)]
                 top = max(col)

@@ -101,15 +101,13 @@ def _grad_cases():
         ("coupling-lower", lambda ts: (coupling_from_logits(
             ts[0], AxisMode.LOWER_PER_UPPER) * e3).sum(), [(2, 3, 4)], 1e-4),
         ("coupling-grouped-equal", lambda ts: (coupling_from_logits(
-            ts[0], AxisMode.LOWER_PER_UPPER,
-            type_partition=((0, 2), (2, 4)))
+            ts[0], AxisMode.LOWER_PER_UPPER, num_types=2)
             * Tensor(np.linspace(0.2, 1.0, 24).reshape(2, 4, 3))).sum(),
          [(2, 4, 3)], 1e-4),
-        ("coupling-grouped-unequal", lambda ts: (coupling_from_logits(
-            ts[0], AxisMode.LOWER_PER_UPPER,
-            type_partition=((0, 3), (3, 5)))
-            * Tensor(np.linspace(0.2, 1.0, 30).reshape(2, 5, 3))).sum(),
-         [(2, 5, 3)], 1e-4),
+        ("coupling-grouped-three", lambda ts: (coupling_from_logits(
+            ts[0], AxisMode.LOWER_PER_UPPER, num_types=3)
+            * Tensor(np.linspace(0.2, 1.0, 36).reshape(2, 6, 3))).sum(),
+         [(2, 6, 3)], 1e-4),
         ("weighted-sum", lambda ts: (weighted_sum(ts[0], ts[1])
                                      * ej.reshape(2, 1, 3, 4)).sum(),
          [(2, 5, 3), (2, 5, 3, 4)], 1e-4),
@@ -159,10 +157,8 @@ def test_criterion_02_initial_coupling_exactness():
                 "alg3": 1.0 / 10.0, "alg4": 1.0 / 36.0}
     for name in VARIANTS:
         config = RoutingConfig.from_name(name)
-        partition = spec.type_partition() if config.grouping.value != "ungrouped" \
-            else None
-        c = coupling_from_logits(zeros, config.softmax_axis,
-                                 type_partition=partition).data
+        num_types = spec.num_types if config.grouping.value != "ungrouped" else 1
+        c = coupling_from_logits(zeros, config.softmax_axis, num_types).data
         worst = np.abs(c - expected[name]).max()
         assert worst <= 1e-12, f"{name}: off by {worst:.3e}"
         assert initial_coupling(spec, config) == pytest.approx(

@@ -158,7 +158,7 @@ class TestTrainRun:
                                    cfg, "r", timer=tick_timer())
         for record, ds in zip(records, (train, test)):
             with no_grad():
-                couplings = forward(model, ds.images[:128], capture_trace=True)[3]
+                couplings = forward(model, ds.images[:128])[3]
             want = float(np.abs(couplings[-1] - couplings[-2]).mean()) \
                 if iterations > 1 else 0.0
             assert record.mean_dc == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -86,14 +86,14 @@ class TestCapsLayerSpec:
         assert (spec.num_types, spec.caps_per_type) == (32, 36)
         assert spec.num_types * spec.caps_per_type == spec.num_lower
 
-    def test_partition_covers_range_contiguously(self):
+    def test_types_cover_range_contiguously(self):
+        # Type t is lower capsules [36t, 36t + 36): the grouped softmax sums
+        # to one over exactly those ranges.
         spec = CapsLayerSpec.reference()
-        groups = spec.type_partition()
-        assert len(groups) == 32
-        assert groups[0] == (0, 36)
-        assert groups[-1] == (1116, 1152)
-        flat = [i for a, z in groups for i in range(a, z)]
-        assert flat == list(range(1152))
+        b = np.random.default_rng(100).standard_normal((1, 1152, 2))
+        c = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER, spec.num_types).data
+        sums = c.reshape(1, 32, 36, 2).sum(axis=2)
+        assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_inconsistent_group_product_rejected(self):
         with pytest.raises(ValueError):
@@ -233,8 +233,7 @@ class TestCoupling:
     def test_zero_logits_lower_per_upper_grouped(self):
         spec = CapsLayerSpec.reference()
         b = Tensor(np.zeros((1, 1152, 10)))
-        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER,
-                                 spec.type_partition())
+        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, spec.num_types)
         assert np.abs(c.data - 1.0 / 36).max() < 1e-15
 
     def test_normalization_axis_properties(self):
@@ -244,84 +243,58 @@ class TestCoupling:
         assert np.allclose(rows.sum(axis=2), 1.0, atol=1e-9)
         cols = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER).data
         assert np.allclose(cols.sum(axis=1), 1.0, atol=1e-9)
-        partition = ((0, 4), (4, 8), (8, 12))
-        grouped = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition).data
-        for a, z in partition:
-            assert np.allclose(grouped[:, a:z, :].sum(axis=1), 1.0, atol=1e-9)
+        grouped = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, num_types=3).data
+        for a in (0, 4, 8):
+            assert np.allclose(grouped[:, a:a + 4, :].sum(axis=1), 1.0, atol=1e-9)
         assert (grouped >= 0).all()
 
     def test_shift_invariance_within_group(self):
         rng = np.random.default_rng(102)
         b = rng.standard_normal((2, 8, 3))
-        partition = ((0, 4), (4, 8))
-        base = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                    partition).data
+        base = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER, num_types=2).data
         shifted = b.copy()
         shifted[:, 0:4, :] += 7.25   # constant within the first group
         moved = coupling_from_logits(Tensor(shifted), AxisMode.LOWER_PER_UPPER,
-                                     partition).data
+                                     num_types=2).data
         assert np.allclose(base, moved, atol=1e-9)
 
-    def test_upper_per_lower_ignores_partition(self):
+    def test_upper_per_lower_ignores_types(self):
         rng = np.random.default_rng(103)
         b = rng.standard_normal((2, 6, 4))
-        partition = ((0, 3), (3, 6))
-        with_p = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER,
-                                      partition).data
+        with_types = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER,
+                                          num_types=2).data
         without = coupling_from_logits(Tensor(b), AxisMode.UPPER_PER_LOWER).data
-        assert np.array_equal(with_p, without)
+        assert np.array_equal(with_types, without)
 
     def test_grouped_softmax_matches_concatenated_slices(self):
         rng = np.random.default_rng(104)
         b = rng.standard_normal((2, 10, 4))
-        partition = ((0, 5), (5, 10))
-        got = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                   partition).data
-        for a, z in partition:
+        got = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER, num_types=2).data
+        for a, z in ((0, 5), (5, 10)):
             seg = np.exp(b[:, a:z, :])
             want = seg / seg.sum(axis=1, keepdims=True)
             assert np.allclose(got[:, a:z, :], want, atol=1e-12)
 
-    def test_unequal_groups_supported(self):
-        rng = np.random.default_rng(105)
-        b = rng.standard_normal((1, 7, 3))
-        partition = ((0, 2), (2, 7))
-        got = coupling_from_logits(Tensor(b), AxisMode.LOWER_PER_UPPER,
-                                   partition).data
-        assert np.allclose(got[:, 0:2, :].sum(axis=1), 1.0, atol=1e-12)
-        assert np.allclose(got[:, 2:7, :].sum(axis=1), 1.0, atol=1e-12)
-
-    def test_unequal_group_gradients(self):
-        rng = np.random.default_rng(106)
-        partition = ((0, 2), (2, 7))
-        check_grad(
-            lambda ts: (coupling_from_logits(ts[0], AxisMode.LOWER_PER_UPPER,
-                                             partition) * ts[1]).sum(),
-            [(1, 7, 3), (1, 7, 3)], rng)
-
     def test_grouped_gradients_match_finite_differences(self):
         rng = np.random.default_rng(107)
-        partition = ((0, 4), (4, 8))
         check_grad(
             lambda ts: (coupling_from_logits(ts[0], AxisMode.LOWER_PER_UPPER,
-                                             partition) * ts[1]).sum(),
+                                             num_types=2) * ts[1]).sum(),
             [(2, 8, 3), (2, 8, 3)], rng)
 
     # Every LOWER_PER_UPPER case runs through one segment softmax: the whole
-    # layer as one group, equal type groups, and unequal ones.
-    LOWER_PARTITIONS = pytest.mark.parametrize(
-        "partition", [None, ((0, 3), (3, 6)), ((0, 2), (2, 6))],
-        ids=["no-partition", "equal", "unequal"])
+    # layer as one type, and equal types.
+    LOWER_TYPES = pytest.mark.parametrize("num_types", [1, 2], ids=["one-type", "two-types"])
 
-    @LOWER_PARTITIONS
-    def test_extreme_logit_takes_its_whole_group(self, partition):
+    @LOWER_TYPES
+    def test_extreme_logit_takes_its_whole_group(self, num_types):
         rng = np.random.default_rng(108)
         logits = rng.standard_normal((2, 6, 3))
-        groups = partition or ((0, 6),)
+        groups = [(a, a + 6 // num_types) for a in range(0, 6, 6 // num_types)]
         for a, _ in groups:
             logits[:, a + 1, 1] = 1e300
         b = Tensor(logits, requires_grad=True)
-        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, num_types)
         (c * Tensor(rng.standard_normal((2, 6, 3)))).sum().backward()
         for a, z in groups:
             column = c.data[:, a:z, 1]
@@ -329,33 +302,32 @@ class TestCoupling:
             assert (np.delete(column, 1, axis=1) == 0.0).all()
         assert np.isfinite(b.grad).all()
 
-    @LOWER_PARTITIONS
-    def test_float32_logits_give_float32_couplings_and_gradient(self, partition):
+    @LOWER_TYPES
+    def test_float32_logits_give_float32_couplings_and_gradient(self, num_types):
         rng = np.random.default_rng(109)
         logits, weights = rng.standard_normal((2, 2, 6, 3))
         results = []
         for dtype in (np.float64, np.float32):
             b = Tensor(logits, requires_grad=True, dtype=dtype)
-            c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+            c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, num_types)
             (c * Tensor(weights, dtype=dtype)).sum().backward()
             results.append((c.data, b.grad))
         for want, got in zip(*results):
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()
 
-    @LOWER_PARTITIONS
-    def test_lower_per_upper_is_one_tape_node(self, partition):
+    @LOWER_TYPES
+    def test_lower_per_upper_is_one_tape_node(self, num_types):
         b = Tensor(np.zeros((2, 6, 3)), requires_grad=True)
-        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, partition)
+        c = coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, num_types)
         nodes = [n for n in GradTape.from_root(c).nodes if n._parents]
         assert len(nodes) == 1 and nodes[0] is c
         assert c._parents == (b,)
 
-    def test_bad_partition_rejected(self):
+    def test_unequal_type_split_rejected(self):
         b = Tensor(np.zeros((1, 8, 3)))
-        for bad in [((0, 4), (5, 8)), ((0, 4), (4, 7)), ((1, 8),),
-                    ((0, 4), (4, 4), (4, 8))]:
-            with pytest.raises(ValueError):
+        for bad in (3, 5, 0, -2):
+            with pytest.raises(ShapeError, match="equal types"):
                 coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, bad)
 
 

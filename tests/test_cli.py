@@ -68,6 +68,17 @@ class TestConfigParsing:
                         augment=False, dataset="kmnist", fixed_timer=True)
         assert config_from_pairs(parse_config_text(cfg.resolved_text())) == cfg
 
+    # str.splitlines would also break lines at these, splitting the value
+    # or injecting a key
+    @pytest.mark.parametrize("value", ["a\rb", "a\x85iterations=7", "a\x1cb", "a\u2028b"])
+    def test_resolved_text_round_trips_other_line_breaks(self, value):
+        cfg = RunConfig(run_id=value)
+        assert config_from_pairs(parse_config_text(cfg.resolved_text())) == cfg
+
+    def test_crlf_lines_still_parse(self):
+        pairs = parse_config_text("routing=alg2\r\nseed=1\r\n")
+        assert pairs == {"routing": "alg2", "seed": "1"}
+
     def test_seed_list_parsing(self):
         cfg = config_from_pairs({"seeds": "3,1,4"})
         assert cfg.seeds == (3, 1, 4)

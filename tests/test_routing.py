@@ -132,8 +132,7 @@ class TestRouteBehaviour:
                              dim_upper=3, num_types=2, caps_per_type=4)
         rng = np.random.default_rng(32)
         u_hat = Tensor(rng.standard_normal((2, 8, 10, 3)))
-        v, couplings, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1),
-                                capture_trace=True)
+        v, couplings, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1))
         want = squash(Tensor(0.1 * u_hat.data.sum(axis=1))).data
         assert np.abs(v.data - want).max() < 1e-12
         assert np.abs(couplings[0] - 0.1).max() < 1e-15
@@ -146,12 +145,12 @@ class TestRouteBehaviour:
         spec = CapsLayerSpec.reference() if arch == "reference" \
             else ArchConfig.compact().layer_spec()
         config = RoutingConfig.from_name(name, 1)
-        partition = spec.type_partition() if config.grouping is Grouping.BY_TYPE else None
+        num_types = spec.num_types if config.grouping is Grouping.BY_TYPE else 1
         u_hat = Tensor(np.ones((2, spec.num_lower, spec.num_upper, spec.dim_upper)),
                        dtype=dtype)
-        _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+        _, couplings, _ = route(u_hat, spec, config)
         zeros = Tensor(np.zeros(u_hat.shape[:3]), dtype=dtype)
-        want = coupling_from_logits(zeros, config.softmax_axis, partition).data
+        want = coupling_from_logits(zeros, config.softmax_axis, num_types).data
         assert couplings[0].dtype == dtype
         assert np.array_equal(couplings[0], want)
 
@@ -224,16 +223,15 @@ class TestRouteBehaviour:
         rng = np.random.default_rng(38)
         u = rng.standard_normal((2, 12, 3, 3))
         for name in ("alg3", "alg4"):
-            _, couplings, per_type = route(Tensor(u), spec, RoutingConfig.from_name(name),
-                                           capture_trace=True)
+            _, couplings, per_type = route(Tensor(u), spec, RoutingConfig.from_name(name))
             for c in couplings:
                 assert c.shape == (2, 12, 3)
                 if name == "alg3":
                     assert np.abs(c.sum(axis=2) - 1.0).max() < 1e-12
-                for a, z in spec.type_partition():
-                    if name == "alg4":
-                        assert np.abs(c[:, a:z].sum(axis=1) - 1.0).max() < 1e-12
-            for t, (a, z) in enumerate(spec.type_partition()):
+                if name == "alg4":
+                    assert np.abs(c.reshape(2, 3, 4, 3).sum(axis=2) - 1.0).max() < 1e-12
+            for t in range(3):
+                a, z = 4 * t, 4 * t + 4
                 want = squash(weighted_sum(Tensor(couplings[-1][:, a:z]),
                                            Tensor(u[:, a:z]))).data[:, 0]
                 assert np.abs(per_type.data[:, t] - want).max() < 1e-12
@@ -289,7 +287,7 @@ class TestFloat32:
         results = []
         for dtype in (np.float64, np.float32):
             u = Tensor(u64, requires_grad=True, dtype=dtype)
-            v, couplings, per_type = route(u, spec, config, capture_trace=True)
+            v, couplings, per_type = route(u, spec, config)
             (v * v).sum().backward()
             results.append((v.data, u.grad))
         assert all(c.dtype == np.float32 for c in couplings)
@@ -305,9 +303,7 @@ class TestTraceAndReport:
         spec = small_spec()
         u_hat = Tensor(np.random.default_rng(41).standard_normal((1, 6, 2, 3)))
         for r in (1, 2, 5):
-            _, couplings, _ = route(u_hat, spec,
-                                    RoutingConfig.from_name("alg2", r),
-                                    capture_trace=True)
+            _, couplings, _ = route(u_hat, spec, RoutingConfig.from_name("alg2", r))
             assert len(couplings) == r
             assert all(c.shape == (1, 6, 2) for c in couplings)
 
@@ -317,7 +313,7 @@ class TestTraceAndReport:
         u_hat = Tensor(rng.standard_normal((1, 12, 3, 3)))
         for name in ALL_NAMES:
             config = RoutingConfig.from_name(name)
-            _, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+            _, couplings, _ = route(u_hat, spec, config)
             c0 = initial_coupling(spec, config)
             assert np.abs(couplings[0] - c0).max() < 1e-12
 
@@ -326,9 +322,7 @@ class TestTraceAndReport:
         spec = CapsLayerSpec.reference()
         u_hat = Tensor(np.zeros((1, 1152, 10, 16)))
         for name, want in (("alg1", 0.1), ("alg2", 1.0 / 1152)):
-            _, couplings, _ = route(u_hat, spec,
-                                    RoutingConfig.from_name(name, 1),
-                                    capture_trace=True)
+            _, couplings, _ = route(u_hat, spec, RoutingConfig.from_name(name, 1))
             assert np.abs(couplings[0] - want).max() < 1e-12
 
     def test_balanced_votes_produce_zero_change(self):
@@ -339,9 +333,7 @@ class TestTraceAndReport:
         half = rng.standard_normal((1, 4, 3, 3))
         u = np.concatenate([half, -half], axis=1)[:, [0, 4, 1, 5, 2, 6, 3, 7]]
         for name in ("alg1", "alg4"):
-            _, couplings, _ = route(Tensor(u), spec,
-                                    RoutingConfig.from_name(name, 3),
-                                    capture_trace=True)
+            _, couplings, _ = route(Tensor(u), spec, RoutingConfig.from_name(name, 3))
             assert len(couplings) == 3
             for c in couplings[1:]:
                 assert np.array_equal(c, couplings[0])
@@ -381,9 +373,9 @@ class TestTraceAndReport:
         for name in ALL_NAMES:
             config = RoutingConfig.from_name(name, 4)
             u_hat = Tensor(u, requires_grad=True)
-            v, couplings, _ = route(u_hat, spec, config, capture_trace=True)
+            v, couplings, _ = route(u_hat, spec, config)
             copies = [c.copy() for c in couplings]
             v.sum().backward()
-            route(u_hat, spec, config, capture_trace=True)
+            route(u_hat, spec, config)
             for got, want in zip(couplings, copies, strict=True):
                 assert np.array_equal(got, want)
