@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .routing import RoutingConfig, initial_coupling, route
 from .seeds import SEED_ROLE_TRIALS, derived_rng
 from .tensor import NonFiniteError, Tensor, no_grad
 
-METRICS_HEADER = "run_id,epoch,split,accuracy,loss,lr,config,wall_seconds,c0,mean_dc"
 PROBE_IMAGES = 128   # mean_dc is taken over the first this-many images of a split
 
 
@@ -66,13 +65,12 @@ class MetricsRecord:
     c0: float
     mean_dc: float
 
-    def row(self) -> tuple:
-        return (self.run_id, self.epoch, self.split, self.accuracy, self.loss,
-                self.lr, self.config, self.wall_seconds, self.c0, self.mean_dc)
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 def write_metrics(path: str, records: list[MetricsRecord]) -> None:
-    write_csv(path, METRICS_HEADER, [r.row() for r in records])
+    write_csv(path, METRICS_HEADER, [astuple(r) for r in records])
 
 
 def _probe_mean_dc(dc_per_image: np.ndarray) -> float:
@@ -171,7 +169,6 @@ def run_comparison(train_ds: Dataset, test_ds: Dataset,
     if not seeds:
         raise ValueError("run_comparison needs at least one seed")
     arch = arch or ArchConfig()
-    os.makedirs(out_dir, exist_ok=True)
     results = []
     for config in configs:
         accuracies: dict[int, float | None] = {}

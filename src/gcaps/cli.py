@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, compare, routing-report, reconstruct.  Runs are
 described by a flat key=value configuration (file via --config, overridden
-by flags); every run writes its fully resolved configuration next to its
-outputs so any result can be reproduced by feeding that file back in.
+by flags; lines as ``network.parse_pairs`` reads them).  ``main`` writes
+each run's fully resolved configuration beside the files its subcommand
+wrote, so any result can be reproduced by feeding that file back in.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -28,8 +29,8 @@ from .analysis import (
     write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
-from .network import (ArchConfig, TrainConfig, evaluate, format_value, load_model,
-                      parse_value, save_checkpoint, write_atomic)
+from .network import (ArchConfig, TrainConfig, evaluate, format_pairs, load_model,
+                      parse_pairs, parse_value, save_checkpoint, write_atomic)
 from .routing import RoutingConfig
 
 VARIANT_NAMES = ("alg1", "alg2", "alg3", "alg4")
@@ -90,19 +91,20 @@ class RunConfig:
             raise ConfigError("train_limit and test_limit must be >= 0")
         if self.index < 0:
             raise ConfigError("index must be >= 0")
+        if "/" in self.run_id or os.sep in self.run_id:
+            raise ConfigError(f"run_id must not hold a path separator, got {self.run_id!r}")
         try:
             self.train_config()
             for name in (self.routing, *self.configs):
                 self.routing_config(name)
+            self.resolved_text()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def resolved_text(self) -> str:
         """Flat key=value dump; parsing it back reproduces this config."""
-        lines = ["# resolved run configuration"]
-        lines += [f"{f.name}={format_value(getattr(self, f.name))}"
-                  for f in fields(self)]
-        return "\n".join(lines) + "\n"
+        return "# resolved run configuration\n" + format_pairs(
+            {f.name: getattr(self, f.name) for f in fields(self)})
 
     def arch_config(self) -> ArchConfig:
         return ArchConfig.compact() if self.arch == "compact" else ArchConfig()
@@ -119,24 +121,6 @@ class RunConfig:
             return time.perf_counter
         counter = itertools.count()
         return lambda: float(next(counter))
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """key=value lines to a dict; blank lines and # comments are skipped."""
-    pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key=value,"
-                              f" got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in pairs:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        pairs[key] = value
-    return pairs
 
 
 def config_from_pairs(pairs: dict[str, str]) -> RunConfig:
@@ -159,23 +143,15 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        pairs.update(parse_config_text(text, source=args.config))
+                pairs.update(parse_pairs(fh.read()))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
         pairs["out_dir"] = env_out
     pairs.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
                   if getattr(args, f.name) is not None})
     return config_from_pairs(pairs), set(pairs)
-
-
-def _write_resolved(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"config-{name}.txt")
-    write_atomic(path, cfg.resolved_text().encode())
-    return path
 
 
 _IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -208,31 +184,27 @@ def load_split(cfg: RunConfig, split: str) -> Dataset:
     return ds.subset(limit or None)
 
 
-def cmd_train(cfg: RunConfig, provided: set, args) -> int:
+def cmd_train(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     run_id = cfg.run_id or f"{cfg.routing}-s{cfg.seed}"
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
     model, records = train_run(train_ds, test_ds, cfg.arch_config(),
                                cfg.routing_config(), cfg.train_config(),
                                run_id, timer=cfg.timer(), augment=cfg.augment)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, f"metrics-{run_id}.csv")
     write_metrics(metrics_path, records)
     ckpt_path = os.path.join(cfg.out_dir, f"model-{run_id}.ckpt")
     save_checkpoint(ckpt_path, model, extra={"run_id": run_id,
                                              "dataset": cfg.dataset})
-    config_path = _write_resolved(cfg, run_id)
     final = [r for r in records if r.split == "test"][-1]
     print(f"run {run_id}: {cfg.epochs} epochs on {cfg.dataset}"
           f" ({len(train_ds)} train / {len(test_ds)} test)")
     print(f"final test accuracy {fmt(final.accuracy)}")
     print(f"final test loss {fmt(final.loss)}")
-    for path in (metrics_path, ckpt_path, config_path):
-        print(f"wrote {path}")
-    return 0
+    return run_id, [metrics_path, ckpt_path]
 
 
-def cmd_eval(cfg: RunConfig, provided: set, args) -> int:
+def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     expected_arch = cfg.arch_config() if "arch" in provided else None
     expected_routing = (cfg.routing_config()
                         if {"routing", "iterations"} & provided else None)
@@ -243,22 +215,18 @@ def cmd_eval(cfg: RunConfig, provided: set, args) -> int:
                                          batch_size=cfg.batch_size)
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     run_id = cfg.run_id or f"eval-{stem}"
-    os.makedirs(cfg.out_dir, exist_ok=True)
     confusion_path = os.path.join(cfg.out_dir, f"confusion-{run_id}.csv")
     header = "true," + ",".join(f"pred_{k}" for k in range(confusion.shape[1]))
     write_csv(confusion_path, header,
               [(k, *confusion[k].tolist()) for k in range(confusion.shape[0])])
-    config_path = _write_resolved(cfg, run_id)
     print(f"eval {args.checkpoint} on {cfg.dataset}/{cfg.split}"
           f" ({len(ds)} examples)")
     print(f"accuracy {fmt(accuracy)}")
     print(f"loss {fmt(loss)}")
-    for path in (confusion_path, config_path):
-        print(f"wrote {path}")
-    return 0
+    return run_id, [confusion_path]
 
 
-def cmd_compare(cfg: RunConfig, provided: set, args) -> int:
+def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     names = tuple(dict.fromkeys(cfg.configs))    # dedupe, keep order
     if len(names) < 2:
         raise ConfigError(f"compare needs at least 2 distinct routing"
@@ -270,7 +238,6 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> int:
                             cfg.train_config(), cfg.seeds, cfg.out_dir,
                             arch=cfg.arch_config(), timer=cfg.timer(),
                             augment=cfg.augment)
-    config_path = _write_resolved(cfg, "compare")
     print(f"compared {len(names)} configurations x {len(cfg.seeds)} seeds"
           f" on {cfg.dataset}")
     for res in report.results:
@@ -278,19 +245,15 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> int:
         shown = fmt(mean) if mean is not None else "diverged"
         print(f"{res.config_name} ({res.config_label}): mean test"
               f" accuracy {shown}")
-    print(f"wrote {os.path.join(cfg.out_dir, 'report.csv')}")
-    print(f"wrote {config_path}")
-    return 0
+    return "compare", [os.path.join(cfg.out_dir, "report.csv")]
 
 
-def cmd_routing_report(cfg: RunConfig, provided: set, args) -> int:
+def cmd_routing_report(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     spec = cfg.arch_config().layer_spec()
     configs = [cfg.routing_config(n) for n in VARIANT_NAMES]
     rows, summary = init_sensitivity_study(spec, configs, cfg.trials, cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "routing-report.csv")
     write_study(report_path, rows)
-    config_path = _write_resolved(cfg, "routing-report")
     print(f"routing report: {cfg.trials} trials on"
           f" {spec.num_lower}x{spec.num_upper} capsules")
     for name in VARIANT_NAMES:
@@ -299,12 +262,10 @@ def cmd_routing_report(cfg: RunConfig, provided: set, args) -> int:
     if fraction is not None:
         print(f"fraction of trials with alg1 coupling changing faster"
               f" than alg2: {fmt(fraction)}")
-    print(f"wrote {report_path}")
-    print(f"wrote {config_path}")
-    return 0
+    return "routing-report", [report_path]
 
 
-def cmd_reconstruct(cfg: RunConfig, provided: set, args) -> int:
+def cmd_reconstruct(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     model, manifest = load_model(args.checkpoint)
     ds = load_split(cfg, cfg.split)
     if cfg.index >= len(ds):
@@ -312,16 +273,12 @@ def cmd_reconstruct(cfg: RunConfig, provided: set, args) -> int:
                          f" {len(ds)}-example {cfg.split} split")
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     run_id = cfg.run_id or f"recon-{stem}"
-    os.makedirs(cfg.out_dir, exist_ok=True)
     grid_path = os.path.join(cfg.out_dir, f"{run_id}-i{cfg.index}.pgm")
     panels = reconstruction_grid(model, ds.images[cfg.index],
                                  int(ds.labels[cfg.index]), path=grid_path)
-    config_path = _write_resolved(cfg, run_id)
     print(f"reconstructed {cfg.dataset}/{cfg.split} example {cfg.index}"
           f" (label {int(ds.labels[cfg.index])}) into {panels.shape[0]} panels")
-    print(f"wrote {grid_path}")
-    print(f"wrote {config_path}")
-    return 0
+    return run_id, [grid_path]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,20 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cfg, provided = _resolve_config(args)
+        name, paths = args.handler(cfg, provided, args)
+        paths.append(os.path.join(cfg.out_dir, f"config-{name}.txt"))
+        write_atomic(paths[-1], cfg.resolved_text().encode())
     except SystemExit as exc:        # --help and friends, keep in-process safe
         return int(exc.code or 0)
-    try:
-        cfg, provided = _resolve_config(args)
-        return args.handler(cfg, provided, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ Checkpoints are a single binary file: the magic string "GCAPS1", a
 length-prefixed UTF-8 manifest of key=value lines, then each parameter as
 (name length, name bytes, rank, dims, float64 values), all integers 64-bit
 little-endian and values little-endian IEEE doubles.
+
+Manifests and run configuration files share one key=value line format,
+read by ``parse_pairs`` and written by ``format_pairs``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,37 @@ def parse_value(key: str, text: str, default):
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
     return values if many else values[0]
+
+
+def parse_pairs(text: str) -> dict[str, str]:
+    """key=value lines to a dict: lines end at line feeds only, blank and ``#``
+    lines are skipped, key and value are stripped.  A ValueError names a bad line."""
+    pairs: dict[str, str] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"line {lineno}: expected key=value, got {stripped!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in pairs:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        pairs[key] = value
+    return pairs
+
+
+def format_pairs(pairs: dict) -> str:
+    """One line per entry, by format_value; one that would not read back is a ValueError."""
+    lines = []
+    for key, value in pairs.items():
+        lines.append(f"{key}={format_value(value)}\n")
+        try:
+            intact = parse_pairs(lines[-1]) == {key: format_value(value)}
+        except ValueError:
+            intact = False
+        if not intact:
+            raise ValueError(f"{key!r} would not read back unchanged from {lines[-1]!r}")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -312,8 +346,8 @@ class Adam:
     """Adam updates over a named parameter dict; ``lr`` may be reassigned
     between steps (the per-epoch schedule does)."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr=TrainConfig.lr0,
+                 beta1=TrainConfig.beta1, beta2=TrainConfig.beta2, eps=TrainConfig.eps):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -433,16 +467,13 @@ def save_checkpoint(path: str, model: Model,
                     extra: dict[str, str] | None = None) -> None:
     """Write the model atomically (see write_atomic)."""
     manifest = {**model.arch.to_manifest(), **model.routing.to_manifest(),
-                "weight_init_std": format_value(WEIGHT_INIT_STD)}
+                "weight_init_std": WEIGHT_INIT_STD}
     for k, v in (extra or {}).items():
-        text = format_value(v)
-        if "=" in k or "\n" in k or "\n" in text:
-            raise ValueError(f"manifest entry {k!r} contains reserved characters")
         if k in manifest:
             raise ValueError(f"manifest entry {k!r} would overwrite an"
                              f" architecture or routing key")
-        manifest[k] = text
-    body = "".join(f"{k}={v}\n" for k, v in sorted(manifest.items())).encode()
+        manifest[k] = v
+    body = format_pairs(dict(sorted(manifest.items()))).encode()
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<Q", len(body))
@@ -459,7 +490,8 @@ def save_checkpoint(path: str, model: Model,
 
 def write_atomic(path: str, blob: bytes) -> None:
     """Write ``blob`` to a temp file beside ``path``, then rename it over
-    ``path``, so readers never see a partial file."""
+    ``path``, so readers never see a partial file.  Creates the directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(blob)
@@ -495,17 +527,11 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             raise CheckpointError(f"{what} is not UTF-8 at offset"
                                   f" {offset - count + exc.start} in {path}") from None
 
-    manifest_len = take_u64("manifest length")
-    manifest: dict[str, str] = {}
-    for line in take_text(manifest_len, "manifest").split("\n"):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"malformed manifest line {line!r} in {path}")
-        key, value = line.split("=", 1)
-        if key in manifest:
-            raise CheckpointError(f"duplicate manifest key {key!r} in {path}")
-        manifest[key] = value
+    text = take_text(take_u64("manifest length"), "manifest")
+    try:
+        manifest = parse_pairs(text)
+    except ValueError as exc:
+        raise CheckpointError(f"malformed manifest in {path}: {exc}") from None
     params: dict[str, np.ndarray] = {}
     while offset < len(raw):
         start = offset

@@ -73,7 +73,8 @@ class RoutingConfig:
                    iterations=int(manifest["iterations"]))
 
     @classmethod
-    def from_name(cls, name: str, iterations: int = 3) -> "RoutingConfig":
+    def from_name(cls, name: str, iterations: int = iterations) -> "RoutingConfig":
+        """The named variant; ``iterations`` defaults to the field's default."""
         if name not in _VARIANTS:
             raise ValueError(f"unknown routing variant {name!r};"
                              f" expected one of {sorted(_VARIANTS)}")

@@ -4,6 +4,7 @@ grids."""
 
 import itertools
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -61,13 +62,13 @@ class TestCsvFormat:
         rec = MetricsRecord(run_id="r", epoch=0, split="test", accuracy=0.5,
                             loss=1.0, lr=0.001, config="b", wall_seconds=1.5,
                             c0=0.1, mean_dc=0.01)
-        assert len(rec.row()) == len(METRICS_HEADER.split(","))
+        assert len(astuple(rec)) == len(METRICS_HEADER.split(","))
 
     def test_record_row_order_matches_header(self):
         rec = MetricsRecord(run_id="rid", epoch=3, split="train",
                             accuracy=0.25, loss=2.0, lr=0.0005, config="oc",
                             wall_seconds=9.0, c0=0.1, mean_dc=0.0)
-        row = rec.row()
+        row = astuple(rec)
         header = METRICS_HEADER.split(",")
         assert row[header.index("run_id")] == "rid"
         assert row[header.index("epoch")] == 3

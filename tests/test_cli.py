@@ -6,13 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gcaps.cli import (
-    ConfigError,
-    RunConfig,
-    config_from_pairs,
-    main,
-    parse_config_text,
-)
+from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
+from gcaps.network import parse_pairs
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
         "--train-limit", "20", "--test-limit", "10",
@@ -25,16 +20,16 @@ def run_train(out_dir, *extra):
 
 class TestConfigParsing:
     def test_comments_and_blanks_are_skipped(self):
-        pairs = parse_config_text("# header\n\nrouting=alg2\n  # indented\n")
+        pairs = parse_pairs("# header\n\nrouting=alg2\n  # indented\n")
         assert pairs == {"routing": "alg2"}
 
     def test_missing_equals_is_an_error(self):
-        with pytest.raises(ConfigError, match="key=value"):
-            parse_config_text("routing alg2\n")
+        with pytest.raises(ValueError, match="line 1: expected key=value"):
+            parse_pairs("routing alg2\n")
 
     def test_duplicate_key_is_an_error(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text("seed=1\nseed=2\n")
+        with pytest.raises(ValueError, match="line 2: duplicate key 'seed'"):
+            parse_pairs("seed=1\nseed=2\n")
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="routting"):
@@ -60,24 +55,32 @@ class TestConfigParsing:
 
     def test_resolved_text_round_trips_defaults(self):
         cfg = RunConfig()
-        assert config_from_pairs(parse_config_text(cfg.resolved_text())) == cfg
+        assert config_from_pairs(parse_pairs(cfg.resolved_text())) == cfg
 
     def test_resolved_text_round_trips_overrides(self):
         cfg = RunConfig(routing="alg4", iterations=5, lr0=0.0005,
                         seeds=(7, 8), configs=("alg2", "alg4"),
                         augment=False, dataset="kmnist", fixed_timer=True)
-        assert config_from_pairs(parse_config_text(cfg.resolved_text())) == cfg
+        assert config_from_pairs(parse_pairs(cfg.resolved_text())) == cfg
 
     # str.splitlines would also break lines at these, splitting the value
     # or injecting a key
     @pytest.mark.parametrize("value", ["a\rb", "a\x85iterations=7", "a\x1cb", "a\u2028b"])
     def test_resolved_text_round_trips_other_line_breaks(self, value):
         cfg = RunConfig(run_id=value)
-        assert config_from_pairs(parse_config_text(cfg.resolved_text())) == cfg
+        assert config_from_pairs(parse_pairs(cfg.resolved_text())) == cfg
 
     def test_crlf_lines_still_parse(self):
-        pairs = parse_config_text("routing=alg2\r\nseed=1\r\n")
+        pairs = parse_pairs("routing=alg2\r\nseed=1\r\n")
         assert pairs == {"routing": "alg2", "seed": "1"}
+
+    # stripped, these would read back changed; broken in two, they would
+    # set another key or not parse at all
+    @pytest.mark.parametrize("key", ["run_id", "data_dir"])
+    @pytest.mark.parametrize("value", [" a", "a\x85", "a\nseed=5", "x\ny"])
+    def test_values_that_would_not_read_back_are_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            RunConfig(**{key: value})
 
     def test_seed_list_parsing(self):
         cfg = config_from_pairs({"seeds": "3,1,4"})
@@ -135,6 +138,30 @@ class TestTrainCommand:
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"run_id=caf\xe9\n")
+        assert main(["train", "--config", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_malformed_config_line_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("# header\nseed=1\nrouting alg2\n")
+        assert main(["train", "--config", str(bad)]) == 1
+        assert f"{bad}: line 3: expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run_id", ["a/b", "../x", os.path.join("a", "b")])
+    def test_run_id_with_separator_exits_1_before_any_work(self, tmp_path, capsys, run_id):
+        assert run_train(tmp_path / "out", "--run-id", run_id) == 1
+        assert "run_id" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_creates_nested_out_dir(self, tmp_path):
+        out = tmp_path / "x" / "y"
+        assert run_train(out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config-alg1-s0.txt", "metrics-alg1-s0.csv", "model-alg1-s0.ckpt"]
 
     def test_missing_dataset_files_exit_2(self, tmp_path, capsys):
         code = main(["train", "--dataset", "mnist",

@@ -2,6 +2,7 @@
 behavior, decoder masking, Adam, the train/eval step contracts, and the
 checkpoint binary format."""
 
+import re
 import struct
 import tracemalloc
 import weakref
@@ -21,12 +22,15 @@ from gcaps.network import (
     decode,
     derived_rng,
     evaluate,
+    format_pairs,
     forward,
     load_model,
     one_hot,
+    parse_pairs,
     read_checkpoint,
     save_checkpoint,
     train_step,
+    write_atomic,
 )
 from gcaps.capsule import squash
 from gcaps.routing import RoutingConfig
@@ -219,7 +223,28 @@ class TestOneHot:
             one_hot(np.array([-1]), 3)
 
 
+class TestKeyValueLines:
+    def test_format_pairs_keeps_order_and_formats_values(self):
+        text = format_pairs({"z": 1, "a": (2, 3), "m": True, "f": 0.5, "s": ""})
+        assert text == "z=1\na=2,3\nm=true\nf=0.5\ns=\n"
+        assert parse_pairs(text) == {"z": "1", "a": "2,3", "m": "true", "f": "0.5", "s": ""}
+
+    def test_parse_pairs_splits_at_the_first_equals_and_strips(self):
+        assert parse_pairs(" k = a=b \n\n#c=d\n") == {"k": "a=b"}
+
+    def test_write_atomic_creates_the_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.txt"
+        write_atomic(str(path), b"x")
+        assert path.read_bytes() == b"x"
+
+
 class TestAdam:
+    def test_defaults_are_the_train_config_defaults(self):
+        opt = Adam({})
+        cfg = TrainConfig()
+        assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == \
+            (cfg.lr0, cfg.beta1, cfg.beta2, cfg.eps)
+
     def test_minimizes_quadratic(self):
         x = Tensor(np.array([10.0, -4.0]), requires_grad=True)
         opt = Adam({"x": x}, lr=0.1)
@@ -612,8 +637,34 @@ class TestCheckpoint:
         bad = tmp_path / "dup-key.ckpt"
         bad.write_bytes(b"GCAPS1" + struct.pack("<Q", len(body)) + body
                         + blob[start + length:])
-        with pytest.raises(CheckpointError, match="duplicate manifest key 'iterations'"):
+        with pytest.raises(CheckpointError,
+                           match=r"malformed manifest in .*dup-key\.ckpt: line \d+:"
+                                 r" duplicate key 'iterations'"):
             read_checkpoint(str(bad))
+
+    def test_manifest_line_without_equals_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        start = len(b"GCAPS1") + 8
+        (length,) = struct.unpack("<Q", blob[start - 8:start])
+        body = b"no equals sign\n" + blob[start:start + length]
+        bad = tmp_path / "no-eq.ckpt"
+        bad.write_bytes(b"GCAPS1" + struct.pack("<Q", len(body)) + body
+                        + blob[start + length:])
+        with pytest.raises(CheckpointError,
+                           match=r"malformed manifest in .*no-eq\.ckpt: line 1: expected key=value"):
+            read_checkpoint(str(bad))
+
+    # stripped, skipped as a comment, or split into two lines, these would
+    # not read back as written
+    @pytest.mark.parametrize("key,value", [
+        ("run_id", " a"), ("run_id", "a\x85"), ("run_id", "a\t"), ("run_id", "x\ny"),
+        ("run_id", "a\nseed=5"), (" note", "x"), ("#note", "x"), ("a=b", "x"), ("a\nb", "x"),
+    ])
+    def test_extra_entry_that_would_not_read_back_rejected(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            save_checkpoint(str(path), micro_model(), extra={key: value})
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", [b"stem_channels=abc", b"decoder_hidden=512,,1024"])
     def test_bad_manifest_value_names_its_key(self, tmp_path, line):
