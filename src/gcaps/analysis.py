@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -121,7 +121,6 @@ class ConfigResult:
     config_name: str                  # alg1..alg4
     config_label: str                 # b / bc / o / oc
     seed_accuracies: dict[int, float | None]   # None marks a diverged run
-    metrics_paths: dict[int, str]
 
     @property
     def mean_accuracy(self) -> float | None:
@@ -133,32 +132,10 @@ class ConfigResult:
         return [s for s, a in self.seed_accuracies.items() if a is None]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    dataset_name: str
-    seeds: tuple[int, ...]
-    epochs: int
-    results: list[ConfigResult] = field(default_factory=list)
-
-    def report_rows(self):
-        for res in self.results:
-            row = [res.config_name, res.config_label, self.dataset_name]
-            row += [res.seed_accuracies[s] if res.seed_accuracies[s] is not None
-                    else "diverged" for s in self.seeds]
-            mean = res.mean_accuracy
-            row.append(mean if mean is not None else "diverged")
-            row.append(";".join(str(s) for s in res.diverged_seeds))
-            yield tuple(row)
-
-    def report_header(self) -> str:
-        seed_cols = ",".join(f"seed_{s}" for s in self.seeds)
-        return f"config,label,dataset,{seed_cols},mean,diverged"
-
-
 def run_comparison(train_ds: Dataset, test_ds: Dataset,
                    configs: list[RoutingConfig], train_config: TrainConfig,
                    seeds, out_dir: str, arch: ArchConfig | None = None,
-                   timer=time.perf_counter, augment: bool = True) -> ComparisonReport:
+                   timer=time.perf_counter, augment: bool = True) -> list[ConfigResult]:
     """Train every (routing config, seed) pair under one shared budget.
 
     Per-run metrics land in ``out_dir/metrics-<run_id>.csv``; the summary
@@ -172,7 +149,6 @@ def run_comparison(train_ds: Dataset, test_ds: Dataset,
     results = []
     for config in configs:
         accuracies: dict[int, float | None] = {}
-        paths: dict[int, str] = {}
         for seed in seeds:
             run_id = f"{config.name}-s{seed}"
             cfg = replace(train_config, seed=seed)
@@ -187,15 +163,20 @@ def run_comparison(train_ds: Dataset, test_ds: Dataset,
                 write_metrics(path, records)
                 final_test = [r for r in records if r.split == "test"][-1]
                 accuracies[seed] = final_test.accuracy
-            paths[seed] = path
-        results.append(ConfigResult(
-            config_name=config.name, config_label=config.label,
-            seed_accuracies=accuracies, metrics_paths=paths))
-    report = ComparisonReport(dataset_name=train_ds.name, seeds=tuple(seeds),
-                              epochs=train_config.epochs, results=results)
-    write_csv(os.path.join(out_dir, "report.csv"), report.report_header(),
-              report.report_rows())
-    return report
+        results.append(ConfigResult(config_name=config.name, config_label=config.label,
+                                    seed_accuracies=accuracies))
+
+    def cell(accuracy):
+        return "diverged" if accuracy is None else accuracy
+
+    rows = [(res.config_name, res.config_label, train_ds.name,
+             *(cell(res.seed_accuracies[s]) for s in seeds), cell(res.mean_accuracy),
+             ";".join(str(s) for s in res.diverged_seeds))
+            for res in results]
+    seed_cols = ",".join(f"seed_{s}" for s in seeds)
+    write_csv(os.path.join(out_dir, "report.csv"),
+              f"config,label,dataset,{seed_cols},mean,diverged", rows)
+    return results
 
 
 STUDY_HEADER = "config,trial,iteration,c0,mean_dc,max_dc,rel_dc"

@@ -12,8 +12,8 @@ Conventions used throughout:
 Types are ``num_types`` contiguous equal lower-index ranges [t*K, (t+1)*K),
 K = num_lower / num_types: the primary layer flattens as (type, row, col).
 ``weighted_sum`` sums each type separately, and ``coupling_from_logits``
-normalizes over lower capsules with one segment softmax over the types;
-ungrouped, the whole layer is the one type.
+normalizes over the lower capsules of each type with one ``softmax_along``
+over that axis split into types; ungrouped, the whole layer is the one type.
 
 ``predict`` stores u_hat C-contiguous in [batch, num_lower, num_upper,
 dim_upper] order, and the routing ops read it through axis-swapped views
@@ -25,11 +25,11 @@ one buffer once per backward pass, however many iterations read u_hat.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor, as_tensor, softmax_along
+from .tensor import NonFiniteError, ShapeError, Tensor, as_tensor, softmax_along, type_size
 
 MARGIN_UPPER = 0.9        # m+: target length for the present class
 MARGIN_LOWER = 0.1        # m-: allowed length for absent classes
@@ -56,10 +56,9 @@ class CapsLayerSpec:
     caps_per_type: int
 
     def __post_init__(self):
-        for name in ("num_lower", "num_upper", "dim_lower", "dim_upper",
-                     "num_types", "caps_per_type"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"CapsLayerSpec.{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"CapsLayerSpec.{f.name} must be positive")
         if self.num_types * self.caps_per_type != self.num_lower:
             raise ValueError(
                 f"num_types*caps_per_type = {self.num_types * self.caps_per_type}"
@@ -70,14 +69,6 @@ class CapsLayerSpec:
         """The full-size layer: 32 types of 36 eight-dim capsules into 10x16."""
         return cls(num_lower=1152, num_upper=10, dim_lower=8, dim_upper=16,
                    num_types=32, caps_per_type=36)
-
-
-def _type_size(num_lower: int, num_types: int) -> int:
-    """Capsules per type of ``num_lower`` split into ``num_types`` equal types."""
-    if num_types < 1 or num_lower % num_types:
-        raise ShapeError(f"cannot split {num_lower} lower capsules"
-                         f" into {num_types} equal types")
-    return num_lower // num_types
 
 
 def squash(s, axis: int = -1) -> Tensor:
@@ -129,31 +120,14 @@ def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Ten
     the types change nothing there (each row is its own group).
     LOWER_PER_UPPER normalizes over the lower capsules of each of the
     ``num_types`` equal types per upper capsule, one type being the whole
-    layer.  That is one tape node whatever the types: their maxima and sums
-    are ``reduceat`` over the type starts, spread back over each type's
-    capsules by ``repeat``.
+    layer.  Either way it is one ``softmax_along`` node.
     """
     b = as_tensor(logits)
     if b.ndim != 3:
         raise ShapeError(f"routing logits must be 3-d, got {b.shape}")
     if axis_mode is AxisMode.UPPER_PER_LOWER:
         return softmax_along(b, axis=2)
-    k = _type_size(b.shape[1], num_types)
-    if not np.isfinite(b.data).all():
-        raise NonFiniteError("softmax requires finite input")
-    starts = np.arange(0, b.shape[1], k)
-
-    def per_type(reduce, x):
-        """Each type's reduction over axis 1, repeated over its capsules."""
-        return np.repeat(reduce.reduceat(x, starts, axis=1), k, axis=1)
-
-    out = np.exp(b.data - per_type(np.maximum, b.data))
-    out /= per_type(np.add, out)
-
-    def backward(g):
-        b._accumulate(out * (g - per_type(np.add, g * out)))
-
-    return Tensor._node(out, (b,), backward, "segment_softmax")
+    return softmax_along(b, axis=1, groups=num_types)
 
 
 def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
@@ -171,7 +145,7 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
         raise ShapeError(f"weighted_sum shape mismatch: c {c_t.shape}"
                          f" vs u_hat {u_t.shape}")
     batch, n, j, d = u_t.shape
-    k = _type_size(n, num_types)
+    k = type_size(n, num_types)
     cv = c_t.data.reshape(batch, num_types, k, j)
     uv = u_t.data.reshape(batch, num_types, k, j, d)
     # Batched over (b, t, j): [1, K] @ [K, D] on axis-swapped views.

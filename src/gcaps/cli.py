@@ -31,9 +31,8 @@ from .analysis import (
 from .data import Dataset, load_idx, synthetic_dataset
 from .network import (ArchConfig, TrainConfig, evaluate, format_pairs, load_model,
                       parse_pairs, parse_value, save_checkpoint, write_atomic)
-from .routing import RoutingConfig
+from .routing import VARIANT_NAMES, RoutingConfig
 
-VARIANT_NAMES = ("alg1", "alg2", "alg3", "alg4")
 DATASET_NAMES = ("mnist", "fmnist", "kmnist", "synthetic")
 ARCH_NAMES = ("default", "compact")
 OUT_DIR_ENV = "GCAPS_OUT_DIR"
@@ -205,11 +204,13 @@ def cmd_train(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
 
 
 def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
-    expected_arch = cfg.arch_config() if "arch" in provided else None
-    expected_routing = (cfg.routing_config()
-                        if {"routing", "iterations"} & provided else None)
-    model, manifest = load_model(args.checkpoint, arch=expected_arch,
-                                 routing=expected_routing)
+    # the checkpoint must match what the user named, and nothing else
+    expected = cfg.arch_config().to_manifest() if "arch" in provided else {}
+    if "routing" in provided:
+        expected.update(cfg.routing_config().to_manifest())
+    elif "iterations" in provided:
+        expected["iterations"] = str(cfg.iterations)
+    model, manifest = load_model(args.checkpoint, expected)
     ds = load_split(cfg, cfg.split)
     accuracy, loss, confusion = evaluate(model, ds.images, ds.labels,
                                          batch_size=cfg.batch_size)
@@ -233,14 +234,14 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
                           f" configurations, got {list(cfg.configs)}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    report = run_comparison(train_ds, test_ds,
-                            [cfg.routing_config(n) for n in names],
-                            cfg.train_config(), cfg.seeds, cfg.out_dir,
-                            arch=cfg.arch_config(), timer=cfg.timer(),
-                            augment=cfg.augment)
+    results = run_comparison(train_ds, test_ds,
+                             [cfg.routing_config(n) for n in names],
+                             cfg.train_config(), cfg.seeds, cfg.out_dir,
+                             arch=cfg.arch_config(), timer=cfg.timer(),
+                             augment=cfg.augment)
     print(f"compared {len(names)} configurations x {len(cfg.seeds)} seeds"
           f" on {cfg.dataset}")
-    for res in report.results:
+    for res in results:
         mean = res.mean_accuracy
         shown = fmt(mean) if mean is not None else "diverged"
         print(f"{res.config_name} ({res.config_label}): mean test"

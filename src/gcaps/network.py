@@ -128,12 +128,10 @@ class ArchConfig:
     decoder_hidden: tuple[int, int] = (512, 1024)
 
     def __post_init__(self):
-        for name in ("input_channels", "input_height", "input_width",
-                     "stem_channels", "stem_kernel", "stem_stride",
-                     "num_types", "primary_dim", "primary_kernel",
-                     "primary_stride", "num_classes", "digit_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ArchConfig.{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"ArchConfig.{f.name} must be positive, got {value}")
         if len(self.decoder_hidden) != 2:
             raise ValueError("decoder_hidden must name two layer widths")
         if self.grid_height < 1 or self.grid_width < 1:
@@ -554,12 +552,12 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     return manifest, params
 
 
-def load_model(path: str, arch: ArchConfig | None = None,
-               routing: RoutingConfig | None = None) -> tuple[Model, dict[str, str]]:
-    """Rebuild a model from a checkpoint; optional expectations are enforced.
+def load_model(path: str, expected: dict[str, str] | None = None
+               ) -> tuple[Model, dict[str, str]]:
+    """Rebuild a model from a checkpoint.
 
-    Passing ``arch``/``routing`` asserts the stored manifest matches them,
-    failing with a CheckpointError naming each differing key.
+    ``expected`` maps manifest keys to the text they must hold there (as
+    ``to_manifest`` writes it); a CheckpointError names each key that differs.
     """
     manifest, arrays = read_checkpoint(path)
     try:
@@ -568,15 +566,10 @@ def load_model(path: str, arch: ArchConfig | None = None,
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture or routing description: {exc}") from None
-    if arch is not None and arch != stored_arch:
-        diffs = [k for k, v in arch.to_manifest().items()
-                 if stored_arch.to_manifest()[k] != v]
-        raise CheckpointError(f"manifest mismatch in {path}:"
-                              f" differing keys {diffs}")
-    if routing is not None and routing != stored_routing:
-        raise CheckpointError(
-            f"manifest mismatch in {path}: checkpoint routing is"
-            f" {stored_routing.name}, requested {routing.name}")
+    diffs = [f"{key} is {manifest.get(key)!r}, expected {text!r}"
+             for key, text in (expected or {}).items() if manifest.get(key) != text]
+    if diffs:
+        raise CheckpointError(f"manifest mismatch in {path}: {'; '.join(diffs)}")
     shapes = stored_arch.param_shapes()
     if set(arrays) != set(shapes):
         raise CheckpointError(

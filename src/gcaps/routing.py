@@ -48,6 +48,7 @@ _VARIANTS = {
     "alg3": (AxisMode.UPPER_PER_LOWER, Grouping.BY_TYPE, "o"),
     "alg4": (AxisMode.LOWER_PER_UPPER, Grouping.BY_TYPE, "oc"),
 }
+VARIANT_NAMES = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,9 @@ class RoutingConfig:
         return cls(softmax_axis=axis, grouping=grouping, iterations=iterations)
 
     @property
-    def algorithm_number(self) -> int:
-        grouped = self.grouping is Grouping.BY_TYPE
-        if self.softmax_axis is AxisMode.UPPER_PER_LOWER:
-            return 3 if grouped else 1
-        return 4 if grouped else 2
-
-    @property
     def name(self) -> str:
-        return f"alg{self.algorithm_number}"
+        return next(name for name, (axis, grouping, _) in _VARIANTS.items()
+                    if (axis, grouping) == (self.softmax_axis, self.grouping))
 
     @property
     def label(self) -> str:

@@ -599,21 +599,38 @@ def _rekeep(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.n
     return np.expand_dims(g, axis)
 
 
-def softmax_along(t, axis: int) -> Tensor:
-    """Softmax normalized along ``axis``, stabilized by max subtraction."""
+def type_size(n: int, num_types: int) -> int:
+    """Length of each run when ``n`` splits into ``num_types`` equal types."""
+    if num_types < 1 or n % num_types:
+        raise ShapeError(f"cannot split {n} capsules into {num_types} equal types")
+    return n // num_types
+
+
+def softmax_along(t, axis: int, groups: int = 1) -> Tensor:
+    """Softmax normalized along ``axis``, stabilized by max subtraction.
+
+    Each of ``groups`` equal contiguous runs of ``axis`` is normalized on its
+    own, the whole axis by default: the op works on a view with that axis
+    split into (groups, run length), so it is one tape node however many
+    runs there are.
+    """
     t = as_tensor(t)
     axis = _normalize_axis(axis, t.ndim)
+    runs = t.shape[:axis] + (groups, type_size(t.shape[axis], groups)) + t.shape[axis + 1:]
     if not np.isfinite(t.data).all():
         raise NonFiniteError("softmax_along requires finite input")
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    x = t.data.reshape(runs)
+    out = x - x.max(axis=axis + 1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis + 1, keepdims=True)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        t._accumulate(out_data * (g - inner))
+        g = g.reshape(runs)
+        dx = g - (g * out).sum(axis=axis + 1, keepdims=True)
+        dx *= out
+        t._adopt(dx.reshape(t.shape))
 
-    return Tensor._node(out_data, (t,), backward, "softmax")
+    return Tensor._node(out.reshape(t.shape), (t,), backward, "softmax")
 
 
 # -- convolution -------------------------------------------------------------

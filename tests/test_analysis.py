@@ -9,10 +9,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from gcaps import analysis
 from gcaps.analysis import (
     METRICS_HEADER,
     STUDY_HEADER,
-    ComparisonReport,
     ConfigResult,
     MetricsRecord,
     fmt,
@@ -28,7 +28,7 @@ from gcaps.analysis import (
 from gcaps.data import synthetic_dataset
 from gcaps.network import ArchConfig, TrainConfig, forward
 from gcaps.routing import RoutingConfig
-from gcaps.tensor import no_grad
+from gcaps.tensor import NonFiniteError, no_grad
 from test_network import micro_arch, micro_model
 from test_routing import small_spec
 
@@ -206,11 +206,11 @@ class TestComparison:
 
     def test_mean_accuracy_averages_seed_columns(self, tmp_path):
         train, test = tiny_sets()
-        report = run_comparison(
+        results = run_comparison(
             train, test, [RoutingConfig.from_name("alg1")], quick_config(),
             seeds=(0, 1), out_dir=str(tmp_path), arch=micro_arch(),
             timer=tick_timer())
-        res = report.results[0]
+        res = results[0]
         accs = list(res.seed_accuracies.values())
         assert res.mean_accuracy == pytest.approx(np.mean(accs), rel=1e-15)
         assert res.diverged_seeds == []
@@ -222,25 +222,43 @@ class TestComparison:
                            quick_config(), seeds=(), out_dir=str(tmp_path),
                            arch=micro_arch())
 
-    def test_diverged_runs_are_flagged_not_averaged(self):
+    def test_diverged_runs_are_flagged_not_averaged(self, tmp_path, monkeypatch):
         res = ConfigResult(config_name="alg2", config_label="bc",
-                           seed_accuracies={0: 0.8, 1: None, 2: 0.6},
-                           metrics_paths={0: "a", 1: "b", 2: "c"})
+                           seed_accuracies={0: 0.8, 1: None, 2: 0.6})
         assert res.mean_accuracy == pytest.approx(0.7)
         assert res.diverged_seeds == [1]
-        report = ComparisonReport(dataset_name="synthetic", seeds=(0, 1, 2),
-                                  epochs=2, results=[res])
-        row = next(report.report_rows())
+        self.diverge_seeds(monkeypatch, {1})
+        results = self.compare_alg2(tmp_path, seeds=(0, 1, 2))
+        row = open(os.path.join(tmp_path, "report.csv")).read().splitlines()[1].split(",")
         assert row[4] == "diverged"
+        assert row[-2] == fmt(results[0].mean_accuracy)
         assert row[-1] == "1"
 
-    def test_all_diverged_reports_diverged_mean(self):
-        res = ConfigResult(config_name="alg1", config_label="b",
-                           seed_accuracies={0: None}, metrics_paths={0: "a"})
-        assert res.mean_accuracy is None
-        report = ComparisonReport(dataset_name="synthetic", seeds=(0,),
-                                  epochs=1, results=[res])
-        assert next(report.report_rows())[-2] == "diverged"
+    def test_all_diverged_reports_diverged_mean(self, tmp_path, monkeypatch):
+        self.diverge_seeds(monkeypatch, {0})
+        results = self.compare_alg2(tmp_path, seeds=(0,))
+        assert results[0].mean_accuracy is None
+        lines = open(os.path.join(tmp_path, "report.csv")).read().splitlines()
+        assert lines[1] == "alg2,bc,synthetic,diverged,diverged,0"
+
+    @staticmethod
+    def diverge_seeds(monkeypatch, seeds):
+        """Make the training runs of ``seeds`` diverge."""
+        real = analysis.train_run
+
+        def train_run(*args, **kwargs):
+            if args[4].seed in seeds:
+                raise NonFiniteError("diverged")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "train_run", train_run)
+
+    @staticmethod
+    def compare_alg2(out_dir, seeds):
+        train, test = tiny_sets()
+        return run_comparison(train, test, [RoutingConfig.from_name("alg2")],
+                              quick_config(), seeds=seeds, out_dir=str(out_dir),
+                              arch=micro_arch(), timer=tick_timer())
 
 
 class TestInitStudy:

@@ -282,8 +282,8 @@ class TestCoupling:
                                              num_types=2) * ts[1]).sum(),
             [(2, 8, 3), (2, 8, 3)], rng)
 
-    # Every LOWER_PER_UPPER case runs through one segment softmax: the whole
-    # layer as one type, and equal types.
+    # Every LOWER_PER_UPPER case runs through one softmax_along node: the
+    # whole layer as one type, and equal types.
     LOWER_TYPES = pytest.mark.parametrize("num_types", [1, 2], ids=["one-type", "two-types"])
 
     @LOWER_TYPES

@@ -229,6 +229,23 @@ class TestEvalCommand:
         assert code == 2
         assert "manifest" in capsys.readouterr().err
 
+    def test_iterations_alone_checks_only_iterations(self, tmp_path):
+        # the default routing (alg1) is not what the user asked to check
+        assert run_train(tmp_path, "--routing", "alg4") == 0
+        code = main(["eval", str(tmp_path / "model-alg4-s0.ckpt"), *FAST,
+                     "--iterations", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+
+    def test_routing_mismatch_names_the_differing_key(self, tmp_path, capsys):
+        assert run_train(tmp_path, "--routing", "alg4") == 0
+        capsys.readouterr()
+        code = main(["eval", str(tmp_path / "model-alg4-s0.ckpt"), *FAST,
+                     "--routing", "alg4", "--iterations", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "iterations is '3', expected '2'" in err
+        assert "softmax_axis" not in err and "grouping" not in err
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         code = main(["eval", str(tmp_path / "absent.ckpt"), *FAST,
                      "--out-dir", str(tmp_path)])

@@ -74,6 +74,11 @@ class TestArchConfig:
         for arch in (ArchConfig(), ArchConfig.compact(), micro_arch()):
             assert ArchConfig.from_manifest(arch.to_manifest()) == arch
 
+    @pytest.mark.parametrize("widths", ["0,5", "-1,5", "5,0"])
+    def test_decoder_widths_must_be_positive(self, widths):
+        with pytest.raises(ValueError, match="decoder_hidden must be positive"):
+            ArchConfig.from_manifest({**ArchConfig().to_manifest(), "decoder_hidden": widths})
+
 
 class TestBuildModel:
     def test_default_parameter_count_is_fixed(self):
@@ -521,12 +526,14 @@ class TestCheckpoint:
         model = micro_model("alg1")
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        load_model(path, arch=micro_arch(),
-                   routing=RoutingConfig.from_name("alg1"))
-        with pytest.raises(CheckpointError, match="manifest mismatch"):
-            load_model(path, routing=RoutingConfig.from_name("alg2"))
-        with pytest.raises(CheckpointError, match="manifest mismatch"):
-            load_model(path, arch=ArchConfig.compact())
+        load_model(path, {**micro_arch().to_manifest(),
+                          **RoutingConfig.from_name("alg1").to_manifest()})
+        with pytest.raises(CheckpointError, match="manifest mismatch.*softmax_axis"):
+            load_model(path, RoutingConfig.from_name("alg2").to_manifest())
+        with pytest.raises(CheckpointError, match="manifest mismatch.*stem_channels"):
+            load_model(path, ArchConfig.compact().to_manifest())
+        with pytest.raises(CheckpointError, match="iterations is '3', expected '2'"):
+            load_model(path, {"iterations": "2"})
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -200,15 +200,18 @@ class TestReduce:
 
 
 class TestSoftmax:
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_gradient_matches_finite_differences(self, groups):
         rng = np.random.default_rng(41)
-        check_grad(lambda ts: (softmax_along(ts[0], 1) * ts[1]).sum(),
+        check_grad(lambda ts: (softmax_along(ts[0], 1, groups) * ts[1]).sum(),
                    [(4, 6), (4, 6)], rng)
 
-    def test_rows_sum_to_one(self):
+    @pytest.mark.parametrize("width,groups", [(7, 1), (12, 3)])
+    def test_rows_sum_to_one(self, width, groups):
+        # with groups, each equal run of the axis sums to one on its own
         rng = np.random.default_rng(42)
-        y = softmax_along(Tensor(rng.standard_normal((5, 7)) * 30.0), 1)
-        assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
+        y = softmax_along(Tensor(rng.standard_normal((5, width)) * 30.0), 1, groups)
+        assert np.allclose(y.data.reshape(5, groups, -1).sum(axis=2), 1.0, atol=1e-12)
 
     def test_uniform_on_zeros(self):
         for n in (10, 1152, 36):
@@ -223,6 +226,11 @@ class TestSoftmax:
     def test_nonfinite_input_rejected(self):
         with pytest.raises(NonFiniteError):
             softmax_along(Tensor(np.array([[np.nan, 0.0]])), 1)
+
+    def test_unequal_split_rejected(self):
+        for groups in (4, 0, -1):
+            with pytest.raises(ShapeError, match="equal types"):
+                softmax_along(Tensor(np.zeros((2, 6))), 1, groups)
 
     def test_negative_axis(self):
         rng = np.random.default_rng(43)
