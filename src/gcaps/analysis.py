@@ -90,7 +90,7 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
     NonFiniteError if optimization diverges (callers may catch and flag).
     """
     model = build_model(arch, routing, seed=train_config.seed)
-    optimizer = Adam.from_config(model.params, train_config)
+    optimizer = Adam(model.params, train_config)
     spec = arch.layer_spec()
     c0 = initial_coupling(spec, routing)
     label = routing.label

@@ -29,7 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor, as_tensor, softmax_along, type_size
+from .tensor import (NonFiniteError, ShapeError, Tensor, _local_node, as_tensor, softmax_along,
+                     type_size)
 
 MARGIN_UPPER = 0.9        # m+: target length for the present class
 MARGIN_LOWER = 0.1        # m-: allowed length for absent classes
@@ -103,14 +104,9 @@ def predict(u, weights) -> Tensor:
     out = np.empty((batch, n, j, d), dtype=np.result_type(u_t.data, w_t.data))
     np.matmul(u_t.data.swapaxes(0, 1), w_t.data.reshape(n, j * d, k).swapaxes(1, 2),
               out=out.reshape(batch, n, j * d).swapaxes(0, 1))
-
-    def backward(g):
-        if w_t.requires_grad:
-            w_t._accumulate(np.einsum("bnjd,bnk->njdk", g, u_t.data, optimize=True))
-        if u_t.requires_grad:
-            u_t._accumulate(np.einsum("njdk,bnjd->bnk", w_t.data, g, optimize=True))
-
-    return Tensor._node(out, (u_t, w_t), backward, "predict")
+    return _local_node("predict", out, (u_t, w_t),
+                       (lambda g: np.einsum("njdk,bnjd->bnk", w_t.data, g, optimize=True),
+                        lambda g: np.einsum("bnjd,bnk->njdk", g, u_t.data, optimize=True)))
 
 
 def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Tensor:

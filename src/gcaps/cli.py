@@ -84,8 +84,8 @@ class RunConfig:
             raise ConfigError(f"split must be train or test, got {self.split!r}")
         if self.trials < 10:
             raise ConfigError(f"trials must be >= 10, got {self.trials}")
-        if not self.seeds:
-            raise ConfigError("seeds must list at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must list one or more non-negative seeds, got {self.seeds}")
         if self.train_limit < 0 or self.test_limit < 0:
             raise ConfigError("train_limit and test_limit must be >= 0")
         if self.index < 0:

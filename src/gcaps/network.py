@@ -235,6 +235,8 @@ class TrainConfig:
             raise ValueError("eps must be finite and positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def learning_rate(self, epoch: int) -> float:
         return self.lr0 * self.decay ** epoch
@@ -341,23 +343,18 @@ _ADAM_PIECE = 1 << 15
 
 
 class Adam:
-    """Adam updates over a named parameter dict; ``lr`` may be reassigned
-    between steps (the per-epoch schedule does)."""
+    """Adam updates over a named parameter dict at ``config``'s rates; ``lr``
+    starts at its ``lr0`` and may be reassigned between steps (the per-epoch
+    schedule does)."""
 
-    def __init__(self, params: dict[str, Tensor], lr=TrainConfig.lr0,
-                 beta1=TrainConfig.beta1, beta2=TrainConfig.beta2, eps=TrainConfig.eps):
+    def __init__(self, params: dict[str, Tensor], config: TrainConfig = TrainConfig()):
         self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.lr = config.lr0
+        self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.eps
         self.t = 0
         # C-contiguous, so that step's flat views of them are views
         self._m = {k: np.zeros(p.shape, dtype=p.data.dtype) for k, p in params.items()}
         self._v = {k: np.zeros(p.shape, dtype=p.data.dtype) for k, p in params.items()}
-
-    @classmethod
-    def from_config(cls, params: dict[str, Tensor], cfg: TrainConfig) -> "Adam":
-        return cls(params, lr=cfg.lr0, beta1=cfg.beta1, beta2=cfg.beta2,
-                   eps=cfg.eps)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

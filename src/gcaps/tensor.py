@@ -1,10 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a local-gradient closure on the
-output node; ``Tensor.backward`` builds a :class:`GradTape` (a topologically
-ordered list of nodes) and walks it in reverse.  Broadcasting follows
-trailing-dimension rules only: aligned from the right, a dimension pairs if
-the sizes are equal or one of them is 1.
+Every operation records its inputs and a backward closure on the output
+node.  An op whose gradient at each input is a local function of the
+output's (elementwise ops, ``matmul``, ``reshape``, ``transpose``, ``reduce``,
+``capsule.predict``) passes one such function per input to ``_local_node``,
+whose one backward sums each back over the broadcast axes into the inputs
+that need it; an op that adopts or defers (see below) passes its own closure
+to ``Tensor._node``.  ``Tensor.backward`` builds a :class:`GradTape` (a
+topologically ordered list of nodes) and walks it in reverse.  Broadcasting
+follows trailing-dimension rules only: aligned from the right, a dimension
+pairs if the sizes are equal or one of them is 1.
 
 Gradients accumulate into ``.grad`` until explicitly cleared, so backward
 passes over newly built graphs sum their contributions.  A pass consumes
@@ -122,7 +127,7 @@ class Tensor:
     @classmethod
     def _node(cls, data: np.ndarray, parents: Sequence["Tensor"],
               backward_fn: Callable[[np.ndarray], None] | None, op: str) -> "Tensor":
-        """Create an interior graph node (used by all operations)."""
+        """Create an interior graph node (for ``_local_node`` and own-closure ops)."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -359,13 +364,15 @@ def _outer_sum(pairs: list[tuple[np.ndarray, np.ndarray]], shape: tuple[int, ...
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; a Python int or float takes the other
-    operand's dtype, so a float32 tensor stays float32."""
+    """Both operands as tensors, checked to broadcast; a Python int or float
+    takes the other operand's dtype, so a float32 tensor stays float32."""
     if isinstance(a, Tensor) and isinstance(b, (int, float)):
-        return a, Tensor(b, dtype=a.data.dtype)
-    if isinstance(b, Tensor) and isinstance(a, (int, float)):
-        return Tensor(a, dtype=b.data.dtype), b
-    return as_tensor(a), as_tensor(b)
+        b = Tensor(b, dtype=a.data.dtype)
+    elif isinstance(b, Tensor) and isinstance(a, (int, float)):
+        a = Tensor(a, dtype=b.data.dtype)
+    a, b = as_tensor(a), as_tensor(b)
+    _broadcast_shape(a.shape, b.shape)
+    return a, b
 
 
 def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
@@ -395,108 +402,72 @@ def _normalize_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
+def _local_node(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
+                grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The node of an op whose gradient at input i is local: ``grads[i](g)``,
+    summed back over the axes that input was broadcast along.  Inputs that
+    need no gradient are skipped, so their terms are never computed."""
+
+    def backward(g):
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(grad(g), t.shape))
+
+    return Tensor._node(out_data, inputs, backward, op)
+
+
 # -- elementwise operations -------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data + b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor._node(out_data, (a, b), backward, "add")
+    return _local_node("add", a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data - b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
-
-    return Tensor._node(out_data, (a, b), backward, "sub")
+    return _local_node("sub", a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor._node(out_data, (a, b), backward, "mul")
+    return _local_node("mul", a.data * b.data, (a, b),
+                       (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    _broadcast_shape(a.shape, b.shape)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._node(out_data, (a, b), backward, "div")
+    return _local_node("div", a.data / b.data, (a, b),
+                       (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(-g)
-
-    return Tensor._node(-a.data, (a,), backward, "neg")
+    return _local_node("neg", -a.data, (a,), (lambda g: -g,))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return Tensor._node(out_data, (a,), backward, "exp")
+    return _local_node("exp", out_data, (a,), (lambda g: g * out_data,))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * (0.5 / out_data))
-
-    return Tensor._node(out_data, (a,), backward, "sqrt")
+    return _local_node("sqrt", out_data, (a,), (lambda g: g * (0.5 / out_data),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return Tensor._node(out_data, (a,), backward, "relu")
+    return _local_node("relu", np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor._node(out_data, (a,), backward, "sigmoid")
+    return _local_node("sigmoid", out_data, (a,),
+                       (lambda g: g * out_data * (1.0 - out_data),))
 
 
 # -- contraction and structure ----------------------------------------------
@@ -510,27 +481,14 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} and {b.shape}")
     _broadcast_shape(a.shape[:-2], b.shape[:-2])
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
-
-    return Tensor._node(out_data, (a, b), backward, "matmul")
+    return _local_node("matmul", np.matmul(a.data, b.data), (a, b),
+                       (lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                        lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.shape))
-
-    return Tensor._node(out_data, (a,), backward, "reshape")
+    return _local_node("reshape", a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -538,65 +496,48 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"axes {axes} is not a permutation for shape {a.shape}")
     inverse = tuple(int(i) for i in np.argsort(axes))
-    out_data = np.ascontiguousarray(a.data.transpose(axes))
-
-    def backward(g):
-        a._accumulate(g.transpose(inverse))
-
-    return Tensor._node(out_data, (a,), backward, "transpose")
+    return _local_node("transpose", np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                       (lambda g: g.transpose(inverse),))
 
 
 def reduce(op_kind: str, t, axis=None, keepdims: bool = False) -> Tensor:
     """Reduce along ``axis`` (or everything when axis is None).
 
     ``max`` routes its gradient to the first occurrence of the maximum along
-    the reduced axis (lowest index wins ties).
+    the reduced axis (lowest index wins ties), or of the whole flattened
+    tensor when axis is None.
     """
     t = as_tensor(t)
     if axis is not None:
         axis = _normalize_axis(axis, t.ndim)
 
+    def spread(g):
+        # g, reshaped to broadcast back over t, at each element of t
+        if axis is None:
+            g = g.reshape((1,) * t.ndim)
+        elif not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, t.shape)
+
     if op_kind == "sum":
-        out_data = t.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            t._accumulate(np.broadcast_to(_rekeep(g, t.shape, axis, keepdims), t.shape))
-
+        grad = spread
     elif op_kind == "mean":
-        out_data = t.data.mean(axis=axis, keepdims=keepdims)
         count = t.data.size if axis is None else t.shape[axis]
 
-        def backward(g):
-            t._accumulate(np.broadcast_to(_rekeep(g, t.shape, axis, keepdims), t.shape) / count)
+        def grad(g):
+            return spread(g) / count
 
     elif op_kind == "max":
-        out_data = t.data.max(axis=axis, keepdims=keepdims)
 
-        def backward(g):
-            kept = t.data.max(axis=axis, keepdims=True) if axis is not None else t.data.max()
-            hit = t.data == kept
-            if axis is None:
-                flat = hit.reshape(-1)
-                first = np.zeros_like(flat)
-                first[np.argmax(flat)] = True
-                mask = first.reshape(t.shape)
-            else:
-                mask = hit & (np.cumsum(hit, axis=axis) == 1)
-            t._accumulate(mask * np.broadcast_to(_rekeep(g, t.shape, axis, keepdims), t.shape))
+        def grad(g):
+            x, along = (t.data.reshape(-1), 0) if axis is None else (t.data, axis)
+            hit = x == x.max(axis=along, keepdims=True)
+            return (hit & (np.cumsum(hit, axis=along) == 1)).reshape(t.shape) * spread(g)
 
     else:
         raise ValueError(f"unknown reduce op {op_kind!r}")
-
-    return Tensor._node(out_data, (t,), backward, f"reduce_{op_kind}")
-
-
-def _rekeep(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Reshape a reduced gradient so it broadcasts back over ``shape``."""
-    if axis is None:
-        return g.reshape((1,) * len(shape))
-    if keepdims:
-        return g
-    return np.expand_dims(g, axis)
+    out_data = getattr(t.data, op_kind)(axis=axis, keepdims=keepdims)
+    return _local_node(f"reduce_{op_kind}", out_data, (t,), (grad,))
 
 
 def type_size(n: int, num_types: int) -> int:

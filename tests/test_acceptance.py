@@ -313,7 +313,7 @@ def test_criterion_08_overfit_smoke():
     steps_used = {}
     for name in VARIANTS:
         model = build_model(arch, RoutingConfig.from_name(name), seed=0)
-        opt = Adam.from_config(model.params, TrainConfig())
+        opt = Adam(model.params, TrainConfig())
         steps = 0
         reached = None
         while steps < 200 and reached is None:

@@ -104,7 +104,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("lr0", "nan"), ("lr0", "inf"), ("decay", "0"), ("beta1", "1"),
         ("beta2", "nan"), ("eps", "0"), ("batch_size", "0"), ("epochs", "0"),
-        ("iterations", "0"),
+        ("iterations", "0"), ("seed", "-1"), ("seeds", "0,-1"),
     ])
     def test_training_and_routing_checks_are_config_errors(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -134,6 +134,14 @@ class TestTrainCommand:
     def test_bad_optimizer_value_exits_1(self, tmp_path, capsys, flag, value):
         assert run_train(tmp_path, flag, value) == 1
         assert flag[2:] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["train", "--seed", "-1"],
+                                      ["compare", "--configs", "alg1,alg2", "--seeds", "0,-1"]],
+                             ids=["train", "compare"])
+    def test_negative_seed_exits_1_before_any_run(self, tmp_path, capsys, argv):
+        assert main([*argv, *FAST, "--out-dir", str(tmp_path)]) == 1
+        assert "seed" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_missing_config_file_exits_1(self, tmp_path):

@@ -252,7 +252,7 @@ class TestAdam:
 
     def test_minimizes_quadratic(self):
         x = Tensor(np.array([10.0, -4.0]), requires_grad=True)
-        opt = Adam({"x": x}, lr=0.1)
+        opt = Adam({"x": x}, TrainConfig(lr0=0.1))
         for _ in range(400):
             opt.zero_grad()
             d = x - Tensor(np.array([3.0, 1.0]))
@@ -263,7 +263,7 @@ class TestAdam:
     def test_first_step_size_equals_lr(self):
         # With bias correction the first update is lr * sign(grad) up to eps.
         x = Tensor(np.array([5.0]), requires_grad=True)
-        opt = Adam({"x": x}, lr=0.25)
+        opt = Adam({"x": x}, TrainConfig(lr0=0.25))
         opt.zero_grad()
         (x * 1000.0).sum().backward()
         opt.step()
@@ -272,7 +272,7 @@ class TestAdam:
     def test_skips_parameters_without_gradients(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         y = Tensor(np.array([2.0]), requires_grad=True)
-        opt = Adam({"x": x, "y": y}, lr=0.1)
+        opt = Adam({"x": x, "y": y}, TrainConfig(lr0=0.1))
         opt.zero_grad()
         (x * x).sum().backward()
         opt.step()
@@ -291,7 +291,7 @@ class TestAdam:
         want = {k: p.data.copy() for k, p in params.items()}
         m = {k: np.zeros_like(w) for k, w in want.items()}
         v = {k: np.zeros_like(w) for k, w in want.items()}
-        opt = Adam(params, lr=0.01)
+        opt = Adam(params, TrainConfig(lr0=0.01))
         for t in range(1, 4):
             for k, p in params.items():
                 p.grad = rng.standard_normal(shapes[k]).astype(dtype)
@@ -338,7 +338,7 @@ class TestTrainConfig:
 class TestTrainStep:
     def test_loss_decreases_on_memorization_set(self):
         model = micro_model("alg1")
-        opt = Adam(model.params, lr=0.003)
+        opt = Adam(model.params, TrainConfig(lr0=0.003))
         rng = np.random.default_rng(71)
         images = rng.uniform(0, 1, (8, 1, 28, 28))
         labels = np.arange(8) % 10

@@ -252,6 +252,47 @@ class TestStructureOps:
             Tensor(np.zeros((2, 3))).transpose(0, 0)
 
 
+# Every op whose node ``_local_node`` builds: its tag, the op, input shapes.
+LOCAL_OPS = [
+    ("add", lambda a, b: a + b, [(2, 3), (3,)]),
+    ("sub", lambda a, b: a - b, [(2, 3), (2, 1)]),
+    ("mul", lambda a, b: a * b, [(2, 1, 3), (4, 3)]),
+    ("div", lambda a, b: a / b, [(2, 3), (2, 3)]),
+    ("neg", lambda a: -a, [(2, 3)]),
+    ("exp", lambda a: a.exp(), [(2, 3)]),
+    ("sqrt", lambda a: a.sqrt(), [(2, 3)]),
+    ("relu", lambda a: a.relu(), [(2, 3)]),
+    ("sigmoid", lambda a: a.sigmoid(), [(2, 3)]),
+    ("matmul", lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),
+    ("reshape", lambda a: a.reshape(6, 2), [(3, 4)]),
+    ("transpose", lambda a: a.transpose(1, 0, 2), [(2, 3, 4)]),
+    ("reduce_sum", lambda a: a.sum(axis=1), [(2, 3, 4)]),
+    ("reduce_mean", lambda a: a.mean(axis=0, keepdims=True), [(2, 3)]),
+    ("reduce_max", lambda a: a.max(), [(2, 3)]),
+    ("predict", predict, [(2, 3, 4), (3, 5, 6, 4)]),
+]
+
+
+@pytest.mark.parametrize("tag,op,shapes", LOCAL_OPS, ids=[case[0] for case in LOCAL_OPS])
+def test_local_gradient_ops_keep_tag_dtype_and_constants(tag, op, shapes):
+    # float32 in, float32 out and float32 gradients; with each input in turn
+    # not requiring a gradient, that input's grad stays None.
+    rng = np.random.default_rng(53)
+    values = [rng.uniform(0.5, 2.0, s).astype(np.float32) for s in shapes]
+    for constant in (None, *range(len(shapes))):
+        inputs = [Tensor(v, requires_grad=i != constant) for i, v in enumerate(values)]
+        out = op(*inputs)
+        assert out._op == tag and out.data.dtype == np.float32
+        assert out.requires_grad == any(t.requires_grad for t in inputs)
+        if out.requires_grad:
+            out.sum().backward()
+        for i, t in enumerate(inputs):
+            if i == constant:
+                assert t.grad is None
+            else:
+                assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
+
+
 def conv2d_direct(x, k, stride, padding):
     """Definition-level convolution: loop over every output element."""
     b, c_in, h, w = x.shape
