@@ -280,6 +280,9 @@ def forward(model: Model, images: np.ndarray):
     [batch, num_classes, digit_dim] the routed capsules; ``per_type_caps``
     [batch, num_types, num_classes, digit_dim] only in grouped routing;
     ``couplings`` the per-iteration couplings (see ``route``).
+
+    The stem's output is donated to the primary conv (see ``conv2d``):
+    under ``no_grad`` it is freed once that conv has read it.
     """
     arch = model.arch
     x = Tensor(images)
@@ -292,7 +295,7 @@ def forward(model: Model, images: np.ndarray):
     stem = conv2d(x, p["stem.kernel"], stride=arch.stem_stride, bias=p["stem.bias"],
                   relu=True)
     prim = conv2d(stem, p["primary.kernel"], stride=arch.primary_stride,
-                  bias=p["primary.bias"])
+                  bias=p["primary.bias"], donate=True)
     batch = x.shape[0]
     # channels are type-major: capsule index = (type, row, col), so the
     # per-type index ranges used by grouped routing are contiguous
@@ -435,6 +438,10 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
     n = len(labels)
     if n == 0:
         raise ValueError("evaluate requires a nonempty dataset")
+    if len(images) != n:
+        raise ValueError(f"evaluate got {len(images)} images and {n} labels")
+    if batch_size < 1:
+        raise ValueError(f"evaluate needs batch_size >= 1, got {batch_size}")
     num_classes = model.arch.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     dc_per_image = np.zeros(n)

@@ -406,12 +406,18 @@ def _local_node(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
                 grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     """The node of an op whose gradient at input i is local: ``grads[i](g)``,
     summed back over the axes that input was broadcast along.  Inputs that
-    need no gradient are skipped, so their terms are never computed."""
+    need no gradient are skipped, so their terms are never computed.  A
+    term that is a fresh array is adopted; ``g`` itself or a view of it
+    (``add``, ``reshape``, ``transpose``, ``sum``) is copied."""
 
     def backward(g):
         for t, grad in zip(inputs, grads):
             if t.requires_grad:
-                t._accumulate(_unbroadcast(grad(g), t.shape))
+                term = _unbroadcast(grad(g), t.shape)
+                if term is not g and isinstance(term, np.ndarray) and term.base is None:
+                    t._adopt(term)
+                else:
+                    t._accumulate(term)
 
     return Tensor._node(out_data, inputs, backward, op)
 
@@ -578,10 +584,16 @@ def softmax_along(t, axis: int, groups: int = 1) -> Tensor:
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
-           relu: bool = False) -> Tensor:
+           relu: bool = False, donate: bool = False) -> Tensor:
     """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw],
     plus ``bias`` [O] per output channel when given, clamped at zero when
     ``relu`` is set.
+
+    ``donate`` hands ``x`` over to the call: under ``no_grad`` its ``data``
+    is released (set to None) right after its last read, the input's
+    spectrum or the column buffer, so its memory is free before the rest
+    of the convolution runs; reading ``x.data`` afterwards finds None.  While
+    recording, ``donate`` does nothing, since a backward may read ``x``.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width).  The bias and the clamp go in place on the buffer the
@@ -607,6 +619,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
       input's spectrum when the kernel needs a gradient; the kernel's is
       built per block of output channels for the forward and again per
       block of input channels for the input gradient, never held whole.
+      The forward's channel product goes per block of output channels too,
+      each block's values written before the next block is formed.
       Results differ from im2col's by rounding (about 1e-15 of the largest
       value in float64).  A NaN or infinity at a point that some window
       reads reaches every output of its image; points no window reads reach
@@ -618,7 +632,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
                                     _grad_enabled and x.requires_grad,
                                     _grad_enabled and kernel.requires_grad)
     return (_conv2d_spectral if spectral else _conv2d_im2col)(x, kernel, stride, padding,
-                                                              bias, relu)
+                                                              bias, relu,
+                                                              donate and not _grad_enabled)
 
 
 def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
@@ -740,9 +755,11 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
-                   bias: Tensor | None = None, relu: bool = False) -> Tensor:
+                   bias: Tensor | None = None, relu: bool = False,
+                   release: bool = False) -> Tensor:
     """conv2d as one product of the windows' column buffer with the kernel;
-    the bias and the clamp go on that product's [positions, O] result."""
+    the bias and the clamp go on that product's [positions, O] result.
+    ``release`` sets ``x.data`` to None once the buffer is built."""
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     parents = _conv2d_inputs(x, kernel, bias)
     batch, c_in, h, w = x.shape
@@ -750,6 +767,8 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
     hp, wp = h + 2 * padding, w + 2 * padding
 
     cols = _im2col(_pad(x.data, padding), kh, kw, stride, h_out, w_out)
+    if release:
+        x.data = None
     w_mat = kernel.data.reshape(c_out, -1)
     out = cols @ w_mat.T
     _add_bias_relu(out, bias, relu, 0)
@@ -784,7 +803,8 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
 
 
 def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
-                     bias: Tensor | None = None, relu: bool = False) -> Tensor:
+                     bias: Tensor | None = None, relu: bool = False,
+                     release: bool = False) -> Tensor:
     """conv2d as per-frequency channel products on the grid the windows read.
 
     The grid is hg x wg, hg = (h_out-1)*stride + kh (wg likewise).  No window
@@ -799,8 +819,12 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     signals (``_spectrum`` and ``_values_at``).  X is kept for the kernel
     gradient only when that gradient will be recorded.  K is never whole:
     it is built per block of ``batch`` output channels for the forward and
-    of ``batch`` input channels for the input gradient, each block's
-    product written into its columns.  The bias and the clamp go on the values.
+    of ``batch`` input channels for the input gradient.  Neither is the
+    forward's product [F, B, O]: each block's [F, B, ob] is turned into its
+    output channels' values before the next is formed, while the input
+    gradient's blocks are written into the columns of one G K.  The bias and
+    the clamp go on the values.  ``release`` sets ``x.data`` to None once X
+    is built.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     parents = _conv2d_inputs(x, kernel, bias)
@@ -818,6 +842,9 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     # conj(X conj(K)) = conj(X) K needs no conjugated copy of either.
     x_pts = x.data.reshape(batch * c_in, h, w)[:, :len(x_rows), :len(x_cols)]
     x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
+    del x_pts
+    if release:
+        x.data = None
 
     def taps_spectrum(taps: np.ndarray) -> np.ndarray:
         # [F, o, c] from o x c taps [o, c, kh, kw]
@@ -827,12 +854,11 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     # A block of ``batch`` channels is no larger than X (or G, for the
     # input gradient), and the extra reads of X and G it costs are no more
     # bytes than the kernel's spectrum that is never held.
-    product = np.empty((freqs, batch, c_out), dtype=ctype)
+    out_data = np.empty((batch, c_out, h_out, w_out), dtype=rtype)
     for o in range(0, c_out, batch):
-        np.matmul(x_conj, taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1),
-                  out=product[:, :, o:o + batch])
-    out_data = _values_at(product, out_rows, out_cols, grid,
-                          np.empty((batch, c_out, h_out, w_out), dtype=rtype))
+        product = x_conj @ taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1)
+        _values_at(product, out_rows, out_cols, grid, out_data[:, o:o + batch])
+        del product
     _add_bias_relu(out_data, bias, relu, 2)
     kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
 
@@ -906,7 +932,9 @@ def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                grid: tuple[int, int], out: np.ndarray) -> np.ndarray:
     """``out`` [...M, H, W] with ``out[..., :R, :C]`` set to the M real
     signals whose conjugate half spectra on ``grid`` are ``spec_conj``
-    [F, ...M], at grid rows ``rows`` [R] and columns ``cols`` [C].
+    [F, ...M], at grid rows ``rows`` [R] and columns ``cols`` [C].  ``out``
+    may be a view with any strides, such as a block of another array's
+    channels.
 
     The signals go in cache-sized blocks.  In a block, complex GEMMs along
     the rows (one per column frequency, on strided slices of ``spec_conj``)
@@ -927,11 +955,11 @@ def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     by_col[:, 0], by_col[:, 1] = weight * np.cos(angle), weight * np.sin(angle)
     by_col = by_col.reshape(2 * half, len(cols))
     spec = spec_conj.reshape(hg, half, -1)
-    target = out.reshape(-1, *out.shape[-2:])[:, :len(rows), :len(cols)]
+    target = out[..., :len(rows), :len(cols)]
     for blk in _signal_blocks(spec.shape[-1], hg * half, spec.dtype):
         near = np.matmul(by_row, spec[:, :, blk].transpose(1, 0, 2)).transpose(2, 1, 0).copy()
-        target[blk] = (near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(
-            -1, len(rows), len(cols))
+        target[np.unravel_index(np.arange(blk.start, blk.stop), target.shape[:-2])] = (
+            near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(-1, len(rows), len(cols))
     return out
 
 

@@ -34,7 +34,7 @@ from gcaps.network import (
 )
 from gcaps.capsule import squash
 from gcaps.routing import RoutingConfig
-from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor
+from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad
 
 
 def micro_arch() -> ArchConfig:
@@ -167,6 +167,27 @@ class TestForward:
         p = model.params
         assert nodes[0]._parents[1:] == (p["stem.kernel"], p["stem.bias"])
         assert nodes[1]._parents == (nodes[0], p["primary.kernel"], p["primary.bias"])
+
+    def test_stem_output_is_freed_under_no_grad_only(self, monkeypatch):
+        # The stem's output, the primary conv's input, is donated: evaluation
+        # frees it once the conv has read it; a recorded forward keeps it,
+        # and with it the same scores.
+        inputs = []
+        real = network_module.conv2d
+
+        def conv2d(x, *args, **kwargs):
+            inputs.append(x)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(network_module, "conv2d", conv2d)
+        model = micro_model()
+        images = np.random.default_rng(54).uniform(0, 1, (3, 1, 28, 28))
+        with no_grad():
+            evaluated = forward(model, images)[0].data
+        recorded = forward(model, images)[0].data
+        stems = inputs[1::2]
+        assert stems[0].data is None and stems[1].data.shape == (3, 8, 20, 20)
+        assert np.array_equal(evaluated, recorded)
 
     def test_default_step_tape_size(self):
         # Leaves included.  Each conv's bias and the stem's ReLU are inside
@@ -482,6 +503,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(micro_model(), np.zeros((0, 1, 28, 28)),
                      np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("n_images", [20, 12], ids=["more-images", "fewer-images"])
+    def test_image_and_label_counts_must_agree_before_any_batch(self, monkeypatch, n_images):
+        # More images than labels used to score only the first 16; fewer
+        # failed only at the last batch, inside the loss.
+        calls = []
+        monkeypatch.setattr(network_module, "batch_loss", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"{n_images} images and 16 labels"):
+            evaluate(micro_model(), np.zeros((n_images, 1, 28, 28)), np.arange(16) % 10,
+                     batch_size=8)
+        assert calls == []
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size >= 1, got {batch_size}"):
+            evaluate(micro_model(), np.zeros((4, 1, 28, 28)), np.arange(4),
+                     batch_size=batch_size)
 
 
 class TestCheckpoint:

@@ -472,6 +472,27 @@ class TestConv2dSpectral(TestConv2d):
         assert peak - start < 3 * x_spectrum + 4 * tensor_module._BLOCK_BYTES
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_no_grad_forward_never_holds_the_whole_product(self):
+        # Eight images into 64 output channels: the product [F, B, O] would
+        # be 16 times the input's spectrum.  Formed and turned into values
+        # per block of eight channels, the forward measured 5.9 times the
+        # input's spectrum above the start; formed whole, 28.7 times.
+        rng = np.random.default_rng(77)
+        x = Tensor(rng.standard_normal((8, 4, 20, 20)))
+        k = Tensor(rng.standard_normal((64, 4, 9, 9)))
+        x_spectrum = 19 * 10 * 8 * 4 * np.dtype(np.complex128).itemsize
+        with no_grad():
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                got = _conv2d_spectral(x, k, 2, 0).data
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            want = _conv2d_im2col(x, k, 2, 0).data
+        assert peak - start < 12 * x_spectrum
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("grads", [(True, False), (False, True), (True, True)],
                              ids=["input-only", "kernel-only", "both"])
     def test_kernel_spectrum_is_built_per_block_of_channels(self, monkeypatch, grads):
@@ -507,6 +528,46 @@ class TestConv2dSpectral(TestConv2d):
         _conv2d_spectral(x, k, 2, 0).sum().backward()
         assert not x.grad[:, :, 19].any() and not x.grad[:, :, :, 19].any()
         assert x.grad[:, :, :19, :19].all()
+
+
+class TestConv2dDonate:
+    """``conv2d(..., donate=True)`` at the compact primary conv's shape, on
+    each algorithm: ``_spectral_is_cheaper`` picks the one named by the
+    batch size, with and without recording."""
+
+    @staticmethod
+    def inputs(batch, requires_grad=False):
+        rng = np.random.default_rng(88)
+        return [Tensor(rng.standard_normal(s), requires_grad=requires_grad)
+                for s in ((batch, 32, 20, 20), (64, 32, 9, 9), (64,))]
+
+    @pytest.mark.parametrize("batch,spectral", [(16, False), (32, True)],
+                             ids=["im2col", "spectral"])
+    def test_no_grad_releases_the_input_and_gives_the_same_output(self, batch, spectral):
+        x, k, b = self.inputs(batch)
+        assert _spectral_is_cheaper(x.shape, k.shape, 2, 0, False, False) == spectral
+        with no_grad():
+            want = conv2d(x, k, stride=2, bias=b, relu=True).data
+            held = weakref.ref(x.data)
+            got = conv2d(x, k, stride=2, bias=b, relu=True, donate=True).data
+        assert x.data is None and held() is None
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("batch,spectral", [(4, False), (16, True)],
+                             ids=["im2col", "spectral"])
+    def test_recording_keeps_the_input_and_its_gradients(self, batch, spectral):
+        g = np.random.default_rng(89).standard_normal((batch, 64, 6, 6))
+        results = []
+        for donate in (False, True):
+            x, k, b = self.inputs(batch, requires_grad=True)
+            assert _spectral_is_cheaper(x.shape, k.shape, 2, 0, True, True) == spectral
+            data = x.data
+            y = conv2d(x, k, stride=2, bias=b, relu=True, donate=donate)
+            (y * Tensor(g)).sum().backward()
+            assert x.data is data
+            results.append((y.data, x.grad, k.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("conv", [_conv2d_im2col, _conv2d_spectral], ids=["im2col", "spectral"])
@@ -888,6 +949,40 @@ class TestAutodiffMechanics:
         (b * 2.0).sum().backward()
         assert np.array_equal(a.grad, np.full(3, 2.0))
         assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("op", [
+        pytest.param(lambda a: a + Tensor(np.ones((2, 3))), id="add"),
+        pytest.param(lambda a: a.reshape(3, 2), id="reshape"),
+        pytest.param(lambda a: a.transpose(1, 0), id="transpose"),
+        pytest.param(lambda a: a.sum(axis=0), id="sum"),
+    ])
+    def test_view_of_the_output_gradient_is_copied(self, op):
+        # These terms are the output's gradient or a view of it, so the
+        # input's gradient must be a buffer of its own.
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = op(a)
+        (b * 2.0).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert (a.grad == 2.0).all()
+
+    def test_fresh_terms_are_adopted_not_copied(self):
+        # The product's gradient, materialised from the sum's broadcast,
+        # and each input's term: at most two gradients live above the
+        # start once the product's data is freed.  Copying each term
+        # measured three.
+        rng = np.random.default_rng(78)
+        x = Tensor(rng.standard_normal((2048, 1024)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2048, 1024)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = (x * w).sum()
+            start, _ = tracemalloc.get_traced_memory()
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2 * x.data.nbytes + 2**16
+        assert np.array_equal(x.grad, w.data) and np.array_equal(w.grad, x.data)
 
     def test_broadcast_first_contribution_is_a_full_array(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
