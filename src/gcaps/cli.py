@@ -175,9 +175,11 @@ def load_split(cfg: RunConfig, split: str) -> Dataset:
     limit = cfg.train_limit if split == "train" else cfg.test_limit
     if cfg.dataset == "synthetic":
         n = limit or (256 if split == "train" else 128)
-        # distinct noise per split, same root seed
-        return synthetic_dataset(seed=cfg.seed + (0 if split == "train" else 1),
-                                 n=n, split=split)
+        seed = cfg.seed + (0 if split == "train" else 1)    # distinct noise per split
+        try:
+            return synthetic_dataset(seed=seed, n=n, split=split)
+        except ValueError as exc:
+            raise ConfigError(f"{split}_limit: {exc}") from None
     img, lab = _find_idx_pair(cfg.data_dir, cfg.dataset, split)
     ds = load_idx(img, lab, name=cfg.dataset, split=split)
     return ds.subset(limit or None)
@@ -250,6 +252,8 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
 
 
 def cmd_routing_report(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
+    if cfg.iterations < 2:
+        raise ConfigError(f"routing-report needs iterations >= 2, got {cfg.iterations}")
     spec = cfg.arch_config().layer_spec()
     configs = [cfg.routing_config(n) for n in VARIANT_NAMES]
     rows, summary = init_sensitivity_study(spec, configs, cfg.trials, cfg.seed)

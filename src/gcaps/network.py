@@ -495,9 +495,14 @@ def write_atomic(path: str, blob: bytes) -> None:
     ``path``, so readers never see a partial file.  Creates the directory."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:

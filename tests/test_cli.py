@@ -171,6 +171,14 @@ class TestTrainCommand:
         assert sorted(p.name for p in out.iterdir()) == [
             "config-alg1-s0.txt", "metrics-alg1-s0.csv", "model-alg1-s0.ckpt"]
 
+    @pytest.mark.parametrize("flag, key", [("--train-limit", "train_limit"),
+                                           ("--test-limit", "test_limit")])
+    def test_synthetic_limit_below_class_count_exits_1(self, tmp_path, capsys, flag, key):
+        out = tmp_path / "out"
+        assert main(["train", "--arch", "compact", flag, "3", "--out-dir", str(out)]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_files_exit_2(self, tmp_path, capsys):
         code = main(["train", "--dataset", "mnist",
                      "--data-dir", str(tmp_path / "empty"),
@@ -305,6 +313,12 @@ class TestRoutingReportCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_single_iteration_exits_1_before_the_study(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["routing-report", "--iterations", "1", "--out-dir", str(out)]) == 1
+        assert "iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seeded_rerun_is_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -263,6 +263,21 @@ class TestKeyValueLines:
         write_atomic(str(path), b"x")
         assert path.read_bytes() == b"x"
 
+    def test_failed_write_atomic_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            write_atomic(str(path), "not bytes")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert path.read_bytes() == b"old"
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "keep").write_bytes(b"k")
+        with pytest.raises(OSError):
+            write_atomic(str(tmp_path / "d"), b"x")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
 
 class TestAdam:
     def test_defaults_are_the_train_config_defaults(self):
