@@ -160,14 +160,14 @@ _IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
 def _find_idx_pair(data_dir: str, dataset: str, split: str) -> tuple[str, str]:
     base = os.path.join(data_dir, dataset)
     img_name, lab_name = _IDX_FILES[split]
-    for suffix in ("", ".gz"):
-        img = os.path.join(base, img_name + suffix)
-        lab = os.path.join(base, lab_name + suffix)
-        if os.path.exists(img) and os.path.exists(lab):
-            return img, lab
-    raise FileNotFoundError(
-        f"no {split} files for dataset {dataset!r} under {base}:"
-        f" expected {img_name}[.gz] and {lab_name}[.gz]")
+    # each file on its own, plain first, so a gzipped and a plain file pair up
+    img, lab = (next((p for p in (path, path + ".gz") if os.path.exists(p)), None)
+                for path in (os.path.join(base, img_name), os.path.join(base, lab_name)))
+    if img is None or lab is None:
+        raise FileNotFoundError(
+            f"no {split} files for dataset {dataset!r} under {base}:"
+            f" expected {img_name}[.gz] and {lab_name}[.gz]")
+    return img, lab
 
 
 def load_split(cfg: RunConfig, split: str) -> Dataset:
@@ -231,6 +231,7 @@ def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
 
 def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     names = tuple(dict.fromkeys(cfg.configs))    # dedupe, keep order
+    seeds = tuple(dict.fromkeys(cfg.seeds))
     if len(names) < 2:
         raise ConfigError(f"compare needs at least 2 distinct routing"
                           f" configurations, got {list(cfg.configs)}")
@@ -238,10 +239,10 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     test_ds = load_split(cfg, "test")
     results = run_comparison(train_ds, test_ds,
                              [cfg.routing_config(n) for n in names],
-                             cfg.train_config(), cfg.seeds, cfg.out_dir,
+                             cfg.train_config(), seeds, cfg.out_dir,
                              arch=cfg.arch_config(), timer=cfg.timer(),
                              augment=cfg.augment)
-    print(f"compared {len(names)} configurations x {len(cfg.seeds)} seeds"
+    print(f"compared {len(names)} configurations x {len(seeds)} seeds"
           f" on {cfg.dataset}")
     for res in results:
         mean = res.mean_accuracy

@@ -596,16 +596,16 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     recording, ``donate`` does nothing, since a backward may read ``x``.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  The bias and the clamp go in place on the buffer the
-    convolution writes, so the call is one tape node holding one output
-    with the values of ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.
-    Its backward zeroes the gradient where that output is not positive,
-    which is where the clamp's input was not (NaN included), and sums the
-    bias gradient over batch and positions; it keeps nothing else for
-    either.  Each call runs one of two algorithms, chosen from the shapes by
-    ``_spectral_is_cheaper``: the one that makes fewer multiplications plus
-    bytes moved, counting the backward work of every gradient that will be
-    recorded.
+    width).  One of two algorithms computes the convolution's values and a
+    function that adds the gradients at ``x`` and ``kernel``; this call adds
+    the bias and takes the clamp in place on those values, and owns the one
+    tape node, whose output has the values of
+    ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.  Its backward
+    zeroes the gradient where that output is not positive (NaN included),
+    sums it over batch and positions into the bias gradient, then hands it
+    to the algorithm.  ``_spectral_is_cheaper`` picks the algorithm from the
+    shapes: the one that makes fewer multiplications plus bytes moved,
+    counting the backward work of every gradient that will be recorded.
 
     * im2col (``_conv2d_im2col``): a column buffer of every window, then one
       matrix product.  The buffer, the layer's largest allocation, is kept
@@ -628,12 +628,28 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     bias = None if bias is None else as_tensor(bias)
+    _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    if bias is not None and bias.shape != kernel.shape[:1]:
+        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
+    k_grad = _grad_enabled and kernel.requires_grad
     spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
-                                    _grad_enabled and x.requires_grad,
-                                    _grad_enabled and kernel.requires_grad)
-    return (_conv2d_spectral if spectral else _conv2d_im2col)(x, kernel, stride, padding,
-                                                              bias, relu,
-                                                              donate and not _grad_enabled)
+                                    _grad_enabled and x.requires_grad, k_grad)
+    out, grads = (_conv2d_spectral if spectral else _conv2d_im2col)(
+        x, kernel, stride, padding, k_grad, donate and not _grad_enabled)
+    if bias is not None:
+        out += bias.data.reshape(-1, 1, 1)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        if relu:
+            g = g * (out > 0.0)
+        if bias is not None and bias.requires_grad:
+            bias._adopt(g.sum(axis=(0, 2, 3)))
+        grads(g)
+
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return Tensor._node(out, parents, backward, "conv2d")
 
 
 def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
@@ -718,50 +734,20 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
                        + 24 * positions * c_out)
 
 
-def _conv2d_inputs(x: Tensor, kernel: Tensor, bias: Tensor | None) -> tuple[Tensor, ...]:
-    """The node's inputs: ``x``, ``kernel`` and, when given, ``bias`` [O]."""
-    if bias is None:
-        return x, kernel
-    if bias.shape != kernel.shape[:1]:
-        raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
-    return x, kernel, bias
-
-
-def _add_bias_relu(out: np.ndarray, bias: Tensor | None, relu: bool, trailing: int) -> None:
-    """Add ``bias`` along the axis of ``out`` that ``trailing`` axes follow,
-    then clamp ``out`` at zero when ``relu`` is set; both in place."""
-    if bias is not None:
-        out += bias.data.reshape(-1, *(1,) * trailing)
-    if relu:
-        np.maximum(out, 0.0, out=out)
-
-
-def _through_bias_relu(g: np.ndarray, out: np.ndarray, bias: Tensor | None,
-                       relu: bool) -> np.ndarray:
-    """The gradient at the convolution's own result, from ``g`` at the
-    node's output ``out`` [B, O, h, w]: masked where ``relu`` clamped, and
-    summed over batch and positions into ``bias``'s gradient."""
-    if relu:
-        g = g * (out > 0.0)
-    if bias is not None and bias.requires_grad:
-        bias._adopt(g.sum(axis=(0, 2, 3)))
-    return g
-
-
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     if not padding:
         return x
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
-                   bias: Tensor | None = None, relu: bool = False,
-                   release: bool = False) -> Tensor:
-    """conv2d as one product of the windows' column buffer with the kernel;
-    the bias and the clamp go on that product's [positions, O] result.
-    ``release`` sets ``x.data`` to None once the buffer is built."""
+def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad: bool,
+                   release: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """conv2d as one product of the windows' column buffer with the kernel:
+    the [B, O, h, w] values, and the function of the gradient at them that
+    adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
+    kernel gradient only when ``k_grad``; ``release`` sets ``x.data`` to None
+    once it is built."""
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
-    parents = _conv2d_inputs(x, kernel, bias)
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -770,15 +756,12 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
     if release:
         x.data = None
     w_mat = kernel.data.reshape(c_out, -1)
-    out = cols @ w_mat.T
-    _add_bias_relu(out, bias, relu, 0)
-    out_data = np.ascontiguousarray(
-        out.reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
-    kept_cols = cols if (_grad_enabled and kernel.requires_grad) else None
+    out = np.ascontiguousarray(
+        (cols @ w_mat.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    kept_cols = cols if k_grad else None
 
-    def backward(g):
-        g_mat = _through_bias_relu(g, out_data, bias, relu).transpose(0, 2, 3, 1).reshape(
-            -1, c_out)
+    def grads(g):
+        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         if kernel.requires_grad:
             kernel._adopt((g_mat.T @ kept_cols).reshape(kernel.shape))
         if x.requires_grad:
@@ -790,7 +773,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int,
                         (g_pos[:, i, j] @ w_mat).reshape(batch, c_in, kh, kw)
             x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
 
-    return Tensor._node(out_data, parents, backward, "conv2d")
+    return out, grads
 
 
 def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
@@ -802,10 +785,11 @@ def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
         batch * h_out * w_out, c_in * kh * kw)
 
 
-def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
-                     bias: Tensor | None = None, relu: bool = False,
-                     release: bool = False) -> Tensor:
-    """conv2d as per-frequency channel products on the grid the windows read.
+def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad: bool,
+                     release: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """conv2d as per-frequency channel products on the grid the windows read:
+    the [B, O, h, w] values, and the function of the gradient at them that
+    adds the gradients at ``x`` and ``kernel``.
 
     The grid is hg x wg, hg = (h_out-1)*stride + kh (wg likewise).  No window
     wraps around it, so circular correlations on it equal the direct ones,
@@ -817,17 +801,15 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     (wg//2 + 1) half-spectrum frequencies, in the inputs' complex dtype.
     Every transform is two 1-D DFT-matrix products per cache-sized block of
     signals (``_spectrum`` and ``_values_at``).  X is kept for the kernel
-    gradient only when that gradient will be recorded.  K is never whole:
-    it is built per block of ``batch`` output channels for the forward and
-    of ``batch`` input channels for the input gradient.  Neither is the
-    forward's product [F, B, O]: each block's [F, B, ob] is turned into its
-    output channels' values before the next is formed, while the input
-    gradient's blocks are written into the columns of one G K.  The bias and
-    the clamp go on the values.  ``release`` sets ``x.data`` to None once X
-    is built.
+    gradient only when ``k_grad``.  K is never whole: it is built per block
+    of ``batch`` output channels for the forward and of ``batch`` input
+    channels for the input gradient.  Neither is the forward's product
+    [F, B, O]: each block's [F, B, ob] is turned into its output channels'
+    values before the next is formed, while the input gradient's blocks are
+    written into the columns of one G K.  ``release`` sets ``x.data`` to
+    None once X is built.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
-    parents = _conv2d_inputs(x, kernel, bias)
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hg, wg, x_rows, x_cols = _spectral_grid(x.shape, kernel.shape, stride, padding)
@@ -854,21 +836,18 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
     # A block of ``batch`` channels is no larger than X (or G, for the
     # input gradient), and the extra reads of X and G it costs are no more
     # bytes than the kernel's spectrum that is never held.
-    out_data = np.empty((batch, c_out, h_out, w_out), dtype=rtype)
+    out = np.empty((batch, c_out, h_out, w_out), dtype=rtype)
     for o in range(0, c_out, batch):
         product = x_conj @ taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1)
-        _values_at(product, out_rows, out_cols, grid, out_data[:, o:o + batch])
+        _values_at(product, out_rows, out_cols, grid, out[:, o:o + batch])
         del product
-    _add_bias_relu(out_data, bias, relu, 2)
-    kept_x = x_conj if (_grad_enabled and kernel.requires_grad) else None
+    kept_x = x_conj if k_grad else None
 
-    def backward(g):
+    def grads(g):
         # Each spectrum is dropped once its last product is formed.
         nonlocal kept_x
-        g = _through_bias_relu(g, out_data, bias, relu)
         g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
                            grid, ctype).reshape(freqs, batch, c_out)
-        del g
         if kernel.requires_grad:
             dk_spec, kept_x = g_spec.transpose(0, 2, 1) @ kept_x, None
             kernel._adopt(_values_at(dk_spec, tap_rows, tap_cols, grid,
@@ -887,7 +866,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int,
             dx[:, :, :, len(x_cols):] = 0.0
             x._adopt(_values_at(dx_spec, -x_rows, -x_cols, grid, dx))
 
-    return Tensor._node(out_data, parents, backward, "conv2d")
+    return out, grads
 
 
 # Signals per transform block: enough that a block's spectra fill about this

@@ -1,12 +1,15 @@
 """Command-line contract tests: config parsing, exit codes, output files,
 and rerun determinism.  Commands run in-process through main(argv)."""
 
+import gzip
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
+from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from gcaps.network import parse_pairs
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
@@ -16,6 +19,23 @@ FAST = ["--arch", "compact", "--dataset", "synthetic",
 
 def run_train(out_dir, *extra):
     return main(["train", *FAST, "--out-dir", str(out_dir), *extra])
+
+
+def write_mnist_like(base, gzipped=""):
+    """Train and test IDX files of random 28x28 images under ``base``; the
+    images or labels file of each split is gzipped when ``gzipped`` names it."""
+    rng = np.random.default_rng(20)
+    base.mkdir(parents=True)
+    for prefix, n in (("train", 20), ("t10k", 10)):
+        blobs = {"images-idx3-ubyte": struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 28, 28)
+                 + rng.integers(0, 256, (n, 28, 28), dtype=np.uint8).tobytes(),
+                 "labels-idx1-ubyte": struct.pack(">II", IDX_LABELS_MAGIC, n)
+                 + (np.arange(n) % 10).astype(np.uint8).tobytes()}
+        for kind, blob in blobs.items():
+            name = f"{prefix}-{kind}"
+            if gzipped and kind.startswith(gzipped):
+                name, blob = name + ".gz", gzip.compress(blob, mtime=0)
+            (base / name).write_bytes(blob)
 
 
 class TestConfigParsing:
@@ -186,6 +206,23 @@ class TestTrainCommand:
         assert code == 2
         assert "train-images-idx3-ubyte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gzipped", ["images", "labels"])
+    def test_a_gzipped_and_a_plain_file_pair_up(self, tmp_path, gzipped):
+        write_mnist_like(tmp_path / "data" / "mnist", gzipped)
+        code = main(["train", *FAST, "--dataset", "mnist",
+                     "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out" / "metrics-alg1-s0.csv").exists()
+
+    def test_a_missing_labels_file_is_named(self, tmp_path, capsys):
+        write_mnist_like(tmp_path / "data" / "mnist")
+        os.remove(tmp_path / "data" / "mnist" / "t10k-labels-idx1-ubyte")
+        code = main(["train", *FAST, "--dataset", "mnist",
+                     "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no test files" in err and "t10k-labels-idx1-ubyte[.gz]" in err
+
     def test_rerun_with_same_seed_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_train(a) == 0 and run_train(b) == 0
@@ -284,6 +321,15 @@ class TestCompareCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "2 distinct" in capsys.readouterr().err
+
+    def test_duplicate_seeds_train_once(self, tmp_path, capsys):
+        code = main(["compare", *FAST, "--configs", "alg1,alg2",
+                     "--seeds", "0,0", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "compared 2 configurations x 1 seeds" in capsys.readouterr().out
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "config,label,dataset,seed_0,mean,diverged"
+        assert all(len(line.split(",")) == 6 for line in lines[1:])
 
     def test_duplicate_configs_count_once(self, tmp_path):
         code = main(["compare", *FAST, "--configs", "alg1,alg1",

@@ -18,8 +18,6 @@ from gcaps.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    _conv2d_im2col,
-    _conv2d_spectral,
     _spectral_is_cheaper,
     _spectrum,
     _values_at,
@@ -293,6 +291,22 @@ def test_local_gradient_ops_keep_tag_dtype_and_constants(tag, op, shapes):
                 assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
 
 
+def forced(spectral):
+    """``conv2d`` with its algorithm fixed, spectral or im2col, whatever the
+    shapes; called as ``(x, kernel, stride, padding, bias=None, relu=False)``."""
+    def conv(x, kernel, stride, padding, bias=None, relu=False):
+        choose = tensor_module._spectral_is_cheaper
+        tensor_module._spectral_is_cheaper = lambda *shapes: spectral
+        try:
+            return conv2d(x, kernel, stride, padding, bias, relu)
+        finally:
+            tensor_module._spectral_is_cheaper = choose
+    return conv
+
+
+_conv2d_im2col, _conv2d_spectral = forced(False), forced(True)
+
+
 def conv2d_direct(x, k, stride, padding):
     """Definition-level convolution: loop over every output element."""
     b, c_in, h, w = x.shape
@@ -315,8 +329,8 @@ def conv2d_direct(x, k, stride, padding):
 
 
 class TestConv2d:
-    """Each of conv2d's two algorithms, called directly; im2col here and
-    spectral in the subclass."""
+    """Each of conv2d's two algorithms, forced through ``conv2d``; im2col
+    here and spectral in the subclass."""
 
     conv = staticmethod(_conv2d_im2col)
 
@@ -652,6 +666,32 @@ class TestConv2dBiasRelu:
             conv(x, k, 2, 1, Tensor(np.zeros(3)), False)
 
 
+# Measured above the pass's start, in the output's bytes, with the bias and
+# ReLU inside each algorithm and with them in conv2d: im2col 3.00 and 3.01
+# (the gradient, its masked copy and its [positions, O] copy), spectral 6.31
+# and 6.31 (the output gradient's spectrum dominates).  Holding one more
+# output-sized gradient through the algorithm adds 1.
+@pytest.mark.parametrize("conv,bound", [(_conv2d_im2col, 3.1), (_conv2d_spectral, 6.4)],
+                         ids=["im2col", "spectral"])
+def test_fused_stem_backward_holds_no_extra_gradient(conv, bound):
+    rng = np.random.default_rng(90)
+    x = Tensor(rng.standard_normal((16, 1, 28, 28)))
+    k = Tensor(rng.standard_normal((32, 1, 9, 9)), requires_grad=True)
+    b = Tensor(rng.standard_normal(32), requires_grad=True)
+    y = conv(x, k, 1, 0, b, True)
+    out, nbytes = (y * Tensor(rng.standard_normal(y.shape))).sum(), y.data.nbytes
+    del y
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < bound * nbytes
+    assert k.grad.shape == k.shape and b.grad.shape == b.shape
+
+
 class TestBlockedTransforms:
     """``_spectrum`` and ``_values_at`` against numpy's FFT, on grids of odd
     and even width (the Nyquist column exists only for even ones) and at
@@ -767,8 +807,11 @@ class TestConv2dPathChoice:
         # products decide: spectral when both gradients are recorded, im2col
         # under no_grad.
         calls = []
-        monkeypatch.setattr(tensor_module, "_conv2d_spectral", lambda *a: calls.append("spectral"))
-        monkeypatch.setattr(tensor_module, "_conv2d_im2col", lambda *a: calls.append("im2col"))
+        for name in ("spectral", "im2col"):
+            algorithm = getattr(tensor_module, f"_conv2d_{name}")
+            monkeypatch.setattr(tensor_module, f"_conv2d_{name}",
+                                lambda *a, name=name, algorithm=algorithm:
+                                calls.append(name) or algorithm(*a))
         x = Tensor(np.zeros((16, 32, 20, 20)), requires_grad=True)
         k = Tensor(np.zeros((64, 32, 9, 9)), requires_grad=True)
         conv2d(x, k, stride=2)
