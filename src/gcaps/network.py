@@ -281,8 +281,9 @@ def forward(model: Model, images: np.ndarray):
     [batch, num_types, num_classes, digit_dim] only in grouped routing;
     ``couplings`` the per-iteration couplings (see ``route``).
 
-    The stem's output is donated to the primary conv (see ``conv2d``):
-    under ``no_grad`` it is freed once that conv has read it.
+    The stem's output is donated to the primary conv (see ``conv2d``): it
+    is freed once that conv has read it, in training as in evaluation,
+    since the stem's backward keeps only its ReLU mask.
     """
     arch = model.arch
     x = Tensor(images)

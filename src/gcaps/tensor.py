@@ -98,13 +98,35 @@ def no_grad():
         _grad_enabled = previous
 
 
+class _Released:
+    """The ``data`` of a tensor whose array ``conv2d(..., donate=True)``
+    released: it keeps the array's shape and dtype, holds no bytes, and any
+    read of its values raises ``RuntimeError``."""
+
+    __slots__ = ("shape", "dtype", "ndim", "size")
+    nbytes = 0
+
+    def __init__(self, array: np.ndarray):
+        self.shape, self.dtype, self.ndim, self.size = (array.shape, array.dtype,
+                                                        array.ndim, array.size)
+
+    def _read(self, *args):
+        raise RuntimeError(f"this {self.shape} tensor's data was released: it was"
+                           " donated to conv2d, so nothing may read it afterwards")
+
+    # np.asarray and every ufunc call __array__; the rest covers methods
+    # (reshape, sum, ...), indexing and comparisons with a scalar
+    __array__ = __getattr__ = __getitem__ = __lt__ = __le__ = __gt__ = __ge__ = _read
+
+
 class Tensor:
     """A dense n-dimensional array participating in a gradient tape.
 
     ``data`` is row-major float64 (float32 allowed for non-acceptance use).
     Operations never write their inputs' ``data``; a backward pass writes
     ``grad``, and an optimizer step (``network.Adam.step``) updates a
-    parameter's ``data`` in place.
+    parameter's ``data`` in place.  A ``conv2d`` that was handed ``x`` with
+    ``donate=True`` replaces its ``data`` with a ``_Released`` placeholder.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op",
@@ -164,7 +186,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
+        released = ", released" if isinstance(self.data, _Released) else ""
+        return f"Tensor(shape={self.shape}, op={self._op!r}{grad}{released})"
 
     def clear_grad(self) -> None:
         self.grad = None
@@ -589,11 +612,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     plus ``bias`` [O] per output channel when given, clamped at zero when
     ``relu`` is set.
 
-    ``donate`` hands ``x`` over to the call: under ``no_grad`` its ``data``
-    is released (set to None) right after its last read, the input's
-    spectrum or the column buffer, so its memory is free before the rest
-    of the convolution runs; reading ``x.data`` afterwards finds None.  While
-    recording, ``donate`` does nothing, since a backward may read ``x``.
+    ``donate`` hands ``x`` over to the call, recording or not: its ``data``
+    is released right after its last read, the input's spectrum or the
+    column buffer, so its memory is free before the rest of the convolution
+    runs.  The placeholder left in ``x.data`` keeps the shape and dtype and
+    counts 0 ``nbytes``; reading its values raises ``RuntimeError``.  No
+    conv2d backward reads its input's ``data``, and with ``relu`` it keeps
+    only the bool mask of the positive outputs, so the output can be donated.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
     width).  One of two algorithms computes the convolution's values and a
@@ -601,7 +626,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     the bias and takes the clamp in place on those values, and owns the one
     tape node, whose output has the values of
     ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.  Its backward
-    zeroes the gradient where that output is not positive (NaN included),
+    zeroes the gradient where that output was not positive (NaN included),
     sums it over batch and positions into the bias gradient, then hands it
     to the algorithm.  ``_spectral_is_cheaper`` picks the algorithm from the
     shapes: the one that makes fewer multiplications plus bytes moved,
@@ -635,21 +660,25 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
                                     _grad_enabled and x.requires_grad, k_grad)
     out, grads = (_conv2d_spectral if spectral else _conv2d_im2col)(
-        x, kernel, stride, padding, k_grad, donate and not _grad_enabled)
+        x, kernel, stride, padding, k_grad, donate)
     if bias is not None:
         out += bias.data.reshape(-1, 1, 1)
     if relu:
         np.maximum(out, 0.0, out=out)
+    mask = None
 
     def backward(g):
-        if relu:
-            g = g * (out > 0.0)
+        if mask is not None:
+            g = g * mask
         if bias is not None and bias.requires_grad:
             bias._adopt(g.sum(axis=(0, 2, 3)))
         grads(g)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return Tensor._node(out, parents, backward, "conv2d")
+    node = Tensor._node(out, parents, backward, "conv2d")
+    if relu and node.requires_grad:
+        mask = out > 0.0
+    return node
 
 
 def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
@@ -745,7 +774,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad:
     """conv2d as one product of the windows' column buffer with the kernel:
     the [B, O, h, w] values, and the function of the gradient at them that
     adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
-    kernel gradient only when ``k_grad``; ``release`` sets ``x.data`` to None
+    kernel gradient only when ``k_grad``; ``release`` releases ``x.data``
     once it is built."""
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     batch, c_in, h, w = x.shape
@@ -754,7 +783,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad:
 
     cols = _im2col(_pad(x.data, padding), kh, kw, stride, h_out, w_out)
     if release:
-        x.data = None
+        x.data = _Released(x.data)
     w_mat = kernel.data.reshape(c_out, -1)
     out = np.ascontiguousarray(
         (cols @ w_mat.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
@@ -806,8 +835,8 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, k_gra
     channels for the input gradient.  Neither is the forward's product
     [F, B, O]: each block's [F, B, ob] is turned into its output channels'
     values before the next is formed, while the input gradient's blocks are
-    written into the columns of one G K.  ``release`` sets ``x.data`` to
-    None once X is built.
+    written into the columns of one G K.  ``release`` releases ``x.data``
+    once X is built.
     """
     h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     batch, c_in, h, w = x.shape
@@ -826,7 +855,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, k_gra
     x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
     del x_pts
     if release:
-        x.data = None
+        x.data = _Released(x.data)
 
     def taps_spectrum(taps: np.ndarray) -> np.ndarray:
         # [F, o, c] from o x c taps [o, c, kh, kw]

@@ -168,15 +168,16 @@ class TestForward:
         assert nodes[0]._parents[1:] == (p["stem.kernel"], p["stem.bias"])
         assert nodes[1]._parents == (nodes[0], p["primary.kernel"], p["primary.bias"])
 
-    def test_stem_output_is_freed_under_no_grad_only(self, monkeypatch):
+    def test_stem_output_is_freed_in_both_modes(self, monkeypatch):
         # The stem's output, the primary conv's input, is donated: evaluation
-        # frees it once the conv has read it; a recorded forward keeps it,
-        # and with it the same scores.
-        inputs = []
+        # and a recorded forward both free it once the conv has read it, and
+        # give the same scores.
+        inputs, held = [], []
         real = network_module.conv2d
 
         def conv2d(x, *args, **kwargs):
             inputs.append(x)
+            held.append(weakref.ref(x.data))
             return real(x, *args, **kwargs)
 
         monkeypatch.setattr(network_module, "conv2d", conv2d)
@@ -185,9 +186,38 @@ class TestForward:
         with no_grad():
             evaluated = forward(model, images)[0].data
         recorded = forward(model, images)[0].data
-        stems = inputs[1::2]
-        assert stems[0].data is None and stems[1].data.shape == (3, 8, 20, 20)
+        for stem, ref in zip(inputs[1::2], held[1::2]):
+            assert ref() is None
+            assert stem.shape == (3, 8, 20, 20) and stem.data.nbytes == 0
         assert np.array_equal(evaluated, recorded)
+
+    def test_released_stem_counts_no_bytes_and_keeps_the_gradients(self, monkeypatch):
+        # The tape's byte count that perfbench's tracer takes before the
+        # timed backward reads every node's data.nbytes: the released stem
+        # must answer 0, and the pass must give an undonated graph's
+        # gradients.
+        model = micro_model()
+        images = np.random.default_rng(55).uniform(0, 1, (3, 1, 28, 28))
+        targets = one_hot(np.array([1, 2, 3]), 10)
+        grads = []
+        for donate in (True, False):
+            if not donate:
+                real = network_module.conv2d
+                monkeypatch.setattr(network_module, "conv2d",
+                                    lambda *args, donate=False, **kw: real(*args, **kw))
+            for p in model.params.values():
+                p.clear_grad()
+            total = batch_loss(model, images, targets)[0]
+            nodes = [n for n in GradTape.from_root(total).nodes if n._parents]
+            counted = sum(n.data.nbytes for n in nodes)
+            stem = next(n for n in nodes if n._op == "conv2d"
+                        and n._parents[1] is model.params["stem.kernel"])
+            assert (stem.data.nbytes == 0) == donate and counted > 0
+            del nodes, stem
+            total.backward()
+            grads.append({name: p.grad for name, p in model.params.items()})
+        for name, want in grads[1].items():
+            assert np.array_equal(grads[0][name], want), name
 
     def test_default_step_tape_size(self):
         # Leaves included.  Each conv's bias and the stem's ReLU are inside
