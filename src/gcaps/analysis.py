@@ -183,7 +183,7 @@ STUDY_HEADER = "config,trial,iteration,c0,mean_dc,max_dc,rel_dc"
 
 
 def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
-                           seed: int, batch: int = 1):
+                           seed: int):
     """Route shared random prediction tensors under each config (each needs
     >= 2 iterations) and collect, for every iteration t >= 1, the mean and
     max of |c_t - c_{t-1}| and the mean over the initial coupling c0.
@@ -204,8 +204,8 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
     per_trial_mean: dict[str, list[float]] = {c.name: [] for c in configs}
     for trial in range(num_trials):
         rng = derived_rng(seed, SEED_ROLE_TRIALS, trial)
-        u_hat = Tensor(rng.standard_normal(
-            (batch, spec.num_lower, spec.num_upper, spec.dim_upper)))
+        u_hat = Tensor(rng.standard_normal(   # one image per trial
+            (1, spec.num_lower, spec.num_upper, spec.dim_upper)))
         for config in configs:
             c0 = initial_coupling(spec, config)
             with no_grad():

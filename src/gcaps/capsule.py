@@ -10,7 +10,8 @@ Conventions used throughout:
   v      upper-capsule outputs        [batch, num_upper, dim_upper]
 
 Types are ``num_types`` contiguous equal lower-index ranges [t*K, (t+1)*K),
-K = num_lower / num_types: the primary layer flattens as (type, row, col).
+K = caps_per_type and num_lower = num_types * K: the primary layer flattens
+as (type, row, col).
 ``weighted_sum`` sums each type separately, and ``coupling_from_logits``
 normalizes over the lower capsules of each type with one ``softmax_along``
 over that axis split into types; ungrouped, the whole layer is the one type.
@@ -49,7 +50,6 @@ class AxisMode(enum.Enum):
 class CapsLayerSpec:
     """Dimensions of one routed capsule layer."""
 
-    num_lower: int
     num_upper: int
     dim_lower: int
     dim_upper: int
@@ -60,16 +60,15 @@ class CapsLayerSpec:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ValueError(f"CapsLayerSpec.{f.name} must be positive")
-        if self.num_types * self.caps_per_type != self.num_lower:
-            raise ValueError(
-                f"num_types*caps_per_type = {self.num_types * self.caps_per_type}"
-                f" does not equal num_lower = {self.num_lower}")
+
+    @property
+    def num_lower(self) -> int:
+        return self.num_types * self.caps_per_type
 
     @classmethod
     def reference(cls) -> "CapsLayerSpec":
         """The full-size layer: 32 types of 36 eight-dim capsules into 10x16."""
-        return cls(num_lower=1152, num_upper=10, dim_lower=8, dim_upper=16,
-                   num_types=32, caps_per_type=36)
+        return cls(num_upper=10, dim_lower=8, dim_upper=16, num_types=32, caps_per_type=36)
 
 
 def squash(s, axis: int = -1) -> Tensor:

@@ -29,8 +29,8 @@ from .analysis import (
     write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
-from .network import (ArchConfig, TrainConfig, evaluate, format_pairs, load_model,
-                      parse_pairs, parse_value, save_checkpoint, write_atomic)
+from .network import (ArchConfig, TrainConfig, config_from, config_pairs, evaluate,
+                      format_pairs, load_model, parse_pairs, save_checkpoint, write_atomic)
 from .routing import VARIANT_NAMES, RoutingConfig
 
 DATASET_NAMES = ("mnist", "fmnist", "kmnist", "synthetic")
@@ -102,8 +102,7 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         """Flat key=value dump; parsing it back reproduces this config."""
-        return "# resolved run configuration\n" + format_pairs(
-            {f.name: getattr(self, f.name) for f in fields(self)})
+        return "# resolved run configuration\n" + format_pairs(config_pairs(self))
 
     def arch_config(self) -> ArchConfig:
         return ArchConfig.compact() if self.arch == "compact" else ArchConfig()
@@ -123,17 +122,15 @@ class RunConfig:
 
 
 def config_from_pairs(pairs: dict[str, str]) -> RunConfig:
-    """Typed RunConfig from raw string pairs; unknown keys are an error."""
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    values = {}
-    for key, raw in pairs.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        try:
-            values[key] = parse_value(key, raw, defaults[key])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return RunConfig(**values)
+    """Typed RunConfig from raw string pairs over the defaults; unknown keys are an error."""
+    defaults = config_pairs(RunConfig())
+    unknown = [key for key in pairs if key not in defaults]
+    if unknown:
+        raise ConfigError(f"unknown configuration key {unknown[0]!r}")
+    try:
+        return config_from(RunConfig, {**defaults, **pairs})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
@@ -206,12 +203,11 @@ def cmd_train(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
 
 
 def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
-    # the checkpoint must match what the user named, and nothing else
-    expected = cfg.arch_config().to_manifest() if "arch" in provided else {}
-    if "routing" in provided:
-        expected.update(cfg.routing_config().to_manifest())
-    elif "iterations" in provided:
-        expected["iterations"] = str(cfg.iterations)
+    # the checkpoint must match what the user named, and nothing else;
+    # --arch names every architecture key
+    named_by = {"softmax_axis": "routing", "grouping": "routing", "iterations": "iterations"}
+    pairs = {**config_pairs(cfg.arch_config()), **config_pairs(cfg.routing_config())}
+    expected = {k: v for k, v in pairs.items() if named_by.get(k, "arch") in provided}
     model, manifest = load_model(args.checkpoint, expected)
     ds = load_split(cfg, cfg.split)
     accuracy, loss, confusion = evaluate(model, ds.images, ds.labels,

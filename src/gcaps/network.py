@@ -13,14 +13,19 @@ length-prefixed UTF-8 manifest of key=value lines, then each parameter as
 little-endian and values little-endian IEEE doubles.
 
 Manifests and run configuration files share one key=value line format,
-read by ``parse_pairs`` and written by ``format_pairs``.
+read by ``parse_pairs`` and written by ``format_pairs``, and every config
+dataclass one codec: ``config_pairs`` writes each field by ``format_value``
+and ``config_from`` reads each back by ``parse_value``, typed by the field's
+annotation.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import os
 import struct
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -52,20 +57,21 @@ def _conv_out(size: int, kernel: int, stride: int) -> int:
 
 def format_value(value) -> str:
     """A configuration or manifest value as key=value text: bools as
-    true/false, tuples comma-joined, floats by repr."""
+    true/false, tuples comma-joined, enums by value, floats by repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(map(format_value, value))
+    value = value.value if isinstance(value, enum.Enum) else value
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def parse_value(key: str, text: str, default):
-    """Inverse of format_value, typed by a dataclass field's ``default``: a
-    tuple default reads a comma-separated list of its first element's type,
-    with no empty entries.  A ValueError names ``key``."""
-    many = isinstance(default, tuple)
-    kind = type(default[0] if many else default)
+def parse_value(key: str, text: str, kind):
+    """Inverse of format_value, typed by a field annotation ``kind``: a tuple
+    type reads a comma-separated list of its first argument's type, with no
+    empty entries, and an enum reads by value.  A ValueError names ``key``."""
+    many = typing.get_origin(kind) is tuple
+    kind = typing.get_args(kind)[0] if many else kind
     parts = [part.strip() for part in text.split(",")] if many else [text]
     try:
         if many and "" in parts:
@@ -76,6 +82,19 @@ def parse_value(key: str, text: str, default):
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from None
     return values if many else values[0]
+
+
+def config_pairs(config) -> dict[str, str]:
+    """Each field of a config dataclass as key=value text (see format_value)."""
+    return {f.name: format_value(getattr(config, f.name)) for f in fields(config)}
+
+
+def config_from(cls, pairs: dict[str, str]):
+    """Inverse of config_pairs: every field of ``cls`` read from ``pairs`` by
+    parse_value; other keys are ignored and a missing one is a KeyError."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: parse_value(f.name, pairs[f.name], hints[f.name])
+                  for f in fields(cls)})
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -192,24 +211,14 @@ class ArchConfig:
         }
 
     def layer_spec(self) -> CapsLayerSpec:
-        return CapsLayerSpec(
-            num_lower=self.num_lower, num_upper=self.num_classes,
-            dim_lower=self.primary_dim, dim_upper=self.digit_dim,
-            num_types=self.num_types, caps_per_type=self.caps_per_type)
+        return CapsLayerSpec(num_upper=self.num_classes, dim_lower=self.primary_dim,
+                             dim_upper=self.digit_dim, num_types=self.num_types,
+                             caps_per_type=self.caps_per_type)
 
     @classmethod
     def compact(cls) -> "ArchConfig":
         """A narrow variant for fast smoke runs; same structure throughout."""
         return cls(stem_channels=32, num_types=8, decoder_hidden=(128, 256))
-
-    def to_manifest(self) -> dict[str, str]:
-        """Each field as text in the key=value format (see format_value)."""
-        return {f.name: format_value(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_manifest(cls, manifest: dict[str, str]) -> "ArchConfig":
-        return cls(**{f.name: parse_value(f.name, manifest[f.name], f.default)
-                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -469,7 +478,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
 def save_checkpoint(path: str, model: Model,
                     extra: dict[str, str] | None = None) -> None:
     """Write the model atomically (see write_atomic)."""
-    manifest = {**model.arch.to_manifest(), **model.routing.to_manifest(),
+    manifest = {**config_pairs(model.arch), **config_pairs(model.routing),
                 "weight_init_std": WEIGHT_INIT_STD}
     for k, v in (extra or {}).items():
         if k in manifest:
@@ -567,12 +576,12 @@ def load_model(path: str, expected: dict[str, str] | None = None
     """Rebuild a model from a checkpoint.
 
     ``expected`` maps manifest keys to the text they must hold there (as
-    ``to_manifest`` writes it); a CheckpointError names each key that differs.
+    ``config_pairs`` writes it); a CheckpointError names each key that differs.
     """
     manifest, arrays = read_checkpoint(path)
     try:
-        stored_arch = ArchConfig.from_manifest(manifest)
-        stored_routing = RoutingConfig.from_manifest(manifest)
+        stored_arch = config_from(ArchConfig, manifest)
+        stored_routing = config_from(RoutingConfig, manifest)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture or routing description: {exc}") from None

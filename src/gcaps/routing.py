@@ -63,16 +63,6 @@ class RoutingConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
-    def to_manifest(self) -> dict[str, str]:
-        return {"softmax_axis": self.softmax_axis.value, "grouping": self.grouping.value,
-                "iterations": str(self.iterations)}
-
-    @classmethod
-    def from_manifest(cls, manifest: dict[str, str]) -> "RoutingConfig":
-        return cls(softmax_axis=AxisMode(manifest["softmax_axis"]),
-                   grouping=Grouping(manifest["grouping"]),
-                   iterations=int(manifest["iterations"]))
-
     @classmethod
     def from_name(cls, name: str, iterations: int = iterations) -> "RoutingConfig":
         """The named variant; ``iterations`` defaults to the field's default."""
@@ -101,6 +91,14 @@ def initial_coupling(spec: CapsLayerSpec, config: RoutingConfig) -> float:
     return 1.0 / spec.num_lower
 
 
+def _u_hat_shape(u_hat: np.ndarray, spec: CapsLayerSpec) -> tuple[int, int, int, int]:
+    """u_hat's (batch, n, j, d); a ShapeError unless (n, j, d) is ``spec``'s."""
+    if u_hat.ndim != 4 or u_hat.shape[1:] != (spec.num_lower, spec.num_upper, spec.dim_upper):
+        raise ShapeError(f"u_hat shape {u_hat.shape} does not match layer spec"
+                         f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
+    return u_hat.shape
+
+
 def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
     """Run routing-by-agreement; returns (v, couplings, per_type_caps).
 
@@ -118,13 +116,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
     combined output in grouped mode) and recomputes the couplings from them.
     """
     u_t = as_tensor(u_hat)
-    if u_t.ndim != 4:
-        raise ShapeError(f"u_hat must be 4-d, got {u_t.shape}")
-    batch, n, j, d = u_t.shape
-    if (n, j, d) != (spec.num_lower, spec.num_upper, spec.dim_upper):
-        raise ShapeError(
-            f"u_hat shape {u_t.shape} does not match layer spec"
-            f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
+    batch, n, j, d = _u_hat_shape(u_t.data, spec)
     grouped = config.grouping is Grouping.BY_TYPE
     num_types = spec.num_types if grouped else 1
 
@@ -154,13 +146,9 @@ def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor
     Deliberately unvectorized; restricted to small layers so tests stay fast.
     """
     u_arr = as_tensor(u_hat).data
-    batch, n, j, d = u_arr.shape
+    batch, n, j, d = _u_hat_shape(u_arr, spec)
     if n > 64:
         raise ValueError(f"route_reference handles num_lower <= 64, got {n}")
-    if (n, j, d) != (spec.num_lower, spec.num_upper, spec.dim_upper):
-        raise ShapeError(
-            f"u_hat shape {u_arr.shape} does not match layer spec"
-            f" ({spec.num_lower}, {spec.num_upper}, {spec.dim_upper})")
     grouped = config.grouping is Grouping.BY_TYPE
     size = spec.caps_per_type if grouped else n
     ranges = [(a, a + size) for a in range(0, n, size)]

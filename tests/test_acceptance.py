@@ -132,7 +132,7 @@ def test_criterion_01_gradient_correctness():
                        rel_tol=rel_tol)
             cases += 1
     # full unrolled routing at r=3 on the tiny layer, looser tolerance
-    spec = CapsLayerSpec(num_lower=6, num_upper=2, dim_lower=4, dim_upper=3,
+    spec = CapsLayerSpec(num_upper=2, dim_lower=4, dim_upper=3,
                          num_types=2, caps_per_type=3)
     mix = Tensor(np.linspace(0.2, 1.4, 12).reshape(2, 2, 3))
     for name in VARIANTS:
@@ -179,7 +179,6 @@ def test_criterion_03_route_matches_reference_oracle():
         num_types = int(rng.integers(1, 4))
         caps_per_type = int(rng.integers(1, 4))
         spec = CapsLayerSpec(
-            num_lower=num_types * caps_per_type,
             num_upper=int(rng.integers(1, 5)),
             dim_lower=int(rng.integers(2, 5)),
             dim_upper=int(rng.integers(2, 5)),

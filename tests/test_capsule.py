@@ -95,15 +95,10 @@ class TestCapsLayerSpec:
         sums = c.reshape(1, 32, 36, 2).sum(axis=2)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
-    def test_inconsistent_group_product_rejected(self):
-        with pytest.raises(ValueError):
-            CapsLayerSpec(num_lower=100, num_upper=10, dim_lower=8,
-                          dim_upper=16, num_types=3, caps_per_type=36)
-
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError):
-            CapsLayerSpec(num_lower=4, num_upper=0, dim_lower=8,
-                          dim_upper=16, num_types=2, caps_per_type=2)
+            CapsLayerSpec(num_upper=0, dim_lower=8, dim_upper=16,
+                          num_types=2, caps_per_type=2)
 
 
 class TestSquash:

@@ -10,7 +10,7 @@ import pytest
 
 from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
 from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from gcaps.network import parse_pairs
+from gcaps.network import config_from, config_pairs, parse_pairs
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
         "--train-limit", "20", "--test-limit", "10",
@@ -78,10 +78,11 @@ class TestConfigParsing:
         assert config_from_pairs(parse_pairs(cfg.resolved_text())) == cfg
 
     def test_resolved_text_round_trips_overrides(self):
-        cfg = RunConfig(routing="alg4", iterations=5, lr0=0.0005,
-                        seeds=(7, 8), configs=("alg2", "alg4"),
-                        augment=False, dataset="kmnist", fixed_timer=True)
+        cfg = RunConfig(arch="compact", routing="alg4", iterations=5, lr0=0.0005,
+                        seeds=(7, 8), configs=("alg2", "alg4"), augment=False,
+                        dataset="kmnist", split="train", fixed_timer=True)
         assert config_from_pairs(parse_pairs(cfg.resolved_text())) == cfg
+        assert config_from(RunConfig, config_pairs(cfg)) == cfg
 
     # str.splitlines would also break lines at these, splitting the value
     # or injecting a key
@@ -288,6 +289,16 @@ class TestEvalCommand:
         code = main(["eval", str(tmp_path / "model-alg4-s0.ckpt"), *FAST,
                      "--iterations", "3", "--out-dir", str(tmp_path)])
         assert code == 0
+
+    def test_routing_alone_checks_only_axis_and_grouping(self, tmp_path, capsys):
+        # trained at 2 iterations; --routing does not name an iteration count
+        assert run_train(tmp_path, "--routing", "alg4", "--iterations", "2") == 0
+        ckpt = str(tmp_path / "model-alg4-s0.ckpt")
+        assert main(["eval", ckpt, *FAST, "--routing", "alg4", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", ckpt, *FAST, "--routing", "alg3", "--out-dir", str(tmp_path)]) == 2
+        diffs = capsys.readouterr().err.rsplit(".ckpt: ", 1)[1]
+        assert diffs == "softmax_axis is 'lower_per_upper', expected 'upper_per_lower'\n"
 
     def test_routing_mismatch_names_the_differing_key(self, tmp_path, capsys):
         assert run_train(tmp_path, "--routing", "alg4") == 0

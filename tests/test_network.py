@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from gcaps.network import (
     TrainConfig,
     batch_loss,
     build_model,
+    config_from,
+    config_pairs,
     decode,
     derived_rng,
     evaluate,
@@ -32,7 +35,7 @@ from gcaps.network import (
     train_step,
     write_atomic,
 )
-from gcaps.capsule import squash
+from gcaps.capsule import AxisMode, squash
 from gcaps.routing import RoutingConfig
 from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad
 
@@ -72,12 +75,25 @@ class TestArchConfig:
 
     def test_manifest_round_trip(self):
         for arch in (ArchConfig(), ArchConfig.compact(), micro_arch()):
-            assert ArchConfig.from_manifest(arch.to_manifest()) == arch
+            assert config_from(ArchConfig, config_pairs(arch)) == arch
+
+    def test_codec_types_fields_by_annotation(self):
+        # a field without a default, and a tuple whose default is empty
+        @dataclass(frozen=True)
+        class Options:
+            axis: AxisMode
+            sizes: tuple[int, ...] = ()
+
+        options = Options(AxisMode.LOWER_PER_UPPER, (3, 1))
+        assert config_pairs(options) == {"axis": "lower_per_upper", "sizes": "3,1"}
+        assert config_from(Options, {**config_pairs(options), "other": "x"}) == options
+        with pytest.raises(KeyError, match="sizes"):
+            config_from(Options, {"axis": "lower_per_upper"})
 
     @pytest.mark.parametrize("widths", ["0,5", "-1,5", "5,0"])
     def test_decoder_widths_must_be_positive(self, widths):
         with pytest.raises(ValueError, match="decoder_hidden must be positive"):
-            ArchConfig.from_manifest({**ArchConfig().to_manifest(), "decoder_hidden": widths})
+            config_from(ArchConfig, {**config_pairs(ArchConfig()), "decoder_hidden": widths})
 
 
 class TestBuildModel:
@@ -603,18 +619,31 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             assert fh.read() == b"GCAPS1" + struct.pack("<Q", len(body)) + body
         manifest, _ = read_checkpoint(path)
-        assert ArchConfig.from_manifest(manifest) == arch
+        assert config_from(ArchConfig, manifest) == arch
+
+    def test_micro_model_manifest_text_is_fixed(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, micro_model("alg4", seed=9),
+                        extra={"run_id": "micro", "augment": False})
+        blob = open(path, "rb").read()
+        (length,) = struct.unpack("<Q", blob[6:14])
+        assert blob[14:14 + length].decode() == (
+            "augment=false\ndecoder_hidden=16,32\ndigit_dim=4\ngrouping=by_type\n"
+            "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
+            "num_classes=10\nnum_types=2\nprimary_dim=4\nprimary_kernel=9\n"
+            "primary_stride=2\nrun_id=micro\nsoftmax_axis=lower_per_upper\n"
+            "stem_channels=8\nstem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n")
 
     def test_expectations_enforced(self, tmp_path):
         model = micro_model("alg1")
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        load_model(path, {**micro_arch().to_manifest(),
-                          **RoutingConfig.from_name("alg1").to_manifest()})
+        load_model(path, {**config_pairs(micro_arch()),
+                          **config_pairs(RoutingConfig.from_name("alg1"))})
         with pytest.raises(CheckpointError, match="manifest mismatch.*softmax_axis"):
-            load_model(path, RoutingConfig.from_name("alg2").to_manifest())
+            load_model(path, config_pairs(RoutingConfig.from_name("alg2")))
         with pytest.raises(CheckpointError, match="manifest mismatch.*stem_channels"):
-            load_model(path, ArchConfig.compact().to_manifest())
+            load_model(path, config_pairs(ArchConfig.compact()))
         with pytest.raises(CheckpointError, match="iterations is '3', expected '2'"):
             load_model(path, {"iterations": "2"})
 
@@ -756,7 +785,8 @@ class TestCheckpoint:
             save_checkpoint(str(path), micro_model(), extra={key: value})
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("line", [b"stem_channels=abc", b"decoder_hidden=512,,1024"])
+    @pytest.mark.parametrize("line", [b"stem_channels=abc", b"decoder_hidden=512,,1024",
+                                      b"softmax_axis=bogus", b"grouping=by_types"])
     def test_bad_manifest_value_names_its_key(self, tmp_path, line):
         blob = self.saved_blob(tmp_path)
         start = len(b"GCAPS1") + 8

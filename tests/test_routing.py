@@ -9,7 +9,7 @@ import pytest
 import gcaps.routing as routing_module
 from gcaps.capsule import AxisMode, CapsLayerSpec, coupling_from_logits, squash, weighted_sum
 from gcaps.analysis import init_sensitivity_study
-from gcaps.network import ArchConfig, build_model, evaluate
+from gcaps.network import ArchConfig, build_model, config_from, config_pairs, evaluate
 from gcaps.routing import (
     VARIANT_NAMES,
     Grouping,
@@ -28,9 +28,8 @@ ALL_NAMES = ("alg1", "alg2", "alg3", "alg4")
 
 def small_spec(num_lower=6, num_upper=2, dim_lower=4, dim_upper=3,
                num_types=2) -> CapsLayerSpec:
-    return CapsLayerSpec(num_lower=num_lower, num_upper=num_upper,
-                         dim_lower=dim_lower, dim_upper=dim_upper,
-                         num_types=num_types,
+    return CapsLayerSpec(num_upper=num_upper, dim_lower=dim_lower,
+                         dim_upper=dim_upper, num_types=num_types,
                          caps_per_type=num_lower // num_types)
 
 
@@ -68,7 +67,7 @@ class TestRoutingConfig:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_manifest_round_trip(self, name):
         config = RoutingConfig.from_name(name, iterations=5)
-        assert RoutingConfig.from_manifest(config.to_manifest()) == config
+        assert config_from(RoutingConfig, config_pairs(config)) == config
 
     def test_initial_coupling_closed_forms(self):
         spec = CapsLayerSpec.reference()
@@ -103,8 +102,8 @@ class TestRouteAgainstReference:
             assert np.abs(v.data - ref.data).max() < 1e-10
 
     def test_reference_rejects_large_layers(self):
-        spec = CapsLayerSpec(num_lower=128, num_upper=2, dim_lower=4,
-                             dim_upper=3, num_types=2, caps_per_type=64)
+        spec = CapsLayerSpec(num_upper=2, dim_lower=4, dim_upper=3,
+                             num_types=2, caps_per_type=64)
         u_hat = Tensor(np.zeros((1, 128, 2, 3)))
         with pytest.raises(ValueError):
             route_reference(u_hat, spec, RoutingConfig.from_name("alg1"))
@@ -128,8 +127,8 @@ class TestRouteBehaviour:
 
     def test_first_iteration_uses_uniform_tenth_coupling(self):
         # Zero logits with 10 upper capsules: s_j = 0.1 * sum_i u_hat.
-        spec = CapsLayerSpec(num_lower=8, num_upper=10, dim_lower=4,
-                             dim_upper=3, num_types=2, caps_per_type=4)
+        spec = CapsLayerSpec(num_upper=10, dim_lower=4, dim_upper=3,
+                             num_types=2, caps_per_type=4)
         rng = np.random.default_rng(32)
         u_hat = Tensor(rng.standard_normal((2, 8, 10, 3)))
         v, couplings, _ = route(u_hat, spec, RoutingConfig.from_name("alg1", 1))
@@ -343,7 +342,7 @@ class TestTraceAndReport:
         # trial, t = 1..r-1, with rel_dc the mean over the initial coupling.
         spec = small_spec()
         rows, _ = init_sensitivity_study(spec, [RoutingConfig.from_name("alg1", 4)],
-                                         num_trials=10, seed=0, batch=2)
+                                         num_trials=10, seed=0)
         assert [r[2] for r in rows[:3]] == [1, 2, 3]
         assert len(rows) == 10 * 3
         for name, _, _, c0, mean_dc, max_dc, rel_dc in rows:
