@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, batches
+from .data import IMAGE_SHAPE, NUM_CLASSES, Dataset, batches
 from .network import (
     Adam,
     ArchConfig,
@@ -242,18 +242,14 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
     if model.routing.grouping is not Grouping.BY_TYPE:
         raise ValueError("reconstruction_grid requires a grouped-routing model"
                          " (per-type capsules exist only there)")
-    arch = model.arch
-    img = np.asarray(image, dtype=np.float64).reshape(
-        1, arch.input_channels, arch.input_height, arch.input_width)
-    labels_1h = Tensor(one_hot(np.array([label]), arch.num_classes))
+    img = np.asarray(image, dtype=np.float64).reshape(1, *IMAGE_SHAPE)
+    labels_1h = Tensor(one_hot(np.array([label]), NUM_CLASSES))
     with no_grad():
         _, caps, per_type, _ = forward(model, img)
-        panels = [decode(model, caps, labels_1h).data.reshape(
-            arch.input_height, arch.input_width)]
-        for t in range(arch.num_types):
+        panels = [decode(model, caps, labels_1h).data.reshape(IMAGE_SHAPE[1:])]
+        for t in range(model.arch.num_types):
             panels.append(decode(model, Tensor(per_type.data[:, t]),
-                                 labels_1h).data.reshape(
-                arch.input_height, arch.input_width))
+                                 labels_1h).data.reshape(IMAGE_SHAPE[1:]))
     stacked = np.stack(panels)
     if path is not None:
         write_pgm_grid(path, stacked)

@@ -4,7 +4,9 @@ Subcommands: train, eval, compare, routing-report, reconstruct.  Runs are
 described by a flat key=value configuration (file via --config, overridden
 by flags; lines as ``network.parse_pairs`` reads them).  ``main`` writes
 each run's fully resolved configuration beside the files its subcommand
-wrote, so any result can be reproduced by feeding that file back in.
+wrote, so any result can be reproduced by feeding that file back in.  For
+eval and reconstruct that configuration names the checkpoint's own routing
+and iterations, and its arch when its widths are a preset's.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 """
@@ -16,7 +18,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .analysis import (
     fmt,
@@ -29,12 +31,12 @@ from .analysis import (
     write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
-from .network import (ArchConfig, TrainConfig, config_from, config_pairs, evaluate,
+from .network import (ArchConfig, Model, TrainConfig, config_from, config_pairs, evaluate,
                       format_pairs, load_model, parse_pairs, save_checkpoint, write_atomic)
 from .routing import VARIANT_NAMES, RoutingConfig
 
 DATASET_NAMES = ("mnist", "fmnist", "kmnist", "synthetic")
-ARCH_NAMES = ("default", "compact")
+ARCHS = {"default": ArchConfig(), "compact": ArchConfig.compact()}
 OUT_DIR_ENV = "GCAPS_OUT_DIR"
 
 
@@ -73,8 +75,8 @@ class RunConfig:
                                 # byte-reproducible metrics CSVs
 
     def __post_init__(self):
-        if self.arch not in ARCH_NAMES:
-            raise ConfigError(f"arch must be one of {ARCH_NAMES}, got {self.arch!r}")
+        if self.arch not in ARCHS:
+            raise ConfigError(f"arch must be one of {tuple(ARCHS)}, got {self.arch!r}")
         if not self.configs:
             raise ConfigError("configs must list at least one variant")
         if self.dataset not in DATASET_NAMES:
@@ -105,7 +107,7 @@ class RunConfig:
         return "# resolved run configuration\n" + format_pairs(config_pairs(self))
 
     def arch_config(self) -> ArchConfig:
-        return ArchConfig.compact() if self.arch == "compact" else ArchConfig()
+        return ARCHS[self.arch]
 
     def routing_config(self, name: str | None = None) -> RoutingConfig:
         return RoutingConfig.from_name(self.routing if name is None else name,
@@ -182,7 +184,21 @@ def load_split(cfg: RunConfig, split: str) -> Dataset:
     return ds.subset(limit or None)
 
 
-def cmd_train(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
+def load_checkpoint(cfg: RunConfig, provided: set, path: str) -> tuple[Model, RunConfig]:
+    """The model at ``path``, checked against only the keys the user named
+    (``arch`` names every architecture key, ``routing`` the softmax axis and
+    grouping), and ``cfg`` as the run it makes: the checkpoint's own routing
+    and iterations, and its arch when its widths are a preset's."""
+    named_by = {"softmax_axis": "routing", "grouping": "routing", "iterations": "iterations"}
+    pairs = {**config_pairs(cfg.arch_config()), **config_pairs(cfg.routing_config())}
+    expected = {k: v for k, v in pairs.items() if named_by.get(k, "arch") in provided}
+    model, _ = load_model(path, expected)
+    arch = next((name for name, arch in ARCHS.items() if arch == model.arch), cfg.arch)
+    return model, replace(cfg, arch=arch, routing=model.routing.name,
+                          iterations=model.routing.iterations)
+
+
+def cmd_train(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[str]]:
     run_id = cfg.run_id or f"{cfg.routing}-s{cfg.seed}"
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
@@ -202,13 +218,7 @@ def cmd_train(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     return run_id, [metrics_path, ckpt_path]
 
 
-def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
-    # the checkpoint must match what the user named, and nothing else;
-    # --arch names every architecture key
-    named_by = {"softmax_axis": "routing", "grouping": "routing", "iterations": "iterations"}
-    pairs = {**config_pairs(cfg.arch_config()), **config_pairs(cfg.routing_config())}
-    expected = {k: v for k, v in pairs.items() if named_by.get(k, "arch") in provided}
-    model, manifest = load_model(args.checkpoint, expected)
+def cmd_eval(cfg: RunConfig, model: Model, args) -> tuple[str, list[str]]:
     ds = load_split(cfg, cfg.split)
     accuracy, loss, confusion = evaluate(model, ds.images, ds.labels,
                                          batch_size=cfg.batch_size)
@@ -225,7 +235,7 @@ def cmd_eval(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     return run_id, [confusion_path]
 
 
-def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
+def cmd_compare(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[str]]:
     names = tuple(dict.fromkeys(cfg.configs))    # dedupe, keep order
     seeds = tuple(dict.fromkeys(cfg.seeds))
     if len(names) < 2:
@@ -248,7 +258,7 @@ def cmd_compare(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
     return "compare", [os.path.join(cfg.out_dir, "report.csv")]
 
 
-def cmd_routing_report(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
+def cmd_routing_report(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[str]]:
     if cfg.iterations < 2:
         raise ConfigError(f"routing-report needs iterations >= 2, got {cfg.iterations}")
     spec = cfg.arch_config().layer_spec()
@@ -267,8 +277,7 @@ def cmd_routing_report(cfg: RunConfig, provided: set, args) -> tuple[str, list[s
     return "routing-report", [report_path]
 
 
-def cmd_reconstruct(cfg: RunConfig, provided: set, args) -> tuple[str, list[str]]:
-    model, manifest = load_model(args.checkpoint)
+def cmd_reconstruct(cfg: RunConfig, model: Model, args) -> tuple[str, list[str]]:
     ds = load_split(cfg, cfg.split)
     if cfg.index >= len(ds):
         raise IndexError(f"index {cfg.index} out of range for"
@@ -328,7 +337,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg, provided = _resolve_config(args)
-        name, paths = args.handler(cfg, provided, args)
+        model = None
+        if "checkpoint" in args:     # eval and reconstruct
+            model, cfg = load_checkpoint(cfg, provided, args.checkpoint)
+        name, paths = args.handler(cfg, model, args)
         paths.append(os.path.join(cfg.out_dir, f"config-{name}.txt"))
         write_atomic(paths[-1], cfg.resolved_text().encode())
     except SystemExit as exc:        # --help and friends, keep in-process safe

@@ -3,7 +3,9 @@
 Image and label files use the IDX binary layout: a big-endian header of one
 32-bit magic (0x00000803 for rank-3 image files, 0x00000801 for rank-1 label
 files) followed by one 32-bit size per dimension, then the raw unsigned
-bytes.  Pixels are scaled to [0, 1] on load.
+bytes.  Pixels are scaled to [0, 1] on load.  Every dataset the lab reads
+(and the synthetic one it makes) holds IMAGE_SHAPE = (1, 28, 28) images of
+NUM_CLASSES = 10 classes: a label file holding any other label is rejected.
 
 Training batches can apply the shift augmentation of Sabour et al. (2017):
 an integer translation of up to MAX_SHIFT = 2 pixels per axis, drawn
@@ -25,6 +27,8 @@ from .seeds import SEED_ROLE_AUGMENT, SEED_ROLE_SHUFFLE, SEED_ROLE_SYNTHETIC, de
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MAX_SHIFT = 2
+IMAGE_SHAPE = (1, 28, 28)   # channels, height, width
+NUM_CLASSES = 10
 
 
 class IdxFormatError(ValueError):
@@ -109,6 +113,10 @@ def load_idx(images_path: str, labels_path: str, name: str = "dataset",
         raise IdxFormatError(
             f"{labels_path}: header at offset 4 gives {lab_count} labels for"
             f" {count} images in {images_path}")
+    bad = np.flatnonzero(labels >= NUM_CLASSES)
+    if bad.size:
+        raise IdxFormatError(f"{labels_path}: label {labels[bad[0]]} at offset"
+                             f" {8 + bad[0]} is not in [0, {NUM_CLASSES})")
     return Dataset(images=(pixels / 255.0).reshape(count, 1, rows, cols),
                    labels=labels.astype(np.int64), name=name, split=split)
 
@@ -155,18 +163,18 @@ def batches(dataset: Dataset, batch_size: int, shuffle_seed: int | None = None,
 
 
 def synthetic_dataset(seed: int, n: int, split: str = "train") -> Dataset:
-    """Linearly separable fixture data: 10 classes of 28x28 images, one
-    bright bar per class plus noise.
+    """Linearly separable fixture data: NUM_CLASSES classes of IMAGE_SHAPE
+    images, one bright bar per class plus noise.
 
     Class k lights the 2-row horizontal bar at row 4 + 2k, so no two classes
     share a row and any model that can localize a single stroke can reach
     100% accuracy.
     """
-    if n < 10:
-        raise ValueError(f"synthetic_dataset needs n >= 10, one image per class, got {n}")
+    if n < NUM_CLASSES:
+        raise ValueError(f"synthetic_dataset needs n >= {NUM_CLASSES}, one per class, got {n}")
     rng = derived_rng(seed, SEED_ROLE_SYNTHETIC)
-    labels = np.arange(n, dtype=np.int64) % 10
-    images = np.zeros((n, 1, 28, 28))
+    labels = np.arange(n, dtype=np.int64) % NUM_CLASSES
+    images = np.zeros((n, *IMAGE_SHAPE))
     for i, k in enumerate(labels.tolist()):
         images[i, 0, 4 + 2 * k:6 + 2 * k, 4:24] = 0.9
     images += rng.uniform(0.0, 0.1, images.shape)

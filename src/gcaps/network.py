@@ -5,7 +5,10 @@ reshaped into primary capsules (type-major, so each type's grid positions
 are contiguous), squash, per-pair prediction transforms, dynamic routing to
 one capsule per class, and class scores as capsule lengths.  A three-layer
 decoder reconstructs the input from the masked class capsules as a
-regularizer.
+regularizer.  The geometry is fixed, that of Sabour et al. (2017): a
+``data.IMAGE_SHAPE`` image, 9x9 convs at strides 1 and 2, so a GRID x GRID
+(6x6) grid of capsules per type, and ``data.NUM_CLASSES`` class capsules.
+An ArchConfig sets only the widths.
 
 Checkpoints are a single binary file: the magic string "GCAPS1", a
 length-prefixed UTF-8 manifest of key=value lines, then each parameter as
@@ -39,20 +42,19 @@ from .capsule import (
     reconstruction_loss,
     squash,
 )
+from .data import IMAGE_SHAPE, NUM_CLASSES
 from .routing import RoutingConfig, route
 from .seeds import SEED_ROLE_INIT, derived_rng
 from .tensor import NonFiniteError, ShapeError, Tensor, conv2d, first_nonfinite, no_grad
 
 CHECKPOINT_MAGIC = b"GCAPS1"
 WEIGHT_INIT_STD = 0.1   # prediction-transform init; recorded in checkpoints
+KERNEL, STEM_STRIDE, PRIMARY_STRIDE = 9, 1, 2   # a square image: 28 -> 20 -> GRID = 6
+GRID = ((IMAGE_SHAPE[1] - KERNEL) // STEM_STRIDE + 1 - KERNEL) // PRIMARY_STRIDE + 1
 
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed or does not match the requested setup."""
-
-
-def _conv_out(size: int, kernel: int, stride: int) -> int:
-    return (size - kernel) // stride + 1
 
 
 def format_value(value) -> str:
@@ -130,19 +132,11 @@ def format_pairs(pairs: dict) -> str:
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """Static geometry of the network; everything else is derived from it."""
+    """The widths of the network; its geometry is fixed (see GRID)."""
 
-    input_channels: int = 1
-    input_height: int = 28
-    input_width: int = 28
     stem_channels: int = 256
-    stem_kernel: int = 9
-    stem_stride: int = 1
     num_types: int = 32
     primary_dim: int = 8
-    primary_kernel: int = 9
-    primary_stride: int = 2
-    num_classes: int = 10
     digit_dim: int = 16
     decoder_hidden: tuple[int, int] = (512, 1024)
 
@@ -153,67 +147,35 @@ class ArchConfig:
                 raise ValueError(f"ArchConfig.{f.name} must be positive, got {value}")
         if len(self.decoder_hidden) != 2:
             raise ValueError("decoder_hidden must name two layer widths")
-        if self.grid_height < 1 or self.grid_width < 1:
-            raise ValueError(
-                f"conv geometry collapses: input {self.input_height}x"
-                f"{self.input_width} leaves a {self.grid_height}x"
-                f"{self.grid_width} capsule grid")
-
-    @property
-    def stem_out_height(self) -> int:
-        return _conv_out(self.input_height, self.stem_kernel, self.stem_stride)
-
-    @property
-    def stem_out_width(self) -> int:
-        return _conv_out(self.input_width, self.stem_kernel, self.stem_stride)
-
-    @property
-    def grid_height(self) -> int:
-        return _conv_out(self.stem_out_height, self.primary_kernel,
-                         self.primary_stride)
-
-    @property
-    def grid_width(self) -> int:
-        return _conv_out(self.stem_out_width, self.primary_kernel,
-                         self.primary_stride)
-
-    @property
-    def caps_per_type(self) -> int:
-        return self.grid_height * self.grid_width
 
     @property
     def num_lower(self) -> int:
-        return self.num_types * self.caps_per_type
-
-    @property
-    def pixels(self) -> int:
-        return self.input_channels * self.input_height * self.input_width
+        return self.num_types * GRID * GRID
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter, in build and checkpoint order."""
         primary_channels = self.num_types * self.primary_dim
         h1, h2 = self.decoder_hidden
+        pixels = math.prod(IMAGE_SHAPE)
         return {
-            "stem.kernel": (self.stem_channels, self.input_channels,
-                            self.stem_kernel, self.stem_kernel),
+            "stem.kernel": (self.stem_channels, IMAGE_SHAPE[0], KERNEL, KERNEL),
             "stem.bias": (self.stem_channels,),
-            "primary.kernel": (primary_channels, self.stem_channels,
-                               self.primary_kernel, self.primary_kernel),
+            "primary.kernel": (primary_channels, self.stem_channels, KERNEL, KERNEL),
             "primary.bias": (primary_channels,),
-            "routing.weights": (self.num_lower, self.num_classes,
-                                self.digit_dim, self.primary_dim),
-            "decoder.w1": (self.num_classes * self.digit_dim, h1),
+            "routing.weights": (self.num_lower, NUM_CLASSES, self.digit_dim,
+                                self.primary_dim),
+            "decoder.w1": (NUM_CLASSES * self.digit_dim, h1),
             "decoder.b1": (h1,),
             "decoder.w2": (h1, h2),
             "decoder.b2": (h2,),
-            "decoder.w3": (h2, self.pixels),
-            "decoder.b3": (self.pixels,),
+            "decoder.w3": (h2, pixels),
+            "decoder.b3": (pixels,),
         }
 
     def layer_spec(self) -> CapsLayerSpec:
-        return CapsLayerSpec(num_upper=self.num_classes, dim_lower=self.primary_dim,
+        return CapsLayerSpec(num_upper=NUM_CLASSES, dim_lower=self.primary_dim,
                              dim_upper=self.digit_dim, num_types=self.num_types,
-                             caps_per_type=self.caps_per_type)
+                             caps_per_type=GRID * GRID)
 
     @classmethod
     def compact(cls) -> "ArchConfig":
@@ -296,21 +258,17 @@ def forward(model: Model, images: np.ndarray):
     """
     arch = model.arch
     x = Tensor(images)
-    if x.ndim != 4 or x.shape[1:] != (arch.input_channels, arch.input_height,
-                                      arch.input_width):
-        raise ShapeError(f"expected images [batch, {arch.input_channels},"
-                         f" {arch.input_height}, {arch.input_width}],"
+    if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
+        raise ShapeError(f"expected images [batch, {', '.join(map(str, IMAGE_SHAPE))}],"
                          f" got {x.shape}")
     p = model.params
-    stem = conv2d(x, p["stem.kernel"], stride=arch.stem_stride, bias=p["stem.bias"],
-                  relu=True)
-    prim = conv2d(stem, p["primary.kernel"], stride=arch.primary_stride,
+    stem = conv2d(x, p["stem.kernel"], stride=STEM_STRIDE, bias=p["stem.bias"], relu=True)
+    prim = conv2d(stem, p["primary.kernel"], stride=PRIMARY_STRIDE,
                   bias=p["primary.bias"], donate=True)
     batch = x.shape[0]
     # channels are type-major: capsule index = (type, row, col), so the
     # per-type index ranges used by grouped routing are contiguous
-    grid = prim.reshape(batch, arch.num_types, arch.primary_dim,
-                        arch.grid_height, arch.grid_width)
+    grid = prim.reshape(batch, arch.num_types, arch.primary_dim, GRID, GRID)
     u = grid.transpose(0, 1, 3, 4, 2).reshape(batch, arch.num_lower,
                                               arch.primary_dim)
     u = squash(u)
@@ -421,7 +379,7 @@ def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray):
 def train_step(model: Model, optimizer: Adam, images: np.ndarray,
                labels: np.ndarray) -> tuple[float, float]:
     """One optimization step; returns (loss, accuracy) on the batch."""
-    labels_1h = one_hot(labels, model.arch.num_classes)
+    labels_1h = one_hot(labels, NUM_CLASSES)
     param_probes = [(f"parameter {k}", t) for k, t in model.params.items()]
     try:
         # not the couplings: held, they would outlive backward and raise its peak
@@ -452,15 +410,14 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
         raise ValueError(f"evaluate got {len(images)} images and {n} labels")
     if batch_size < 1:
         raise ValueError(f"evaluate needs batch_size >= 1, got {batch_size}")
-    num_classes = model.arch.num_classes
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     dc_per_image = np.zeros(n)
     loss_sum = 0.0
     with no_grad():
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab, num_classes))
+            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab, NUM_CLASSES))
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
             np.add.at(confusion, (lab, pred), 1)

@@ -10,7 +10,9 @@ import pytest
 
 from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
 from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from gcaps.network import config_from, config_pairs, parse_pairs
+from gcaps.network import (ArchConfig, build_model, config_from, config_pairs, parse_pairs,
+                           save_checkpoint)
+from gcaps.routing import RoutingConfig
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
         "--train-limit", "20", "--test-limit", "10",
@@ -315,6 +317,33 @@ class TestEvalCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_resolved_config_names_the_checkpoint_and_reproduces_the_eval(self, tmp_path):
+        # it named the defaults (default, alg1, 3), which the checkpoint is not
+        assert run_train(tmp_path, "--routing", "alg3", "--iterations", "2") == 0
+        ckpt = str(tmp_path / "model-alg3-s0.ckpt")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["eval", ckpt, "--test-limit", "16", "--out-dir", str(a)]) == 0
+        resolved = a / "config-eval-model-alg3-s0.txt"
+        pairs = parse_pairs(resolved.read_text())
+        assert (pairs["arch"], pairs["routing"], pairs["iterations"]) == ("compact", "alg3", "2")
+        assert main(["eval", ckpt, "--config", str(resolved), "--out-dir", str(b)]) == 0
+        name = "confusion-eval-model-alg3-s0.csv"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_non_preset_checkpoint_keeps_the_given_arch(self, tmp_path, capsys):
+        arch = ArchConfig(stem_channels=8, num_types=2, primary_dim=4,
+                          digit_dim=4, decoder_hidden=(16, 32))
+        ckpt = str(tmp_path / "micro.ckpt")
+        save_checkpoint(ckpt, build_model(arch, RoutingConfig.from_name("alg2", 2), seed=0))
+        assert main(["eval", ckpt, "--test-limit", "10", "--out-dir", str(tmp_path)]) == 0
+        resolved = tmp_path / "config-eval-micro.txt"
+        pairs = parse_pairs(resolved.read_text())
+        assert (pairs["arch"], pairs["routing"], pairs["iterations"]) == ("default", "alg2", "2")
+        # so fed back, the file names an arch that the checkpoint does not match
+        capsys.readouterr()
+        assert main(["eval", ckpt, "--config", str(resolved)]) == 2
+        assert "stem_channels is '8', expected '256'" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_report_has_one_row_per_config(self, tmp_path):
@@ -404,6 +433,28 @@ class TestReconstructCommand:
                      *FAST, "--out-dir", str(tmp_path)])
         assert code == 2
         assert "grouped" in capsys.readouterr().err
+
+    def test_checks_only_the_named_keys_and_resolves_from_the_checkpoint(self, tmp_path,
+                                                                          capsys):
+        # both mismatches used to exit 0 and write a config naming them
+        assert run_train(tmp_path, "--routing", "alg3", "--iterations", "2") == 0
+        ckpt = str(tmp_path / "model-alg3-s0.ckpt")
+        capsys.readouterr()
+        assert main(["reconstruct", ckpt, "--routing", "alg4", "--test-limit", "10",
+                     "--out-dir", str(tmp_path / "a")]) == 2
+        diffs = capsys.readouterr().err.rsplit(".ckpt: ", 1)[1]
+        assert diffs == ("softmax_axis is 'upper_per_lower', expected 'lower_per_upper'\n")
+        assert main(["reconstruct", ckpt, "--arch", "default", "--iterations", "3",
+                     "--test-limit", "10", "--out-dir", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert "stem_channels is '32', expected '256'" in err
+        assert "iterations is '2', expected '3'" in err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+        out = tmp_path / "c"
+        assert main(["reconstruct", ckpt, "--routing", "alg3", "--test-limit", "10",
+                     "--out-dir", str(out)]) == 0
+        pairs = parse_pairs((out / "config-recon-model-alg3-s0.txt").read_text())
+        assert (pairs["arch"], pairs["routing"], pairs["iterations"]) == ("compact", "alg3", "2")
 
     def test_index_out_of_range_exits_2(self, tmp_path, capsys):
         assert run_train(tmp_path, "--routing", "alg4") == 0

@@ -148,6 +148,15 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="2 labels for 3 images"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("bad", [10, 12, 255])
+    def test_label_outside_the_classes_names_file_and_offset(self, tmp_path, bad):
+        # the first bad label is the third, after the 8-byte header
+        ip, lp = make_pair(tmp_path, np.zeros((4, 4, 4), np.uint8),
+                           np.array([9, 0, bad, 11], np.uint8))
+        with pytest.raises(IdxFormatError,
+                           match=f"^{lp}: label {bad} at offset 10 is not in \\[0, 10\\)$"):
+            load_idx(ip, lp)
+
     def test_header_shorter_than_magic(self, tmp_path):
         ip = tmp_path / "stub"
         ip.write_bytes(b"\x00\x00")

@@ -2,17 +2,20 @@
 behavior, decoder masking, Adam, the train/eval step contracts, and the
 checkpoint binary format."""
 
+import math
 import re
 import struct
 import tracemalloc
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 import gcaps.network as network_module
+from gcaps.data import IMAGE_SHAPE
 from gcaps.network import (
+    GRID,
     Adam,
     ArchConfig,
     CheckpointError,
@@ -52,26 +55,20 @@ def micro_model(name="alg1", seed=0) -> Model:
 
 class TestArchConfig:
     def test_default_geometry(self):
-        arch = ArchConfig()
-        assert (arch.stem_out_height, arch.stem_out_width) == (20, 20)
-        assert (arch.grid_height, arch.grid_width) == (6, 6)
-        assert arch.caps_per_type == 36
-        assert arch.num_lower == 1152
-        assert arch.pixels == 784
+        # Sabour et al.'s geometry: 28x28 -> 20x20 -> 6x6 capsules per type
+        assert IMAGE_SHAPE == (1, 28, 28) and math.prod(IMAGE_SHAPE) == 784
+        assert GRID == 6
+        assert ArchConfig().layer_spec().caps_per_type == 36
+        assert ArchConfig().num_lower == 1152
+        assert ArchConfig.compact().num_lower == 288
+
+    def test_only_the_widths_are_settable(self):
+        assert [f.name for f in fields(ArchConfig)] == [
+            "stem_channels", "num_types", "primary_dim", "digit_dim", "decoder_hidden"]
 
     def test_layer_spec_matches_reference(self):
         from gcaps.capsule import CapsLayerSpec
         assert ArchConfig().layer_spec() == CapsLayerSpec.reference()
-
-    def test_larger_input_recomputes_grid(self):
-        arch = ArchConfig(input_height=36, input_width=36)
-        assert (arch.stem_out_height, arch.stem_out_width) == (28, 28)
-        assert (arch.grid_height, arch.grid_width) == (10, 10)
-        assert arch.num_lower == 32 * 100
-
-    def test_collapsing_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            ArchConfig(input_height=12, input_width=12)
 
     def test_manifest_round_trip(self):
         for arch in (ArchConfig(), ArchConfig.compact(), micro_arch()):
@@ -599,16 +596,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("arch,routing,text", [
         pytest.param(ArchConfig(), "alg1",
                      "decoder_hidden=512,1024\ndigit_dim=16\ngrouping=ungrouped\n"
-                     "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
-                     "num_classes=10\nnum_types=32\nprimary_dim=8\nprimary_kernel=9\n"
-                     "primary_stride=2\nsoftmax_axis=upper_per_lower\nstem_channels=256\n"
-                     "stem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n", id="default"),
+                     "iterations=3\nnum_types=32\nprimary_dim=8\n"
+                     "softmax_axis=upper_per_lower\nstem_channels=256\n"
+                     "weight_init_std=0.1\n", id="default"),
         pytest.param(ArchConfig.compact(), "alg4",
                      "decoder_hidden=128,256\ndigit_dim=16\ngrouping=by_type\n"
-                     "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
-                     "num_classes=10\nnum_types=8\nprimary_dim=8\nprimary_kernel=9\n"
-                     "primary_stride=2\nsoftmax_axis=lower_per_upper\nstem_channels=32\n"
-                     "stem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n", id="compact"),
+                     "iterations=3\nnum_types=8\nprimary_dim=8\n"
+                     "softmax_axis=lower_per_upper\nstem_channels=32\n"
+                     "weight_init_std=0.1\n", id="compact"),
     ])
     def test_manifest_text_is_fixed(self, tmp_path, arch, routing, text):
         # Written checkpoints must stay byte-identical whatever builds the manifest.
@@ -629,10 +624,41 @@ class TestCheckpoint:
         (length,) = struct.unpack("<Q", blob[6:14])
         assert blob[14:14 + length].decode() == (
             "augment=false\ndecoder_hidden=16,32\ndigit_dim=4\ngrouping=by_type\n"
-            "input_channels=1\ninput_height=28\ninput_width=28\niterations=3\n"
-            "num_classes=10\nnum_types=2\nprimary_dim=4\nprimary_kernel=9\n"
-            "primary_stride=2\nrun_id=micro\nsoftmax_axis=lower_per_upper\n"
-            "stem_channels=8\nstem_kernel=9\nstem_stride=1\nweight_init_std=0.1\n")
+            "iterations=3\nnum_types=2\nprimary_dim=4\n"
+            "run_id=micro\nsoftmax_axis=lower_per_upper\n"
+            "stem_channels=8\nweight_init_std=0.1\n")
+
+    def test_parent_format_checkpoint_loads_unchanged(self, tmp_path):
+        # Checkpoints written before the geometry became constants name 8
+        # more keys; this writer is a copy of that one.
+        model = micro_model("alg4", seed=9)
+        retired = {"input_channels": 1, "input_height": 28, "input_width": 28,
+                   "stem_kernel": 9, "stem_stride": 1, "primary_kernel": 9,
+                   "primary_stride": 2, "num_classes": 10}
+        manifest = {**config_pairs(model.arch), **retired, **config_pairs(model.routing),
+                    "weight_init_std": 0.1}
+        assert len(manifest) == 17
+        body = format_pairs(dict(sorted(manifest.items()))).encode()
+        blob = b"GCAPS1" + struct.pack("<Q", len(body)) + body
+        for name, tensor in model.params.items():
+            blob += (struct.pack("<Q", len(name)) + name.encode()
+                     + struct.pack("<Q", tensor.ndim)
+                     + struct.pack(f"<{tensor.ndim}Q", *tensor.shape)
+                     + np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(blob)
+        loaded, _ = load_model(str(old))
+        assert (loaded.arch, loaded.routing) == (model.arch, model.routing)
+        assert list(loaded.params) == list(model.params)
+        for k in model.params:
+            assert loaded.params[k].data.tobytes() == model.params[k].data.tobytes()
+        # today's writer drops only the retired manifest lines
+        save_checkpoint(str(tmp_path / "new.ckpt"), loaded)
+        new = (tmp_path / "new.ckpt").read_bytes()
+        (length,) = struct.unpack("<Q", new[6:14])
+        assert new[14 + length:] == blob[14 + len(body):]
+        assert parse_pairs(new[14:14 + length].decode()) == {
+            k: v for k, v in parse_pairs(body.decode()).items() if k not in retired}
 
     def test_expectations_enforced(self, tmp_path):
         model = micro_model("alg1")
