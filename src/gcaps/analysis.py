@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .data import IMAGE_SHAPE, NUM_CLASSES, Dataset, batches
+from .data import IMAGE_SHAPE, Dataset, batches
 from .network import (
     Adam,
     ArchConfig,
@@ -243,7 +243,7 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
         raise ValueError("reconstruction_grid requires a grouped-routing model"
                          " (per-type capsules exist only there)")
     img = np.asarray(image, dtype=np.float64).reshape(1, *IMAGE_SHAPE)
-    labels_1h = Tensor(one_hot(np.array([label]), NUM_CLASSES))
+    labels_1h = Tensor(one_hot(np.array([label])))
     with no_grad():
         _, caps, per_type, _ = forward(model, img)
         panels = [decode(model, caps, labels_1h).data.reshape(IMAGE_SHAPE[1:])]

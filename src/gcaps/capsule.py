@@ -71,8 +71,8 @@ class CapsLayerSpec:
         return cls(num_upper=10, dim_lower=8, dim_upper=16, num_types=32, caps_per_type=36)
 
 
-def squash(s, axis: int = -1) -> Tensor:
-    """Shrink vectors along ``axis`` to length n^2/(1+n^2) < 1, keeping direction.
+def squash(s) -> Tensor:
+    """Shrink vectors along the last axis to length n^2/(1+n^2) < 1, keeping direction.
 
     The norm in the denominator carries a 1e-9-scale guard so the zero vector
     maps to zero with finite gradients (the bare formula is 0/0 there).
@@ -80,7 +80,7 @@ def squash(s, axis: int = -1) -> Tensor:
     s = as_tensor(s)
     if not np.isfinite(s.data).all():
         raise NonFiniteError("squash requires finite input")
-    n2 = (s * s).sum(axis=axis, keepdims=True)
+    n2 = (s * s).sum(axis=-1, keepdims=True)
     # sqrt(n2 + 1e-18) ~= norm + guard; smooth at 0, exact 0.5 scale at norm 1.
     norm = (n2 + 1e-18).sqrt()
     return s * (n2 / ((1.0 + n2) * norm))

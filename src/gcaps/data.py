@@ -135,26 +135,20 @@ def augment_shift(image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def batches(dataset: Dataset, batch_size: int, shuffle_seed: int | None = None,
+def batches(dataset: Dataset, batch_size: int, shuffle_seed: int,
             augment: bool = False, epoch: int = 0):
     """Yield (images, labels) covering the dataset once.
 
-    With a shuffle seed the order is a seeded permutation (varied by
-    ``epoch``), otherwise the stored order; the final short batch is
-    included.  Augmentation draws a fresh shift per image and only ever
-    touches train splits.
+    The order is a permutation seeded by ``shuffle_seed`` and ``epoch``; the
+    final short batch is included.  Augmentation draws a fresh shift per
+    image and only ever touches train splits.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(dataset)
-    if shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        order = derived_rng(shuffle_seed, SEED_ROLE_SHUFFLE, epoch).permutation(n)
+    order = derived_rng(shuffle_seed, SEED_ROLE_SHUFFLE, epoch).permutation(len(dataset))
     do_augment = augment and dataset.split == "train"
-    aug_rng = derived_rng(shuffle_seed or 0, SEED_ROLE_AUGMENT, epoch) \
-        if do_augment else None
-    for start in range(0, n, batch_size):
+    aug_rng = derived_rng(shuffle_seed, SEED_ROLE_AUGMENT, epoch) if do_augment else None
+    for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
         images = dataset.images[idx]
         if do_augment:

@@ -298,11 +298,11 @@ def decode(model: Model, digit_caps: Tensor, labels: Tensor) -> Tensor:
     return ((h @ p["decoder.w3"]) + p["decoder.b3"]).sigmoid()
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1 or (labels < 0).any() or (labels >= num_classes).any():
-        raise ValueError(f"labels must be 1-d in [0, {num_classes})")
-    out = np.zeros((labels.shape[0], num_classes))
+    if labels.ndim != 1 or (labels < 0).any() or (labels >= NUM_CLASSES).any():
+        raise ValueError(f"labels must be 1-d in [0, {NUM_CLASSES})")
+    out = np.zeros((labels.shape[0], NUM_CLASSES))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -379,7 +379,7 @@ def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray):
 def train_step(model: Model, optimizer: Adam, images: np.ndarray,
                labels: np.ndarray) -> tuple[float, float]:
     """One optimization step; returns (loss, accuracy) on the batch."""
-    labels_1h = one_hot(labels, NUM_CLASSES)
+    labels_1h = one_hot(labels)
     param_probes = [(f"parameter {k}", t) for k, t in model.params.items()]
     try:
         # not the couplings: held, they would outlive backward and raise its peak
@@ -417,7 +417,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab, NUM_CLASSES))
+            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab))
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
             np.add.at(confusion, (lab, pred), 1)

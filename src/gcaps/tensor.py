@@ -628,9 +628,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.  Its backward
     zeroes the gradient where that output was not positive (NaN included),
     sums it over batch and positions into the bias gradient, then hands it
-    to the algorithm.  ``_spectral_is_cheaper`` picks the algorithm from the
-    shapes: the one that makes fewer multiplications plus bytes moved,
-    counting the backward work of every gradient that will be recorded.
+    to the algorithm.  The call's geometry is validated and worked out once
+    and handed to ``_conv2d_costs``, which counts both algorithms'
+    multiplications plus bytes moved, with the backward work of every
+    gradient that will be recorded; the cheaper one runs.
 
     * im2col (``_conv2d_im2col``): a column buffer of every window, then one
       matrix product.  The buffer, the layer's largest allocation, is kept
@@ -653,14 +654,14 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     bias = None if bias is None else as_tensor(bias)
-    _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    geometry = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
     if bias is not None and bias.shape != kernel.shape[:1]:
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
     k_grad = _grad_enabled and kernel.requires_grad
-    spectral = _spectral_is_cheaper(x.shape, kernel.shape, stride, padding,
-                                    _grad_enabled and x.requires_grad, k_grad)
-    out, grads = (_conv2d_spectral if spectral else _conv2d_im2col)(
-        x, kernel, stride, padding, k_grad, donate)
+    spectral, im2col = _conv2d_costs(x.shape, kernel.shape, geometry,
+                                     _grad_enabled and x.requires_grad, k_grad)
+    out, grads = (_conv2d_spectral if spectral < im2col else _conv2d_im2col)(
+        x, kernel, stride, padding, geometry, k_grad, donate)
     if bias is not None:
         out += bias.data.reshape(-1, 1, 1)
     if relu:
@@ -681,9 +682,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     return node
 
 
-def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
-                     stride: int, padding: int) -> tuple[int, int]:
-    """Validated output height and width of a conv2d call."""
+def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
+                     padding: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
+    """A conv2d call's validated output height and width, the hg x wg grid
+    its windows read, and the grid rows and columns of the input's points
+    inside that grid (the padding shifts them)."""
     if len(x_shape) != 4 or len(k_shape) != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x_shape} and {k_shape}")
     if k_shape[1] != x_shape[1]:
@@ -695,22 +698,16 @@ def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...],
     if kh > hp or kw > wp:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input {hp}x{wp} (shape {x_shape}, padding {padding})")
-    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
-
-
-def _spectral_grid(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
-                   padding: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The hg x wg grid the windows read, and the grid rows and columns of
-    the input's points inside it (the padding shifts them)."""
-    h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
-    hg, wg = (h_out - 1) * stride + k_shape[2], (w_out - 1) * stride + k_shape[3]
-    return (hg, wg, np.arange(padding, min(x_shape[2] + padding, hg)),
+    h_out, w_out = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    hg, wg = (h_out - 1) * stride + kh, (w_out - 1) * stride + kw
+    return (h_out, w_out, hg, wg, np.arange(padding, min(x_shape[2] + padding, hg)),
             np.arange(padding, min(x_shape[3] + padding, wg)))
 
 
-def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
-                         padding: int, x_grad: bool, k_grad: bool) -> bool:
-    """Whether ``_conv2d_spectral`` costs less than im2col.
+def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: tuple,
+                  x_grad: bool, k_grad: bool) -> tuple[int, int]:
+    """The costs of ``_conv2d_spectral`` and of ``_conv2d_im2col`` at these
+    shapes and ``_conv2d_geometry``.
 
     Each side counts the products of its matrix multiplications (a real
     times a real counts 1, a real times a complex 2 and a complex times a
@@ -721,8 +718,7 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
     ``x_grad`` and ``k_grad`` say which gradients will be recorded, adding
     their backward work to both sides.
     """
-    h_out, w_out = _conv2d_geometry(x_shape, k_shape, stride, padding)
-    hg, wg, x_rows, x_cols = _spectral_grid(x_shape, k_shape, stride, padding)
+    h_out, w_out, hg, wg, x_rows, x_cols = geometry
     batch, c_in = x_shape[:2]
     c_out, _, kh, kw = k_shape
     half = wg // 2 + 1
@@ -759,29 +755,29 @@ def _spectral_is_cheaper(x_shape: tuple[int, ...], k_shape: tuple[int, ...], str
     # it adds into and writes that window
     positions = batch * h_out * w_out
     column = positions * c_in * kh * kw
-    return spectral < (column * (c_out * (1 + x_grad + k_grad) + 16 + 8 * k_grad + 32 * x_grad)
-                       + 24 * positions * c_out)
+    return spectral, (column * (c_out * (1 + x_grad + k_grad) + 16 + 8 * k_grad + 32 * x_grad)
+                      + 24 * positions * c_out)
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    if not padding:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
-def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad: bool,
-                   release: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, geometry: tuple,
+                   k_grad: bool, release: bool
+                   ) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
     """conv2d as one product of the windows' column buffer with the kernel:
     the [B, O, h, w] values, and the function of the gradient at them that
     adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
     kernel gradient only when ``k_grad``; ``release`` releases ``x.data``
     once it is built."""
-    h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    h_out, w_out = geometry[:2]
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
 
-    cols = _im2col(_pad(x.data, padding), kh, kw, stride, h_out, w_out)
+    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else x.data
+    windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        batch * h_out * w_out, c_in * kh * kw)
+    del x_pad, windows   # at padding 0 both still hold x.data
     if release:
         x.data = _Released(x.data)
     w_mat = kernel.data.reshape(c_out, -1)
@@ -805,17 +801,9 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad:
     return out, grads
 
 
-def _im2col(x_pad: np.ndarray, kh: int, kw: int, stride: int,
-            h_out: int, w_out: int) -> np.ndarray:
-    windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    batch, c_in = x_pad.shape[:2]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * h_out * w_out, c_in * kh * kw)
-
-
-def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, k_grad: bool,
-                     release: bool) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, geometry: tuple,
+                     k_grad: bool, release: bool
+                     ) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
     """conv2d as per-frequency channel products on the grid the windows read:
     the [B, O, h, w] values, and the function of the gradient at them that
     adds the gradients at ``x`` and ``kernel``.
@@ -838,10 +826,9 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, k_gra
     written into the columns of one G K.  ``release`` releases ``x.data``
     once X is built.
     """
-    h_out, w_out = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    h_out, w_out, hg, wg, x_rows, x_cols = geometry
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
-    hg, wg, x_rows, x_cols = _spectral_grid(x.shape, kernel.shape, stride, padding)
     grid, freqs = (hg, wg), hg * (wg // 2 + 1)
     ctype = np.result_type(x.data.dtype, kernel.data.dtype, np.complex64)
     rtype = np.finfo(ctype).dtype

@@ -299,18 +299,20 @@ class TestBatches:
         want = np.sort(ds.images.sum(axis=(1, 2, 3)))
         assert np.allclose(np.sort(seen), want, atol=1e-12)
 
-    def test_no_shuffle_preserves_order(self):
+    def test_shuffle_keeps_each_image_with_its_label(self):
         ds = synthetic_dataset(seed=0, n=30)
-        flat = np.concatenate([lab for _, lab in batches(ds, 7)])
-        assert np.array_equal(flat, ds.labels)
+        images, labels = (np.concatenate(part) for part in zip(*batches(ds, 7, shuffle_seed=3)))
+        assert not np.array_equal(labels, ds.labels)
+        got = np.argsort(images.sum(axis=(1, 2, 3)))
+        want = np.argsort(ds.images.sum(axis=(1, 2, 3)))
+        assert np.array_equal(labels[got], ds.labels[want])
 
     def test_augmentation_only_on_train_split(self):
-        train = synthetic_dataset(seed=1, n=10, split="train")
-        test = synthetic_dataset(seed=1, n=10, split="test")
-        aug_train = next(batches(train, 10, augment=True))[0]
-        aug_test = next(batches(test, 10, augment=True))[0]
-        assert not np.array_equal(aug_train, train.images)
-        assert np.array_equal(aug_test, test.images)
+        for split, shifted in (("train", True), ("test", False)):
+            ds = synthetic_dataset(seed=1, n=10, split=split)
+            plain = next(batches(ds, 10, shuffle_seed=0))[0]
+            augmented = next(batches(ds, 10, shuffle_seed=0, augment=True))[0]
+            assert np.array_equal(augmented, plain) != shifted
 
     def test_augmented_batches_are_deterministic_per_seed(self):
         ds = synthetic_dataset(seed=1, n=20)
@@ -321,7 +323,7 @@ class TestBatches:
     def test_invalid_batch_size_rejected(self):
         ds = synthetic_dataset(seed=0, n=10)
         with pytest.raises(ValueError):
-            list(batches(ds, 0))
+            list(batches(ds, 0, shuffle_seed=0))
 
 
 class TestSyntheticDataset:

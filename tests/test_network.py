@@ -211,7 +211,7 @@ class TestForward:
         # gradients.
         model = micro_model()
         images = np.random.default_rng(55).uniform(0, 1, (3, 1, 28, 28))
-        targets = one_hot(np.array([1, 2, 3]), 10)
+        targets = one_hot(np.array([1, 2, 3]))
         grads = []
         for donate in (True, False):
             if not donate:
@@ -237,7 +237,7 @@ class TestForward:
         # its conv2d node; as separate reshape, add and relu nodes they
         # would make 115.
         model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), seed=0)
-        total, _, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2]), 10))
+        total, _, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2])))
         assert len(GradTape.from_root(total).nodes) == 110
 
     def test_grouped_loss_graphs_are_the_same_size(self):
@@ -246,7 +246,7 @@ class TestForward:
         for name in ("alg3", "alg4"):
             model = build_model(ArchConfig.compact(), RoutingConfig.from_name(name), seed=0)
             total, _, _, _ = batch_loss(model, np.zeros((4, 1, 28, 28)),
-                                        one_hot(np.arange(4), 10))
+                                        one_hot(np.arange(4)))
             assert len(GradTape.from_root(total).nodes) == 140
 
 
@@ -255,7 +255,7 @@ class TestDecode:
         model = micro_model()
         rng = np.random.default_rng(61)
         caps = Tensor(rng.standard_normal((4, 10, 4)))
-        labels = Tensor(one_hot(np.array([0, 3, 9, 5]), 10))
+        labels = Tensor(one_hot(np.array([0, 3, 9, 5])))
         out = decode(model, caps, labels)
         assert out.shape == (4, 784)
         assert (out.data > 0).all() and (out.data < 1).all()
@@ -264,7 +264,7 @@ class TestDecode:
         model = micro_model()
         rng = np.random.default_rng(62)
         caps = rng.standard_normal((1, 10, 4))
-        labels = Tensor(one_hot(np.array([4]), 10))
+        labels = Tensor(one_hot(np.array([4])))
         base = decode(model, Tensor(caps), labels).data
         tampered = caps.copy()
         tampered[0, 7] += 50.0
@@ -282,14 +282,13 @@ class TestDecode:
 
 class TestOneHot:
     def test_encoding(self):
-        got = one_hot(np.array([2, 0]), 3)
-        assert np.array_equal(got, np.array([[0, 0, 1], [1, 0, 0]], dtype=float))
+        got = one_hot(np.array([2, 0, 9]))
+        assert np.array_equal(got, np.eye(10)[[2, 0, 9]])
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([3]), 3)
-        with pytest.raises(ValueError):
-            one_hot(np.array([-1]), 3)
+        for labels in ([10], [-1]):
+            with pytest.raises(ValueError, match=r"\[0, 10\)"):
+                one_hot(np.array(labels))
 
 
 class TestKeyValueLines:
@@ -483,7 +482,7 @@ class TestBackwardMemory:
         model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg1"), seed=3)
         rng = np.random.default_rng(73)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
-        total, _, _, _ = batch_loss(model, images, one_hot(np.arange(batch) % 10, 10))
+        total, _, _, _ = batch_loss(model, images, one_hot(np.arange(batch) % 10))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()

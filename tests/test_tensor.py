@@ -18,7 +18,8 @@ from gcaps.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    _spectral_is_cheaper,
+    _conv2d_costs,
+    _conv2d_geometry,
     _spectrum,
     _values_at,
     add,
@@ -291,16 +292,25 @@ def test_local_gradient_ops_keep_tag_dtype_and_constants(tag, op, shapes):
                 assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
 
 
+def _spectral_is_cheaper(x_shape, k_shape, stride, padding, x_grad, k_grad):
+    """Whether ``conv2d`` picks the spectral algorithm at these shapes, with
+    these gradients recorded."""
+    spectral, im2col = _conv2d_costs(x_shape, k_shape,
+                                     _conv2d_geometry(x_shape, k_shape, stride, padding),
+                                     x_grad, k_grad)
+    return spectral < im2col
+
+
 def forced(spectral):
     """``conv2d`` with its algorithm fixed, spectral or im2col, whatever the
     shapes; called as ``(x, kernel, stride, padding, bias=None, relu=False)``."""
     def conv(x, kernel, stride, padding, bias=None, relu=False):
-        choose = tensor_module._spectral_is_cheaper
-        tensor_module._spectral_is_cheaper = lambda *shapes: spectral
+        count = tensor_module._conv2d_costs
+        tensor_module._conv2d_costs = lambda *args: (0, 1) if spectral else (1, 0)
         try:
             return conv2d(x, kernel, stride, padding, bias, relu)
         finally:
-            tensor_module._spectral_is_cheaper = choose
+            tensor_module._conv2d_costs = count
     return conv
 
 
@@ -648,6 +658,24 @@ class TestConv2dDonate:
         assert [(a.dtype, a.shape) for a in saved] == [(np.bool_, stem.shape)]
 
 
+def test_padded_im2col_donate_releases_the_input_and_keeps_its_gradients():
+    # With padding the windows are read from a padded copy, so only the
+    # input's own reference keeps its array alive.
+    rng = np.random.default_rng(92)
+    arrays = [rng.standard_normal(s) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (2, 4, 8, 8))]
+    assert not _spectral_is_cheaper(arrays[0].shape, arrays[1].shape, 1, 1, True, True)
+    results = []
+    for donate in (False, True):
+        x, k = (Tensor(a.copy(), requires_grad=True) for a in arrays[:2])
+        held = weakref.ref(x.data)
+        y = conv2d(x, k, padding=1, donate=donate)
+        assert (held() is None) == donate
+        (y * Tensor(arrays[2])).sum().backward()
+        results.append((y.data, x.grad, k.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("conv", [_conv2d_im2col, _conv2d_spectral], ids=["im2col", "spectral"])
 class TestConv2dBiasRelu:
     """The bias and ReLU taken inside one conv2d node, on both algorithms,
@@ -864,7 +892,10 @@ class TestConv2dPathChoice:
                      id="compact-primary-batch4"),
     ])
     def test_cheaper_path_by_shape(self, x_shape, k_shape, stride, grads, spectral):
-        assert _spectral_is_cheaper(x_shape, k_shape, stride, 0, *grads) == spectral
+        costs = _conv2d_costs(x_shape, k_shape, _conv2d_geometry(x_shape, k_shape, stride, 0),
+                              *grads)
+        assert all(type(cost) is int and cost > 0 for cost in costs)
+        assert (costs[0] < costs[1]) == spectral
 
     def test_conv2d_counts_only_gradients_it_records(self, monkeypatch):
         # At the compact primary conv's shape and batch 16 the backward
