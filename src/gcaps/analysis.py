@@ -81,13 +81,15 @@ def _probe_mean_dc(dc_per_image: np.ndarray) -> float:
 
 def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
               routing: RoutingConfig, train_config: TrainConfig, run_id: str,
-              timer=time.perf_counter, augment: bool = True):
+              timer=time.perf_counter):
     """Train one model, returning (model, per-epoch MetricsRecords).
 
-    Emits one train-split and one test-split record per epoch; accuracy and
-    loss come from full evaluation passes on un-augmented data, and so does
-    ``mean_dc``, over the first PROBE_IMAGES images of each split.  Raises
-    NonFiniteError if optimization diverges (callers may catch and flag).
+    Training batches are shift-augmented when ``train_config.augment`` is
+    set.  Emits one train-split and one test-split record per epoch;
+    accuracy and loss come from full evaluation passes on un-augmented data,
+    and so does ``mean_dc``, over the first PROBE_IMAGES images of each
+    split.  Raises NonFiniteError if optimization diverges (callers may
+    catch and flag).
     """
     model = build_model(arch, routing, seed=train_config.seed)
     optimizer = Adam(model.params, train_config)
@@ -100,7 +102,7 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
         optimizer.lr = train_config.learning_rate(epoch)
         for images, labels in batches(train_ds, train_config.batch_size,
                                       shuffle_seed=train_config.seed,
-                                      augment=augment, epoch=epoch):
+                                      augment=train_config.augment, epoch=epoch):
             train_step(model, optimizer, images, labels)
         for split, ds in (("train", train_ds), ("test", test_ds)):
             accuracy, loss, _, dc_per_image = evaluate(
@@ -135,7 +137,7 @@ class ConfigResult:
 def run_comparison(train_ds: Dataset, test_ds: Dataset,
                    configs: list[RoutingConfig], train_config: TrainConfig,
                    seeds, out_dir: str, arch: ArchConfig | None = None,
-                   timer=time.perf_counter, augment: bool = True) -> list[ConfigResult]:
+                   timer=time.perf_counter) -> list[ConfigResult]:
     """Train every (routing config, seed) pair under one shared budget.
 
     Per-run metrics land in ``out_dir/metrics-<run_id>.csv``; the summary
@@ -154,8 +156,7 @@ def run_comparison(train_ds: Dataset, test_ds: Dataset,
             cfg = replace(train_config, seed=seed)
             path = os.path.join(out_dir, f"metrics-{run_id}.csv")
             try:
-                _, records = train_run(train_ds, test_ds, arch, config, cfg,
-                                       run_id, timer=timer, augment=augment)
+                _, records = train_run(train_ds, test_ds, arch, config, cfg, run_id, timer=timer)
             except NonFiniteError:
                 accuracies[seed] = None
                 write_csv(path, METRICS_HEADER, [])

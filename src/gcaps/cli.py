@@ -45,28 +45,21 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Every tunable of every subcommand, as one flat namespace."""
+class RunConfig(TrainConfig):
+    """Every tunable of every subcommand, as one flat namespace: the training
+    keys it inherits from TrainConfig (so it is the TrainConfig of its runs),
+    then the rest."""
 
     arch: str = "default"
     routing: str = "alg1"
     iterations: int = RoutingConfig.iterations
     configs: tuple[str, ...] = VARIANT_NAMES
-    lr0: float = TrainConfig.lr0
-    decay: float = TrainConfig.decay
-    beta1: float = TrainConfig.beta1
-    beta2: float = TrainConfig.beta2
-    eps: float = TrainConfig.eps
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    seed: int = TrainConfig.seed
     seeds: tuple[int, ...] = (0, 1, 2)
     dataset: str = "synthetic"
     data_dir: str = "data"
     out_dir: str = "runs"
     train_limit: int = 0        # 0 = the whole split
     test_limit: int = 0
-    augment: bool = True
     trials: int = 100
     run_id: str = ""            # empty = derive from routing and seed
     split: str = "test"
@@ -95,7 +88,7 @@ class RunConfig:
         if "/" in self.run_id or os.sep in self.run_id:
             raise ConfigError(f"run_id must not hold a path separator, got {self.run_id!r}")
         try:
-            self.train_config()
+            super().__post_init__()
             for name in (self.routing, *self.configs):
                 self.routing_config(name)
             self.resolved_text()
@@ -112,9 +105,6 @@ class RunConfig:
     def routing_config(self, name: str | None = None) -> RoutingConfig:
         return RoutingConfig.from_name(self.routing if name is None else name,
                                        iterations=self.iterations)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def timer(self):
         if not self.fixed_timer:
@@ -202,9 +192,8 @@ def cmd_train(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[str]
     run_id = cfg.run_id or f"{cfg.routing}-s{cfg.seed}"
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    model, records = train_run(train_ds, test_ds, cfg.arch_config(),
-                               cfg.routing_config(), cfg.train_config(),
-                               run_id, timer=cfg.timer(), augment=cfg.augment)
+    model, records = train_run(train_ds, test_ds, cfg.arch_config(), cfg.routing_config(),
+                               cfg, run_id, timer=cfg.timer())
     metrics_path = os.path.join(cfg.out_dir, f"metrics-{run_id}.csv")
     write_metrics(metrics_path, records)
     ckpt_path = os.path.join(cfg.out_dir, f"model-{run_id}.ckpt")
@@ -244,10 +233,8 @@ def cmd_compare(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[st
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
     results = run_comparison(train_ds, test_ds,
-                             [cfg.routing_config(n) for n in names],
-                             cfg.train_config(), seeds, cfg.out_dir,
-                             arch=cfg.arch_config(), timer=cfg.timer(),
-                             augment=cfg.augment)
+                             [cfg.routing_config(n) for n in names], cfg, seeds,
+                             cfg.out_dir, arch=cfg.arch_config(), timer=cfg.timer())
     print(f"compared {len(names)} configurations x {len(seeds)} seeds"
           f" on {cfg.dataset}")
     for res in results:

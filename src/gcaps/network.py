@@ -185,7 +185,8 @@ class ArchConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters; the schedule is lr0 * decay^epoch."""
+    """Optimization hyperparameters and whether training batches are
+    shift-augmented; the schedule is lr0 * decay^epoch."""
 
     lr0: float = 0.001
     decay: float = 0.95
@@ -195,6 +196,7 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 5
     seed: int = 0
+    augment: bool = True
 
     def __post_init__(self):
         # written so that NaN fails every comparison and is rejected

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -271,13 +270,9 @@ class Tensor:
         return reduce("max", self, axis, keepdims)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         return transpose(self, axes)
 
     def exp(self) -> "Tensor":
@@ -369,18 +364,19 @@ def _outer_sum(pairs: list[tuple[np.ndarray, np.ndarray]], shape: tuple[int, ...
                dtype) -> np.ndarray:
     """sum over pairs of coef[b,t,k,j] * vec[b,t,j,d] as a [B, N, J, D] array.
 
-    Pairs may split N into different type counts; all are refined to their
-    least common multiple T, so each (b, t, j) is one [K, P] @ [P, D]
-    product over the P stacked pairs, written through a view of the result.
+    Each pair's vec holds T types or one (``weighted_sum``'s grouped or
+    ungrouped sums, ``agreement_update``'s one), so each (b, t, j) is one
+    [K, P] @ [P, D] product over the P stacked pairs, written through a view
+    of the result.
     """
     batch, n, j, d = shape
-    types = math.lcm(*(c.shape[1] for c, _ in pairs))
+    types = max(c.shape[1] for c, _ in pairs)
     k = n // types
     coef = np.empty((batch, types, j, len(pairs), k), dtype=dtype)
     vec = np.empty((batch, types, j, len(pairs), d), dtype=dtype)
     for p, (c, v) in enumerate(pairs):
         coef[:, :, :, p] = c.reshape(batch, types, k, j).swapaxes(2, 3)
-        vec[:, :, :, p] = np.repeat(v, types // v.shape[1], axis=1)
+        vec[:, :, :, p] = v
     out = np.empty(shape, dtype=dtype)
     np.matmul(coef.swapaxes(3, 4), vec, out=out.reshape(batch, types, k, j, d).swapaxes(2, 3))
     return out
@@ -661,7 +657,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     spectral, im2col = _conv2d_costs(x.shape, kernel.shape, geometry,
                                      _grad_enabled and x.requires_grad, k_grad)
     out, grads = (_conv2d_spectral if spectral < im2col else _conv2d_im2col)(
-        x, kernel, stride, padding, geometry, k_grad, donate)
+        x, kernel, geometry, k_grad, donate)
     if bias is not None:
         out += bias.data.reshape(-1, 1, 1)
     if relu:
@@ -683,10 +679,10 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
 
 
 def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
-                     padding: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
+                     padding: int) -> tuple:
     """A conv2d call's validated output height and width, the hg x wg grid
-    its windows read, and the grid rows and columns of the input's points
-    inside that grid (the padding shifts them)."""
+    its windows read, the grid rows and columns of the input's points inside
+    that grid (the padding shifts them), and the call's stride and padding."""
     if len(x_shape) != 4 or len(k_shape) != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x_shape} and {k_shape}")
     if k_shape[1] != x_shape[1]:
@@ -701,7 +697,7 @@ def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride:
     h_out, w_out = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     hg, wg = (h_out - 1) * stride + kh, (w_out - 1) * stride + kw
     return (h_out, w_out, hg, wg, np.arange(padding, min(x_shape[2] + padding, hg)),
-            np.arange(padding, min(x_shape[3] + padding, wg)))
+            np.arange(padding, min(x_shape[3] + padding, wg)), stride, padding)
 
 
 def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: tuple,
@@ -718,7 +714,7 @@ def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: 
     ``x_grad`` and ``k_grad`` say which gradients will be recorded, adding
     their backward work to both sides.
     """
-    h_out, w_out, hg, wg, x_rows, x_cols = geometry
+    h_out, w_out, hg, wg, x_rows, x_cols, *_ = geometry
     batch, c_in = x_shape[:2]
     c_out, _, kh, kw = k_shape
     half = wg // 2 + 1
@@ -759,15 +755,14 @@ def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: 
                       + 24 * positions * c_out)
 
 
-def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, geometry: tuple,
-                   k_grad: bool, release: bool
+def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, release: bool
                    ) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
     """conv2d as one product of the windows' column buffer with the kernel:
     the [B, O, h, w] values, and the function of the gradient at them that
     adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
     kernel gradient only when ``k_grad``; ``release`` releases ``x.data``
     once it is built."""
-    h_out, w_out = geometry[:2]
+    h_out, w_out, *_, stride, padding = geometry
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -801,8 +796,7 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, stride: int, padding: int, geometr
     return out, grads
 
 
-def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, geometry: tuple,
-                     k_grad: bool, release: bool
+def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, release: bool
                      ) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
     """conv2d as per-frequency channel products on the grid the windows read:
     the [B, O, h, w] values, and the function of the gradient at them that
@@ -826,7 +820,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, stride: int, padding: int, geome
     written into the columns of one G K.  ``release`` releases ``x.data``
     once X is built.
     """
-    h_out, w_out, hg, wg, x_rows, x_cols = geometry
+    h_out, w_out, hg, wg, x_rows, x_cols, stride, _ = geometry
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     grid, freqs = (hg, wg), hg * (wg // 2 + 1)

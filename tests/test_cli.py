@@ -2,16 +2,19 @@
 and rerun determinism.  Commands run in-process through main(argv)."""
 
 import gzip
+import itertools
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from gcaps.analysis import train_run, write_metrics
 from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
-from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from gcaps.network import (ArchConfig, build_model, config_from, config_pairs, parse_pairs,
-                           save_checkpoint)
+from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, synthetic_dataset
+from gcaps.network import (ArchConfig, TrainConfig, build_model, config_from, config_pairs,
+                           parse_pairs, save_checkpoint)
 from gcaps.routing import RoutingConfig
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
@@ -123,6 +126,21 @@ class TestConfigParsing:
     def test_variant_names_are_exact(self, key, value):
         with pytest.raises(ConfigError, match="unknown routing variant"):
             config_from_pairs({key: value})
+
+    def test_training_keys_come_first(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert names[:len(fields(TrainConfig))] == [f.name for f in fields(TrainConfig)]
+
+    def test_a_resolved_text_in_the_older_key_order_parses_the_same(self):
+        cfg = RunConfig(arch="compact", routing="alg3", lr0=0.002, seeds=(4, 2),
+                        augment=False, run_id="older", fixed_timer=True)
+        pairs = parse_pairs(cfg.resolved_text())
+        order = ("arch routing iterations configs lr0 decay beta1 beta2 eps batch_size"
+                 " epochs seed seeds dataset data_dir out_dir train_limit test_limit"
+                 " augment trials run_id split index fixed_timer").split()
+        assert sorted(order) == sorted(pairs) and list(pairs) != order
+        older = "# resolved run configuration\n" + "".join(f"{k}={pairs[k]}\n" for k in order)
+        assert config_from_pairs(parse_pairs(older)) == cfg
 
     @pytest.mark.parametrize("key,value", [
         ("lr0", "nan"), ("lr0", "inf"), ("decay", "0"), ("beta1", "1"),
@@ -240,6 +258,21 @@ class TestTrainCommand:
         assert code == 0
         assert (a / "metrics-alg1-s0.csv").read_bytes() == \
                (b / "metrics-alg1-s0.csv").read_bytes()
+
+    def test_augment_key_reaches_the_training_batches(self, tmp_path):
+        # FAST's run, made by train_run directly from a TrainConfig
+        assert run_train(tmp_path / "off", "--augment", "false") == 0
+        assert run_train(tmp_path / "on", "--augment", "true") == 0
+        counter = itertools.count()
+        _, records = train_run(synthetic_dataset(seed=0, n=20, split="train"),
+                               synthetic_dataset(seed=1, n=10, split="test"),
+                               ArchConfig.compact(), RoutingConfig.from_name("alg1"),
+                               TrainConfig(batch_size=10, epochs=1, augment=False),
+                               "alg1-s0", timer=lambda: float(next(counter)))
+        write_metrics(str(tmp_path / "direct.csv"), records)
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert (tmp_path / "off" / "metrics-alg1-s0.csv").read_bytes() == direct
+        assert (tmp_path / "on" / "metrics-alg1-s0.csv").read_bytes() != direct
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env-out"
