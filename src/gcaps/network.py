@@ -11,9 +11,10 @@ regularizer.  The geometry is fixed, that of Sabour et al. (2017): a
 An ArchConfig sets only the widths.
 
 Checkpoints are a single binary file: the magic string "GCAPS1", a
-length-prefixed UTF-8 manifest of key=value lines, then each parameter as
-(name length, name bytes, rank, dims, float64 values), all integers 64-bit
-little-endian and values little-endian IEEE doubles.
+length-prefixed UTF-8 manifest of key=value lines, then one record per
+parameter, in any order, each (name length, name bytes, rank, dims, float64
+values) in little-endian 64-bit integers and IEEE doubles.  ``load_model``
+checks each record against the manifest's architecture as it reads it.
 
 Manifests and run configuration files share one key=value line format,
 read by ``parse_pairs`` and written by ``format_pairs``, and every config
@@ -474,11 +475,15 @@ def write_atomic(path: str, blob: bytes) -> None:
         raise
 
 
-def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Parse a checkpoint into (manifest, named arrays), validating framing."""
+def load_model(path: str, expected: dict[str, str] | None = None
+               ) -> tuple[Model, dict[str, str]]:
+    """Rebuild a model from a checkpoint in one pass; parameters come back in
+    build order, and a CheckpointError names the offset of a bad record.
+    ``expected`` maps manifest keys to the text they must hold there (as
+    ``config_pairs`` writes it); a CheckpointError names each key that differs.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
+        raw = memoryview(fh.read())
     if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic in {path}")
     offset = len(CHECKPOINT_MAGIC)
@@ -486,12 +491,10 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     def take(count: int, what: str) -> memoryview:
         nonlocal offset
         if offset + count > len(raw):
-            raise CheckpointError(
-                f"truncated checkpoint {path}: needed {count} bytes for"
-                f" {what} at offset {offset}")
-        chunk = view[offset:offset + count]
+            raise CheckpointError(f"truncated checkpoint {path}: needed {count} bytes"
+                                  f" for {what} at offset {offset}")
         offset += count
-        return chunk
+        return raw[offset - count:offset]
 
     def take_u64(what: str) -> int:
         return struct.unpack("<Q", take(8, what))[0]
@@ -508,56 +511,39 @@ def read_checkpoint(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         manifest = parse_pairs(text)
     except ValueError as exc:
         raise CheckpointError(f"malformed manifest in {path}: {exc}") from None
-    params: dict[str, np.ndarray] = {}
-    while offset < len(raw):
-        start = offset
-        name = take_text(take_u64("tensor name length"), "tensor name")
-        if name in params:
-            raise CheckpointError(f"duplicate tensor {name} at offset {start} in {path}")
-        rank = take_u64(f"rank of {name}")
-        if rank > 8:
-            raise CheckpointError(f"implausible rank {rank} for {name} in {path}")
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
-        # Python ints: a product of hostile dims must not wrap before the check.
-        values = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"),
-                               dtype="<f8")
-        finite = np.isfinite(values)
-        if not finite.all():
-            at = offset - values.nbytes + 8 * int(np.argmin(finite))
-            raise CheckpointError(f"non-finite value in {name} at offset {at}"
-                                  f" in {path}")
-        params[name] = values.reshape(dims).copy()
-    return manifest, params
-
-
-def load_model(path: str, expected: dict[str, str] | None = None
-               ) -> tuple[Model, dict[str, str]]:
-    """Rebuild a model from a checkpoint.
-
-    ``expected`` maps manifest keys to the text they must hold there (as
-    ``config_pairs`` writes it); a CheckpointError names each key that differs.
-    """
-    manifest, arrays = read_checkpoint(path)
     try:
-        stored_arch = config_from(ArchConfig, manifest)
-        stored_routing = config_from(RoutingConfig, manifest)
+        arch = config_from(ArchConfig, manifest)
+        routing = config_from(RoutingConfig, manifest)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture or routing description: {exc}") from None
-    diffs = [f"{key} is {manifest.get(key)!r}, expected {text!r}"
-             for key, text in (expected or {}).items() if manifest.get(key) != text]
+    diffs = [f"{key} is {manifest.get(key)!r}, expected {want!r}"
+             for key, want in (expected or {}).items() if manifest.get(key) != want]
     if diffs:
         raise CheckpointError(f"manifest mismatch in {path}: {'; '.join(diffs)}")
-    shapes = stored_arch.param_shapes()
-    if set(arrays) != set(shapes):
-        raise CheckpointError(
-            f"checkpoint {path} parameter names {sorted(arrays)} do not match"
-            f" the architecture's {sorted(shapes)}")
-    params = {}
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"checkpoint {path}: {name} has shape {arrays[name].shape},"
-                f" expected {shape}")
-        params[name] = Tensor(arrays[name], requires_grad=True)
-    return Model(arch=stored_arch, routing=stored_routing, params=params), manifest
+    unread, arrays = arch.param_shapes(), {}
+    while offset < len(raw):
+        start = offset
+        name = take_text(take_u64("tensor name length"), "tensor name")
+        if name not in unread:
+            raise CheckpointError(f"{'duplicate' if name in arrays else 'unexpected'}"
+                                  f" tensor {name} at offset {start} in {path}")
+        shape = unread.pop(name)
+        rank = take_u64(f"rank of {name}")
+        if rank != len(shape):   # before its dims are read, so any rank is safe
+            raise CheckpointError(f"{name} at offset {start} has rank {rank},"
+                                  f" expected {len(shape)}, in {path}")
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
+        if dims != shape:
+            raise CheckpointError(f"{name} at offset {start} has dims {dims},"
+                                  f" expected {shape}, in {path}")
+        values = np.frombuffer(take(8 * math.prod(shape), f"values of {name}"), dtype="<f8")
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = offset - values.nbytes + 8 * int(np.argmin(finite))
+            raise CheckpointError(f"non-finite value in {name} at offset {at} in {path}")
+        arrays[name] = values.reshape(shape).copy()
+    if unread:
+        raise CheckpointError(f"checkpoint {path} lacks tensors {', '.join(unread)}")
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in arch.param_shapes()}
+    return Model(arch=arch, routing=routing, params=params), manifest

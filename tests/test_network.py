@@ -33,7 +33,6 @@ from gcaps.network import (
     load_model,
     one_hot,
     parse_pairs,
-    read_checkpoint,
     save_checkpoint,
     train_step,
     write_atomic,
@@ -611,9 +610,9 @@ class TestCheckpoint:
                                     params={}))
         body = text.encode()
         with open(path, "rb") as fh:
-            assert fh.read() == b"GCAPS1" + struct.pack("<Q", len(body)) + body
-        manifest, _ = read_checkpoint(path)
-        assert config_from(ArchConfig, manifest) == arch
+            blob = fh.read()
+        assert blob == b"GCAPS1" + struct.pack("<Q", len(body)) + body
+        assert config_from(ArchConfig, parse_pairs(blob[14:].decode())) == arch
 
     def test_micro_model_manifest_text_is_fixed(self, tmp_path):
         path = str(tmp_path / "model.ckpt")
@@ -676,7 +675,7 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTCAPS" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="bad checkpoint magic"):
-            read_checkpoint(str(path))
+            load_model(str(path))
 
     def test_truncated_file_rejected(self, tmp_path):
         model = micro_model()
@@ -686,23 +685,19 @@ class TestCheckpoint:
         short = tmp_path / "short.ckpt"
         short.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
-            read_checkpoint(str(short))
+            load_model(str(short))
 
     def test_prefixes_through_framing_rejected(self, tmp_path):
         blob = self.saved_blob(tmp_path)
-        start = len(b"GCAPS1") + 8
-        offset = start + struct.unpack("<Q", blob[start - 8:start])[0]
+        header, records = self.split_records(blob)
+        offset = len(header)
         cuts = set(range(offset + 1))
-        while offset < len(blob):
+        for name, record in records.items():
             # every offset through one tensor's name and dims, then the
             # first and last byte of its values
-            (name_len,) = struct.unpack("<Q", blob[offset:offset + 8])
-            at = offset + 8 + name_len
-            (rank,) = struct.unpack("<Q", blob[at:at + 8])
-            dims = struct.unpack(f"<{rank}Q", blob[at + 8:at + 8 + 8 * rank])
-            values = at + 8 + 8 * rank
+            values = offset + len(self.record(name.encode(), micro_arch().param_shapes()[name]))
             cuts.update(range(offset, values + 1))
-            offset = values + 8 * int(np.prod(dims))
+            offset += len(record)
             cuts.update((values + 1, offset - 1))
         assert offset == len(blob)
         cuts.discard(len(blob))
@@ -724,13 +719,83 @@ class TestCheckpoint:
         return (struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(dims))
                 + struct.pack(f"<{len(dims)}Q", *dims) + values)
 
+    @staticmethod
+    def split_records(blob: bytes) -> tuple[bytes, dict[str, bytes]]:
+        """A checkpoint's magic and manifest, and each tensor record by name."""
+        offset = len(b"GCAPS1") + 8 + struct.unpack("<Q", blob[6:14])[0]
+        header, records = blob[:offset], {}
+        while offset < len(blob):
+            (name_len,) = struct.unpack("<Q", blob[offset:offset + 8])
+            at = offset + 8 + name_len
+            (rank,) = struct.unpack("<Q", blob[at:at + 8])
+            dims = struct.unpack(f"<{rank}Q", blob[at + 8:at + 8 + 8 * rank])
+            end = at + 8 + 8 * rank + 8 * math.prod(dims)
+            records[blob[offset + 8:at].decode()] = blob[offset:end]
+            offset = end
+        return header, records
+
+    @pytest.mark.parametrize("name,dims,message", [
+        ("stem.bias", (8, 1), "stem.bias at offset {at} has rank 2, expected 1"),
+        ("primary.kernel", (16, 4, 9, 9),
+         "primary.kernel at offset {at} has dims (16, 4, 9, 9), expected (8, 8, 9, 9)"),
+        ("stem.scale", (8,), "unexpected tensor stem.scale at offset {at}"),
+    ])
+    def test_bad_record_rejected_at_its_offset(self, tmp_path, name, dims, message):
+        header, records = self.split_records(self.saved_blob(tmp_path))
+        # the values of a tensor of the same size, so only the name or dims are at fault
+        values = records["stem.bias" if name == "stem.scale" else name][-8 * math.prod(dims):]
+        records[name] = self.record(name.encode(), dims, values)
+        blob = header + b"".join(records.values())
+        bad = tmp_path / "bad-record.ckpt"
+        bad.write_bytes(blob)
+        at = blob.index(records[name])
+        with pytest.raises(CheckpointError, match=re.escape(message.format(at=at))):
+            load_model(str(bad))
+
+    def test_hostile_rank_rejected_before_its_dims(self, tmp_path):
+        header, records = self.split_records(self.saved_blob(tmp_path))
+        records["stem.bias"] = self.record(b"stem.bias", ())[:-8] + struct.pack("<Q", 2 ** 64 - 1)
+        blob = header + b"".join(records.values())
+        bad = tmp_path / "rank.ckpt"
+        bad.write_bytes(blob)
+        at = blob.index(records["stem.bias"])
+        with pytest.raises(CheckpointError,
+                           match=f"stem.bias at offset {at} has rank {2 ** 64 - 1}, expected 1"):
+            load_model(str(bad))
+
+    def test_missing_tensors_named(self, tmp_path):
+        header, records = self.split_records(self.saved_blob(tmp_path))
+        del records["routing.weights"], records["decoder.w2"]
+        bad = tmp_path / "missing.ckpt"
+        bad.write_bytes(header + b"".join(records.values()))
+        with pytest.raises(CheckpointError,
+                           match=r"missing\.ckpt lacks tensors routing\.weights, decoder\.w2$"):
+            load_model(str(bad))
+
+    def test_records_in_reverse_order_load_in_build_order(self, tmp_path):
+        model = micro_model("alg4", seed=9)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, model, extra={"seed": "9"})
+        blob = open(path, "rb").read()
+        header, records = self.split_records(blob)
+        assert list(records) == list(model.params)
+        reversed_blob = header + b"".join(reversed(records.values()))
+        assert reversed_blob != blob
+        (tmp_path / "reversed.ckpt").write_bytes(reversed_blob)
+        loaded, _ = load_model(str(tmp_path / "reversed.ckpt"))
+        assert list(loaded.params) == list(model.params)
+        for k in model.params:
+            assert loaded.params[k].data.tobytes() == model.params[k].data.tobytes()
+        save_checkpoint(str(tmp_path / "resaved.ckpt"), loaded, extra={"seed": "9"})
+        assert (tmp_path / "resaved.ckpt").read_bytes() == blob
+
     def test_duplicate_tensor_rejected(self, tmp_path):
         blob = self.saved_blob(tmp_path)
         kernel = micro_model().params["stem.kernel"].data
         bad = tmp_path / "dup.ckpt"
         bad.write_bytes(blob + self.record(b"stem.kernel", kernel.shape, kernel.tobytes()))
         with pytest.raises(CheckpointError, match=f"duplicate tensor stem.kernel at offset {len(blob)}"):
-            read_checkpoint(str(bad))
+            load_model(str(bad))
 
     def test_non_utf8_text_rejected(self, tmp_path):
         blob = self.saved_blob(tmp_path)
@@ -738,20 +803,22 @@ class TestCheckpoint:
         bad = tmp_path / "manifest.ckpt"
         bad.write_bytes(blob[:manifest_start] + b"\xff" + blob[manifest_start + 1:])
         with pytest.raises(CheckpointError, match=f"manifest is not UTF-8 at offset {manifest_start}"):
-            read_checkpoint(str(bad))
+            load_model(str(bad))
         bad = tmp_path / "name.ckpt"
         bad.write_bytes(blob + self.record(b"ok\xff", ()))
         with pytest.raises(CheckpointError,
                            match=f"tensor name is not UTF-8 at offset {len(blob) + 8 + 2}"):
-            read_checkpoint(str(bad))
+            load_model(str(bad))
 
     def test_overflowing_dims_rejected(self, tmp_path):
-        blob = self.saved_blob(tmp_path)
+        header, _ = self.split_records(self.saved_blob(tmp_path))
         bad = tmp_path / "huge.ckpt"
         # 2**62 * 2**62 wraps to 0 in int64, which must not pass as an empty tensor.
-        bad.write_bytes(blob + self.record(b"huge", (2 ** 62, 2 ** 62)))
-        with pytest.raises(CheckpointError, match=f"values of huge at offset {len(blob) + 36}"):
-            read_checkpoint(str(bad))
+        dims = (2 ** 62, 2 ** 62, 1, 1)
+        bad.write_bytes(header + self.record(b"stem.kernel", dims))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"stem.kernel at offset {len(header)} has dims {dims}, expected (8, 1, 9, 9)")):
+            load_model(str(bad))
 
     def test_non_finite_value_rejected(self, tmp_path):
         model = micro_model()
@@ -784,7 +851,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=r"malformed manifest in .*dup-key\.ckpt: line \d+:"
                                  r" duplicate key 'iterations'"):
-            read_checkpoint(str(bad))
+            load_model(str(bad))
 
     def test_manifest_line_without_equals_rejected(self, tmp_path):
         blob = self.saved_blob(tmp_path)
@@ -796,7 +863,7 @@ class TestCheckpoint:
                         + blob[start + length:])
         with pytest.raises(CheckpointError,
                            match=r"malformed manifest in .*no-eq\.ckpt: line 1: expected key=value"):
-            read_checkpoint(str(bad))
+            load_model(str(bad))
 
     # stripped, skipped as a comment, or split into two lines, these would
     # not read back as written
@@ -839,18 +906,18 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, micro_model(),
                         extra={"run_id": "x", "augment": True, "seeds": (3, 1)})
-        manifest, _ = read_checkpoint(path)
+        _, manifest = load_model(path)
         assert (manifest["run_id"], manifest["augment"], manifest["seeds"]) == ("x", "true", "3,1")
 
     def test_manifest_is_sorted_key_value_text(self, tmp_path):
         model = micro_model()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        manifest, params = read_checkpoint(path)
+        loaded, manifest = load_model(path)
         assert manifest["num_types"] == "2"
         assert manifest["softmax_axis"] == "upper_per_lower"
         assert manifest["weight_init_std"] == "0.1"
-        assert set(params) == set(model.params)
+        assert list(loaded.params) == list(model.params)
 
     def test_save_is_atomic_no_temp_left(self, tmp_path):
         model = micro_model()
