@@ -29,7 +29,7 @@ from .network import (
     train_step,
     write_atomic,
 )
-from .routing import RoutingConfig, initial_coupling, route
+from .routing import Grouping, RoutingConfig, initial_coupling, route
 from .seeds import SEED_ROLE_TRIALS, derived_rng
 from .tensor import NonFiniteError, Tensor, no_grad
 
@@ -239,7 +239,6 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
     also writes them as one binary PGM raster (panels tiled row-major,
     11 per row, 1-pixel separators).
     """
-    from .routing import Grouping
     if model.routing.grouping is not Grouping.BY_TYPE:
         raise ValueError("reconstruction_grid requires a grouped-routing model"
                          " (per-type capsules exist only there)")

@@ -1,15 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on the output
-node.  An op whose gradient at each input is a local function of the
-output's (elementwise ops, ``matmul``, ``reshape``, ``transpose``, ``reduce``,
-``capsule.predict``) passes one such function per input to ``_local_node``,
-whose one backward sums each back over the broadcast axes into the inputs
-that need it; an op that adopts or defers (see below) passes its own closure
-to ``Tensor._node``.  ``Tensor.backward`` builds a :class:`GradTape` (a
-topologically ordered list of nodes) and walks it in reverse.  Broadcasting
-follows trailing-dimension rules only: aligned from the right, a dimension
-pairs if the sizes are equal or one of them is 1.
+Every op is one ``Tensor`` method or operator (``+``, ``@``, ``.exp``,
+``.reshape``, ...), except the module functions ``softmax_along``,
+``conv2d`` and ``reduce`` (the body ``.sum``, ``.mean`` and ``.max`` share).
+Each records its inputs and a backward closure on the output node.  An op
+whose gradient at each input is a local function of the output's (the
+elementwise ops, ``@``, ``.reshape``, ``.transpose``, ``reduce``,
+``capsule.predict``) passes one such function per input to
+``_local_node``, whose one backward sums each back over the broadcast axes
+into the inputs that need it; an op that adopts or defers (see below)
+passes its own closure to ``Tensor._node``.  ``Tensor.backward`` builds a
+:class:`GradTape` (a topologically ordered list of nodes) and walks it in
+reverse.  Broadcasting follows trailing-dimension rules only: aligned from
+the right, a dimension pairs if the sizes are equal or one of them is 1.
 
 Gradients accumulate into ``.grad`` until explicitly cleared, so backward
 passes over newly built graphs sum their contributions.  A pass consumes
@@ -230,35 +233,54 @@ class Tensor:
         self._accumulate(np.ones((), dtype=self.data.dtype).reshape(self.data.shape))
         tape.run()
 
-    # -- operator sugar ---------------------------------------------------
+    # -- operations -------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
+    # numpy defers to the reflected operators, so an ndarray on the left
+    # gives one node, not an object array of them.
+    __array_ufunc__ = None
+
+    def __add__(self, other) -> "Tensor":
+        a, b = _operands(self, other)
+        return _local_node("add", a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
+    def __sub__(self, other) -> "Tensor":
+        a, b = _operands(self, other)
+        return _local_node("sub", a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
-    def __rsub__(self, other):
-        return sub(other, self)
+    def __rsub__(self, other) -> "Tensor":
+        return Tensor.__sub__(other, self)
 
-    def __mul__(self, other):
-        return mul(self, other)
+    def __mul__(self, other) -> "Tensor":
+        a, b = _operands(self, other)
+        return _local_node("mul", a.data * b.data, (a, b),
+                           (lambda g: g * b.data, lambda g: g * a.data))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
+    def __truediv__(self, other) -> "Tensor":
+        a, b = _operands(self, other)
+        return _local_node("div", a.data / b.data, (a, b),
+                           (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
 
-    def __rtruediv__(self, other):
-        return div(other, self)
+    def __rtruediv__(self, other) -> "Tensor":
+        return Tensor.__truediv__(other, self)
 
-    def __neg__(self):
-        return neg(self)
+    def __neg__(self) -> "Tensor":
+        return _local_node("neg", -self.data, (self,), (lambda g: -g,))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
+    def __matmul__(self, other) -> "Tensor":
+        """Batched matrix product; leading dimensions broadcast."""
+        a, b = self, as_tensor(other)
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
+            raise ShapeError(f"matmul inner dimensions disagree: {a.shape} and {b.shape}")
+        _broadcast_shape(a.shape[:-2], b.shape[:-2])
+        return _local_node("matmul", np.matmul(a.data, b.data), (a, b),
+                           (lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                            lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce("sum", self, axis, keepdims)
@@ -270,22 +292,32 @@ class Tensor:
         return reduce("max", self, axis, keepdims)
 
     def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape)
+        return _local_node("reshape", self.data.reshape(shape), (self,),
+                           (lambda g: g.reshape(self.shape),))
 
     def transpose(self, *axes) -> "Tensor":
-        return transpose(self, axes)
+        if sorted(axes) != list(range(self.ndim)):
+            raise ShapeError(f"axes {axes} is not a permutation for shape {self.shape}")
+        inverse = tuple(int(i) for i in np.argsort(axes))
+        return _local_node("transpose", np.ascontiguousarray(self.data.transpose(axes)),
+                           (self,), (lambda g: g.transpose(inverse),))
 
     def exp(self) -> "Tensor":
-        return exp(self)
+        out_data = np.exp(self.data)
+        return _local_node("exp", out_data, (self,), (lambda g: g * out_data,))
 
     def sqrt(self) -> "Tensor":
-        return sqrt(self)
+        out_data = np.sqrt(self.data)
+        return _local_node("sqrt", out_data, (self,), (lambda g: g * (0.5 / out_data),))
 
     def relu(self) -> "Tensor":
-        return relu(self)
+        return _local_node("relu", np.maximum(self.data, 0.0), (self,),
+                           (lambda g: g * (self.data > 0.0),))
 
     def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        return _local_node("sigmoid", out_data, (self,),
+                           (lambda g: g * out_data * (1.0 - out_data),))
 
 
 class GradTape:
@@ -427,7 +459,7 @@ def _local_node(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     summed back over the axes that input was broadcast along.  Inputs that
     need no gradient are skipped, so their terms are never computed.  A
     term that is a fresh array is adopted; ``g`` itself or a view of it
-    (``add``, ``reshape``, ``transpose``, ``sum``) is copied."""
+    (``+``, ``.reshape``, ``.transpose``, ``.sum``) is copied."""
 
     def backward(g):
         for t, grad in zip(inputs, grads):
@@ -441,88 +473,7 @@ def _local_node(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     return Tensor._node(out_data, inputs, backward, op)
 
 
-# -- elementwise operations -------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    return _local_node("add", a.data + b.data, (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    return _local_node("sub", a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    return _local_node("mul", a.data * b.data, (a, b),
-                       (lambda g: g * b.data, lambda g: g * a.data))
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    return _local_node("div", a.data / b.data, (a, b),
-                       (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)))
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _local_node("neg", -a.data, (a,), (lambda g: -g,))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    return _local_node("exp", out_data, (a,), (lambda g: g * out_data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-    return _local_node("sqrt", out_data, (a,), (lambda g: g * (0.5 / out_data),))
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    return _local_node("relu", np.maximum(a.data, 0.0), (a,), (lambda g: g * (a.data > 0.0),))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-    return _local_node("sigmoid", out_data, (a,),
-                       (lambda g: g * out_data * (1.0 - out_data),))
-
-
-# -- contraction and structure ----------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    """Batched matrix product; leading dimensions broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} and {b.shape}")
-    _broadcast_shape(a.shape[:-2], b.shape[:-2])
-    return _local_node("matmul", np.matmul(a.data, b.data), (a, b),
-                       (lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                        lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    return _local_node("reshape", a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
-
-
-def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"axes {axes} is not a permutation for shape {a.shape}")
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return _local_node("transpose", np.ascontiguousarray(a.data.transpose(axes)), (a,),
-                       (lambda g: g.transpose(inverse),))
+# -- reductions and softmax ------------------------------------------------
 
 
 def reduce(op_kind: str, t, axis=None, keepdims: bool = False) -> Tensor:

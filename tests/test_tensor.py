@@ -3,6 +3,7 @@ differences, convolution against a direct seven-loop evaluation, and the
 structural invariants of the tape."""
 
 import ctypes
+import operator
 import platform
 import tracemalloc
 import weakref
@@ -22,14 +23,10 @@ from gcaps.tensor import (
     _conv2d_geometry,
     _spectrum,
     _values_at,
-    add,
     conv2d,
-    matmul,
-    mul,
     no_grad,
     reduce,
     softmax_along,
-    sub,
 )
 
 
@@ -76,7 +73,7 @@ def check_grad(build, shapes, rng, rel_tol=1e-6, eps=1e-5, scale=1.0):
 class TestElementwise:
     def test_binary_ops_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        for op in (add, sub, mul):
+        for op in (operator.add, operator.sub, operator.mul):
             check_grad(lambda ts, op=op: op(ts[0], ts[1]).sum(),
                        [(3, 4), (3, 4)], rng)
 
@@ -140,20 +137,20 @@ class TestElementwise:
 class TestMatmul:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
-        check_grad(lambda ts: matmul(ts[0], ts[1]).sum(), [(3, 4), (4, 5)], rng)
+        check_grad(lambda ts: (ts[0] @ ts[1]).sum(), [(3, 4), (4, 5)], rng)
 
     def test_batched_with_leading_broadcast(self):
         rng = np.random.default_rng(22)
-        check_grad(lambda ts: matmul(ts[0], ts[1]).sum(), [(6, 3, 4), (4, 5)], rng)
-        check_grad(lambda ts: matmul(ts[0], ts[1]).sum(), [(2, 1, 3, 4), (5, 4, 2)], rng)
+        check_grad(lambda ts: (ts[0] @ ts[1]).sum(), [(6, 3, 4), (4, 5)], rng)
+        check_grad(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 1, 3, 4), (5, 4, 2)], rng)
 
     def test_inner_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 6))))
+            Tensor(np.zeros((3, 4))) @ Tensor(np.zeros((5, 6)))
 
     def test_rank_below_two_raises(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros(4)), Tensor(np.zeros((4, 2))))
+            Tensor(np.zeros(4)) @ Tensor(np.zeros((4, 2)))
 
 
 class TestReduce:
@@ -890,6 +887,21 @@ class TestConv2dPathChoice:
                      id="default-primary-batch6-no-grad"),
         pytest.param((4, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), False,
                      id="compact-primary-batch4"),
+        # The batch on each side of every crossover that README states.
+        pytest.param((14, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), False,
+                     id="default-primary-batch14"),
+        pytest.param((15, 256, 20, 20), (256, 256, 9, 9), 2, (True, True), True,
+                     id="default-primary-batch15"),
+        pytest.param((15, 256, 20, 20), (256, 256, 9, 9), 2, (False, False), False,
+                     id="default-primary-batch15-no-grad"),
+        pytest.param((16, 256, 20, 20), (256, 256, 9, 9), 2, (False, False), True,
+                     id="default-primary-batch16-no-grad"),
+        pytest.param((15, 32, 20, 20), (64, 32, 9, 9), 2, (True, True), False,
+                     id="compact-primary-batch15"),
+        pytest.param((22, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), False,
+                     id="compact-primary-batch22-no-grad"),
+        pytest.param((23, 32, 20, 20), (64, 32, 9, 9), 2, (False, False), True,
+                     id="compact-primary-batch23-no-grad"),
     ])
     def test_cheaper_path_by_shape(self, x_shape, k_shape, stride, grads, spectral):
         costs = _conv2d_costs(x_shape, k_shape, _conv2d_geometry(x_shape, k_shape, stride, 0),
@@ -956,13 +968,33 @@ class TestFreedPagesKept:
 
 
 class TestScalarOperands:
-    @pytest.mark.parametrize("op", [add, sub, mul, tensor_module.div])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                             ids=["add", "sub", "mul", "div"])
     @pytest.mark.parametrize("scalar", [2, 0.5])
     def test_python_scalar_takes_the_tensor_dtype(self, op, scalar):
         for dtype in (np.float32, np.float64):
             t = Tensor(np.full(3, 1.5), dtype=dtype)
             assert op(t, scalar).data.dtype == dtype
             assert op(scalar, t).data.dtype == dtype
+
+    @pytest.mark.parametrize("op,tag,grad", [
+        (operator.add, "add", lambda a, t: np.ones_like(t)),
+        (operator.sub, "sub", lambda a, t: -np.ones_like(t)),
+        (operator.mul, "mul", lambda a, t: a),
+        (operator.truediv, "div", lambda a, t: -a / (t * t)),
+    ], ids=["add", "sub", "mul", "div"])
+    def test_ndarray_on_the_left_gives_one_node(self, op, tag, grad):
+        a, values = np.full(3, 2.0), np.array([0.5, 1.0, 4.0])
+        t = Tensor(values, requires_grad=True)
+        out = op(a, t)
+        assert isinstance(out, Tensor) and out._op == tag
+        assert np.array_equal(out.data, op(a, values))
+        out.sum().backward()
+        assert np.allclose(t.grad, grad(a, values), rtol=1e-15, atol=0)
+
+    def test_ndarray_matmul_tensor_raises(self):
+        with pytest.raises(TypeError):
+            np.ones((2, 3)) @ Tensor(np.ones((3, 2)))
 
     def test_float64_results_unchanged(self):
         t = Tensor(np.array([0.1, 0.7, 3.0]))
