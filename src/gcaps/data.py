@@ -51,8 +51,7 @@ class Dataset:
             raise ValueError(
                 f"images ({len(self.images)}) and labels ({len(self.labels)})"
                 f" must align one to one")
-        if len(self.images) and (self.images.min() < 0.0
-                                 or self.images.max() > 1.0):
+        if len(self.images) and not (0.0 <= self.images.min() and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")

@@ -46,7 +46,7 @@ from .capsule import (
 from .data import IMAGE_SHAPE, NUM_CLASSES
 from .routing import RoutingConfig, route
 from .seeds import SEED_ROLE_INIT, derived_rng
-from .tensor import NonFiniteError, ShapeError, Tensor, conv2d, first_nonfinite, no_grad
+from .tensor import NonFiniteError, ShapeError, Tensor, conv2d, no_grad
 
 CHECKPOINT_MAGIC = b"GCAPS1"
 WEIGHT_INIT_STD = 0.1   # prediction-transform init; recorded in checkpoints
@@ -366,35 +366,29 @@ class Adam:
 
 
 def batch_loss(model: Model, images: np.ndarray, labels_1h: np.ndarray):
-    """Forward pass and total loss; returns (loss, lengths, named probes,
-    couplings)."""
+    """Forward pass and total loss; returns (loss, lengths, couplings): the
+    margin plus reconstruction loss, digit lengths and routing couplings."""
     lengths, digit_caps, _, couplings = forward(model, images)
     margin = margin_loss(lengths, Tensor(labels_1h))
     decoded = decode(model, digit_caps, Tensor(labels_1h))
     recon = reconstruction_loss(decoded, Tensor(images.reshape(images.shape[0], -1)))
-    total = margin + RECON_WEIGHT * recon
-    probes = [("digit_caps", digit_caps), ("lengths", lengths),
-              ("decoded", decoded), ("margin_loss", margin),
-              ("reconstruction_loss", recon), ("total_loss", total)]
-    return total, lengths, probes, couplings
+    return margin + RECON_WEIGHT * recon, lengths, couplings
 
 
 def train_step(model: Model, optimizer: Adam, images: np.ndarray,
                labels: np.ndarray) -> tuple[float, float]:
-    """One optimization step; returns (loss, accuracy) on the batch."""
-    labels_1h = one_hot(labels)
-    param_probes = [(f"parameter {k}", t) for k, t in model.params.items()]
+    """One optimization step; returns (loss, accuracy) on the batch.  A NaN
+    or inf in the forward pass or the loss raises NonFiniteError naming the
+    first non-finite parameter, else "an intermediate activation"."""
     try:
         # not the couplings: held, they would outlive backward and raise its peak
-        total, lengths, probes = batch_loss(model, images, labels_1h)[:3]
+        total, lengths = batch_loss(model, images, one_hot(labels))[:2]
+        if not np.isfinite(total.data).all():
+            raise NonFiniteError("non-finite loss")
     except NonFiniteError as exc:
-        culprit = first_nonfinite(param_probes) or "an intermediate activation"
-        raise NonFiniteError(f"non-finite values in forward pass ({exc});"
-                             f" first non-finite tensor: {culprit}") from None
-    if not np.isfinite(total.data).all():
-        culprit = first_nonfinite(param_probes + probes)
-        raise NonFiniteError(f"non-finite loss; first non-finite tensor:"
-                             f" {culprit}")
+        culprit = next((f"parameter {k}" for k, t in model.params.items()
+                        if not np.isfinite(t.data).all()), "an intermediate activation")
+        raise NonFiniteError(f"{exc}; first non-finite tensor: {culprit}") from None
     optimizer.zero_grad()
     total.backward()
     optimizer.step()
@@ -420,7 +414,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
         for start in range(0, n, batch_size):
             img = images[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            total, lengths, _, couplings = batch_loss(model, img, one_hot(lab))
+            total, lengths, couplings = batch_loss(model, img, one_hot(lab))
             loss_sum += total.item() * len(lab)
             pred = lengths.data.argmax(axis=1)
             np.add.at(confusion, (lab, pred), 1)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -902,10 +902,3 @@ def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(-1, len(rows), len(cols))
     return out
 
-
-def first_nonfinite(named: Iterable[tuple[str, Tensor]]) -> str | None:
-    """Name of the first tensor holding NaN/inf, scanning in given order."""
-    for name, t in named:
-        if not np.isfinite(t.data).all():
-            return name
-    return None

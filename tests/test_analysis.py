@@ -5,6 +5,7 @@ grids."""
 import itertools
 import os
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestCsvFormat:
     def test_lf_line_endings_and_trailing_newline(self, tmp_path):
         path = str(tmp_path / "m.csv")
         write_csv(path, "a,b", [(1, 2.0), ("x", "y")])
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
         assert raw.decode("utf-8").splitlines()[0] == "a,b"
@@ -88,7 +89,7 @@ class TestCsvFormat:
         path = str(tmp_path / "m.csv")
         write_csv(path, "a", [(1,), (2,)])
         write_csv(path, "a", [(3,)])
-        assert open(path).read() == "a\n3\n"
+        assert Path(path).read_text() == "a\n3\n"
         assert [p for p in os.listdir(tmp_path) if ".tmp" in p] == []
 
 
@@ -176,7 +177,7 @@ class TestTrainRun:
             path = str(tmp_path / f"m{attempt}.csv")
             write_metrics(path, records)
             paths.append(path)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_accuracy_and_loss_are_plausible(self):
         train, test = tiny_sets()
@@ -199,7 +200,7 @@ class TestComparison:
         for name in ("alg1", "alg2"):
             for seed in (0, 1):
                 assert os.path.exists(os.path.join(out, f"metrics-{name}-s{seed}.csv"))
-        lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "report.csv")).read_text().splitlines()
         assert lines[0] == "config,label,dataset,seed_0,seed_1,mean,diverged"
         assert lines[1].startswith("alg1,b,")
         assert lines[2].startswith("alg2,bc,")
@@ -229,7 +230,7 @@ class TestComparison:
         assert res.diverged_seeds == [1]
         self.diverge_seeds(monkeypatch, {1})
         results = self.compare_alg2(tmp_path, seeds=(0, 1, 2))
-        row = open(os.path.join(tmp_path, "report.csv")).read().splitlines()[1].split(",")
+        row = Path(os.path.join(tmp_path, "report.csv")).read_text().splitlines()[1].split(",")
         assert row[4] == "diverged"
         assert row[-2] == fmt(results[0].mean_accuracy)
         assert row[-1] == "1"
@@ -238,7 +239,7 @@ class TestComparison:
         self.diverge_seeds(monkeypatch, {0})
         results = self.compare_alg2(tmp_path, seeds=(0,))
         assert results[0].mean_accuracy is None
-        lines = open(os.path.join(tmp_path, "report.csv")).read().splitlines()
+        lines = Path(os.path.join(tmp_path, "report.csv")).read_text().splitlines()
         assert lines[1] == "alg2,bc,synthetic,diverged,diverged,0"
 
     @staticmethod
@@ -304,7 +305,7 @@ class TestInitStudy:
             spec, [RoutingConfig.from_name("alg1")], num_trials=10, seed=0)
         path = str(tmp_path / "study.csv")
         write_study(path, rows)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == STUDY_HEADER
         assert len(lines) == 1 + len(rows)
 
@@ -328,7 +329,7 @@ class TestReconstructionGrid:
         image = synthetic_dataset(seed=1, n=10).images[3]
         path = str(tmp_path / "grid.pgm")
         reconstruction_grid(model, image, label=3, path=path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw.startswith(b"P5\n")
 
     def test_pgm_grid_geometry(self, tmp_path):
@@ -336,7 +337,7 @@ class TestReconstructionGrid:
         panels[0, :, :] = 1.0
         path = str(tmp_path / "g.pgm")
         write_pgm_grid(path, panels)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         # 33 panels at 11 per row: 3 rows, separators between tiles
         width, height = 11 * 28 + 10, 3 * 28 + 2
         header = f"P5\n{width} {height}\n255\n".encode()
@@ -349,7 +350,7 @@ class TestReconstructionGrid:
         panels = np.full((1, 4, 4), 0.5)
         path = str(tmp_path / "q.pgm")
         write_pgm_grid(path, panels)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         header = b"P5\n4 4\n255\n"
         pixels = np.frombuffer(raw[len(header):], dtype=np.uint8)
         assert (pixels == 128).all()    # round(0.5 * 255)

@@ -5,6 +5,7 @@ fixture generator."""
 import gzip
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,26 +78,26 @@ class TestLoadIdx:
     def test_bad_image_magic(self, tmp_path):
         ip, lp = make_pair(tmp_path, np.zeros((1, 4, 4), np.uint8),
                            np.zeros(1, np.uint8))
-        raw = bytearray(open(ip, "rb").read())
+        raw = bytearray(Path(ip).read_bytes())
         raw[:4] = struct.pack(">I", 0x00000807)
-        open(ip, "wb").write(bytes(raw))
+        Path(ip).write_bytes(bytes(raw))
         with pytest.raises(IdxFormatError, match="bad magic"):
             load_idx(ip, lp)
 
     def test_bad_label_magic(self, tmp_path):
         ip, lp = make_pair(tmp_path, np.zeros((1, 4, 4), np.uint8),
                            np.zeros(1, np.uint8))
-        raw = bytearray(open(lp, "rb").read())
+        raw = bytearray(Path(lp).read_bytes())
         raw[:4] = struct.pack(">I", 0x00000803)   # image magic on a label file
-        open(lp, "wb").write(bytes(raw))
+        Path(lp).write_bytes(bytes(raw))
         with pytest.raises(IdxFormatError, match=lp.replace("\\", ".")):
             load_idx(ip, lp)
 
     def test_truncated_image_payload(self, tmp_path):
         ip, lp = make_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
                            np.zeros(2, np.uint8))
-        raw = open(ip, "rb").read()
-        open(ip, "wb").write(raw[:-5])
+        raw = Path(ip).read_bytes()
+        Path(ip).write_bytes(raw[:-5])
         with pytest.raises(IdxFormatError, match="promises"):
             load_idx(ip, lp)
 
@@ -181,24 +182,24 @@ class TestLoadIdx:
 
     def test_truncated_gzip_stream(self, tmp_path):
         ip, lp = tiny_pair(tmp_path, compress=True)
-        blob = open(ip, "rb").read()
-        open(ip, "wb").write(blob[:-10])
+        blob = Path(ip).read_bytes()
+        Path(ip).write_bytes(blob[:-10])
         with pytest.raises(IdxFormatError, match=f"{ip}: gzip stream ends"):
             load_idx(ip, lp)
 
     def test_corrupt_gzip_file(self, tmp_path):
         ip, lp = tiny_pair(tmp_path, compress=True)
-        blob = bytearray(open(ip, "rb").read())
+        blob = bytearray(Path(ip).read_bytes())
         blob[-8] ^= 0xFF                       # the CRC-32 trailer
-        open(ip, "wb").write(bytes(blob))
+        Path(ip).write_bytes(bytes(blob))
         with pytest.raises(IdxFormatError, match=f"{ip}: corrupt gzip data"):
             load_idx(ip, lp)
 
     def test_corrupt_deflate_data(self, tmp_path):
         ip, lp = tiny_pair(tmp_path, compress=True)
-        blob = bytearray(open(ip, "rb").read())
+        blob = bytearray(Path(ip).read_bytes())
         blob[10] = 0b111                        # final block of reserved type 3
-        open(ip, "wb").write(bytes(blob))
+        Path(ip).write_bytes(bytes(blob))
         with pytest.raises(IdxFormatError, match=f"{ip}: corrupt gzip data"):
             load_idx(ip, lp)
 
@@ -209,9 +210,11 @@ class TestDataset:
             Dataset(images=np.zeros((3, 1, 4, 4)), labels=np.zeros(2, np.int64),
                     name="x", split="train")
 
-    def test_pixel_range_enforced(self):
+    # NaN fails every comparison, so the check must be one that it fails.
+    @pytest.mark.parametrize("value", [1.5, -0.1, np.nan])
+    def test_pixel_range_enforced(self, value):
         with pytest.raises(ValueError):
-            Dataset(images=np.full((1, 1, 2, 2), 1.5),
+            Dataset(images=np.full((1, 1, 2, 2), value),
                     labels=np.zeros(1, np.int64), name="x", split="train")
 
     def test_subset(self):

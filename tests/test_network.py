@@ -8,6 +8,7 @@ import struct
 import tracemalloc
 import weakref
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestForward:
         # its conv2d node; as separate reshape, add and relu nodes they
         # would make 115.
         model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), seed=0)
-        total, _, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2])))
+        total, _, _ = batch_loss(model, np.zeros((2, 1, 28, 28)), one_hot(np.array([1, 2])))
         assert len(GradTape.from_root(total).nodes) == 110
 
     def test_grouped_loss_graphs_are_the_same_size(self):
@@ -244,8 +245,8 @@ class TestForward:
         # axis; as a reshape, softmax and reshape alg4 would make 144.
         for name in ("alg3", "alg4"):
             model = build_model(ArchConfig.compact(), RoutingConfig.from_name(name), seed=0)
-            total, _, _, _ = batch_loss(model, np.zeros((4, 1, 28, 28)),
-                                        one_hot(np.arange(4)))
+            total, _, _ = batch_loss(model, np.zeros((4, 1, 28, 28)),
+                                     one_hot(np.arange(4)))
             assert len(GradTape.from_root(total).nodes) == 140
 
 
@@ -448,7 +449,7 @@ class TestTrainStep:
 
         def traced_loss(*args):
             out = real_loss(*args)
-            refs.extend(weakref.ref(c) for c in out[3])
+            refs.extend(weakref.ref(c) for c in out[2])
             return out
 
         def checked_step(self):
@@ -463,12 +464,44 @@ class TestTrainStep:
             assert len(refs) == 3
             refs.clear()
 
-    def test_poisoned_parameter_is_named(self):
+    def test_decoder_output_is_dead_when_the_optimizer_steps(self, monkeypatch):
+        # Only the loss and lengths outlive batch_loss; backward frees the
+        # rest of the graph as it walks down.
+        refs = []
+        real_decode, real_step = network_module.decode, Adam.step
+
+        def traced_decode(*args):
+            out = real_decode(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        def checked_step(self):
+            assert refs and all(ref() is None for ref in refs)
+            real_step(self)
+
+        monkeypatch.setattr(network_module, "decode", traced_decode)
+        monkeypatch.setattr(Adam, "step", checked_step)
         model = micro_model()
-        model.params["stem.kernel"].data[0, 0, 0, 0] = np.nan
-        with pytest.raises(NonFiniteError, match="parameter stem.kernel"):
+        train_step(model, Adam(model.params), np.zeros((2, 1, 28, 28)), np.array([0, 1]))
+        assert len(refs) == 1
+
+    # A NaN in the stem kernel stops the forward pass at squash; one in the
+    # decoder's last weights first shows in the loss.
+    @pytest.mark.parametrize("name", ["stem.kernel", "decoder.w3"])
+    def test_poisoned_parameter_is_named(self, name):
+        model = micro_model()
+        model.params[name].data.flat[0] = np.nan
+        with pytest.raises(NonFiniteError, match=f"; first non-finite tensor: parameter {name}$"):
             train_step(model, Adam(model.params),
                        np.zeros((1, 1, 28, 28)), np.array([0]))
+
+    def test_nan_image_blames_an_intermediate_activation(self):
+        model = micro_model()
+        images = np.zeros((1, 1, 28, 28))
+        images[0, 0, 14, 14] = np.nan
+        with pytest.raises(NonFiniteError,
+                           match="first non-finite tensor: an intermediate activation$"):
+            train_step(model, Adam(model.params), images, np.array([0]))
 
 
 class TestBackwardMemory:
@@ -481,7 +514,7 @@ class TestBackwardMemory:
         model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg1"), seed=3)
         rng = np.random.default_rng(73)
         images = rng.uniform(0, 1, (batch, 1, 28, 28))
-        total, _, _, _ = batch_loss(model, images, one_hot(np.arange(batch) % 10))
+        total, _, _ = batch_loss(model, images, one_hot(np.arange(batch) % 10))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -499,7 +532,7 @@ class TestBackwardMemory:
         assert peak < 25 * 2**20
 
     def test_only_parameter_gradients_outlive_the_pass(self):
-        # The caller holds the loss, lengths and probes (a few KB of
+        # The caller holds the loss and lengths (a few KB of
         # gradient); the kept tape left 3.5x the parameter bytes here.
         _, end, param_bytes = self.traced_backward(16)
         assert end < 1.1 * param_bytes
@@ -618,7 +651,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, micro_model("alg4", seed=9),
                         extra={"run_id": "micro", "augment": False})
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (length,) = struct.unpack("<Q", blob[6:14])
         assert blob[14:14 + length].decode() == (
             "augment=false\ndecoder_hidden=16,32\ndigit_dim=4\ngrouping=by_type\n"
@@ -681,7 +714,7 @@ class TestCheckpoint:
         model = micro_model()
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         short = tmp_path / "short.ckpt"
         short.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -712,7 +745,7 @@ class TestCheckpoint:
     def saved_blob(tmp_path) -> bytes:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, micro_model())
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
     @staticmethod
     def record(name: bytes, dims: tuple[int, ...], values: bytes = b"") -> bytes:
@@ -776,7 +809,7 @@ class TestCheckpoint:
         model = micro_model("alg4", seed=9)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model, extra={"seed": "9"})
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header, records = self.split_records(blob)
         assert list(records) == list(model.params)
         reversed_blob = header + b"".join(reversed(records.values()))
@@ -827,7 +860,7 @@ class TestCheckpoint:
             model.params[names[1]].data[2] = bad_value
             path = str(tmp_path / "nan.ckpt")
             save_checkpoint(path, model)
-            blob = open(path, "rb").read()
+            blob = Path(path).read_bytes()
             at = blob.index(np.array([bad_value]).tobytes())
             with pytest.raises(CheckpointError,
                                match=f"non-finite value in {names[1]} at offset {at}"):
