@@ -31,8 +31,9 @@ from .analysis import (
     write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
-from .network import (ArchConfig, Model, TrainConfig, config_from, config_pairs, evaluate,
-                      format_pairs, load_model, parse_pairs, save_checkpoint, write_atomic)
+from .network import (ArchConfig, CheckpointError, Model, TrainConfig, config_from,
+                      config_pairs, evaluate, format_pairs, load_model, parse_pairs,
+                      save_checkpoint, write_atomic)
 from .routing import VARIANT_NAMES, RoutingConfig
 
 DATASET_NAMES = ("mnist", "fmnist", "kmnist", "synthetic")
@@ -85,8 +86,8 @@ class RunConfig(TrainConfig):
             raise ConfigError("train_limit and test_limit must be >= 0")
         if self.index < 0:
             raise ConfigError("index must be >= 0")
-        if "/" in self.run_id or os.sep in self.run_id:
-            raise ConfigError(f"run_id must not hold a path separator, got {self.run_id!r}")
+        if {"/", os.sep, ","} & set(self.run_id):    # a comma would split CSV cells
+            raise ConfigError(f"run_id must hold no path separator or comma, got {self.run_id!r}")
         try:
             super().__post_init__()
             for name in (self.routing, *self.configs):
@@ -175,14 +176,18 @@ def load_split(cfg: RunConfig, split: str) -> Dataset:
 
 
 def load_checkpoint(cfg: RunConfig, provided: set, path: str) -> tuple[Model, RunConfig]:
-    """The model at ``path``, checked against only the keys the user named
-    (``arch`` names every architecture key, ``routing`` the softmax axis and
-    grouping), and ``cfg`` as the run it makes: the checkpoint's own routing
-    and iterations, and its arch when its widths are a preset's."""
+    """The model that load_model reads from ``path``, checked on its configs
+    against only the keys the user named (``arch`` names every architecture
+    key, ``routing`` the softmax axis and grouping), and ``cfg`` as the run it
+    makes: the checkpoint's routing and iterations, and arch if it is a preset."""
     named_by = {"softmax_axis": "routing", "grouping": "routing", "iterations": "iterations"}
-    pairs = {**config_pairs(cfg.arch_config()), **config_pairs(cfg.routing_config())}
-    expected = {k: v for k, v in pairs.items() if named_by.get(k, "arch") in provided}
-    model, _ = load_model(path, expected)
+    model, _ = load_model(path)
+    got = {**config_pairs(model.arch), **config_pairs(model.routing)}
+    want = {**config_pairs(cfg.arch_config()), **config_pairs(cfg.routing_config())}
+    diffs = [f"{key} is {got[key]!r}, expected {text!r}" for key, text in want.items()
+             if named_by.get(key, "arch") in provided and got[key] != text]
+    if diffs:
+        raise CheckpointError(f"manifest mismatch in {path}: {'; '.join(diffs)}")
     arch = next((name for name, arch in ARCHS.items() if arch == model.arch), cfg.arch)
     return model, replace(cfg, arch=arch, routing=model.routing.name,
                           iterations=model.routing.iterations)

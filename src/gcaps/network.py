@@ -302,12 +302,12 @@ def decode(model: Model, digit_caps: Tensor, labels: Tensor) -> Tensor:
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
+    """Integer class labels [batch] as float64 one-hot rows [batch, NUM_CLASSES]."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or (labels < 0).any() or (labels >= NUM_CLASSES).any():
-        raise ValueError(f"labels must be 1-d in [0, {NUM_CLASSES})")
-    out = np.zeros((labels.shape[0], NUM_CLASSES))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or (labels < 0).any() or (labels >= NUM_CLASSES).any()):
+        raise ValueError(f"labels must be 1-d integers in [0, {NUM_CLASSES})")
+    return np.eye(NUM_CLASSES)[labels]
 
 
 # Elements per piece of an Adam update: its six operand pieces (256 KiB each
@@ -469,13 +469,10 @@ def write_atomic(path: str, blob: bytes) -> None:
         raise
 
 
-def load_model(path: str, expected: dict[str, str] | None = None
-               ) -> tuple[Model, dict[str, str]]:
-    """Rebuild a model from a checkpoint in one pass; parameters come back in
-    build order, and a CheckpointError names the offset of a bad record.
-    ``expected`` maps manifest keys to the text they must hold there (as
-    ``config_pairs`` writes it); a CheckpointError names each key that differs.
-    """
+def load_model(path: str) -> tuple[Model, dict[str, str]]:
+    """Rebuild a model, with its manifest, from a checkpoint read and validated
+    in one pass; parameters come back in build order, and a CheckpointError
+    names the offset of a bad record.  Matching a run is the caller's check."""
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
     if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -511,10 +508,6 @@ def load_model(path: str, expected: dict[str, str] | None = None
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint manifest in {path} lacks a valid"
                               f" architecture or routing description: {exc}") from None
-    diffs = [f"{key} is {manifest.get(key)!r}, expected {want!r}"
-             for key, want in (expected or {}).items() if manifest.get(key) != want]
-    if diffs:
-        raise CheckpointError(f"manifest mismatch in {path}: {'; '.join(diffs)}")
     unread, arrays = arch.param_shapes(), {}
     while offset < len(raw):
         start = offset

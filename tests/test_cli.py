@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from gcaps.analysis import train_run, write_metrics
-from gcaps.cli import ConfigError, RunConfig, config_from_pairs, main
+from gcaps.cli import ConfigError, RunConfig, config_from_pairs, load_checkpoint, main
 from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, synthetic_dataset
-from gcaps.network import (ArchConfig, TrainConfig, build_model, config_from, config_pairs,
-                           parse_pairs, save_checkpoint)
+from gcaps.network import (ArchConfig, CheckpointError, TrainConfig, build_model, config_from,
+                           config_pairs, parse_pairs, save_checkpoint)
 from gcaps.routing import RoutingConfig
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
@@ -200,7 +200,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad)]) == 1
         assert f"{bad}: line 3: expected key=value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("run_id", ["a/b", "../x", os.path.join("a", "b")])
+    @pytest.mark.parametrize("run_id", ["a/b", "../x", os.path.join("a", "b"), "a,b"])
     def test_run_id_with_separator_exits_1_before_any_work(self, tmp_path, capsys, run_id):
         assert run_train(tmp_path / "out", "--run-id", run_id) == 1
         assert "run_id" in capsys.readouterr().err
@@ -376,6 +376,42 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", ckpt, "--config", str(resolved)]) == 2
         assert "stem_channels is '8', expected '256'" in capsys.readouterr().err
+
+
+class TestLoadCheckpoint:
+    def test_expectations_enforced(self, tmp_path):
+        arch = ArchConfig(stem_channels=8, num_types=2, primary_dim=4,
+                          digit_dim=4, decoder_hidden=(16, 32))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, build_model(arch, RoutingConfig.from_name("alg1"), seed=0))
+        load_checkpoint(RunConfig(), {"routing", "iterations"}, path)
+        with pytest.raises(CheckpointError, match="manifest mismatch.*softmax_axis"):
+            load_checkpoint(RunConfig(routing="alg2"), {"routing"}, path)
+        with pytest.raises(CheckpointError, match="manifest mismatch.*stem_channels"):
+            load_checkpoint(RunConfig(arch="compact"), {"arch"}, path)
+        with pytest.raises(CheckpointError, match="iterations is '3', expected '2'"):
+            load_checkpoint(RunConfig(iterations=2), {"iterations"}, path)
+
+    def test_values_compare_as_parsed_not_as_manifest_text(self, tmp_path):
+        # the manifest spells the compact arch's decoder widths with a space
+        assert run_train(tmp_path) == 0
+        ckpt = tmp_path / "model-alg1-s0.ckpt"
+        blob = ckpt.read_bytes()
+        (length,) = struct.unpack("<Q", blob[6:14])
+        body = blob[14:14 + length].replace(b"decoder_hidden=128,256", b"decoder_hidden=128, 256")
+        assert len(body) == length + 1
+        ckpt.write_bytes(blob[:6] + struct.pack("<Q", len(body)) + body + blob[14 + length:])
+        assert main(["eval", str(ckpt), *FAST, "--out-dir", str(tmp_path)]) == 0
+
+    def test_the_file_is_validated_before_the_run_is_checked(self, tmp_path, capsys):
+        assert run_train(tmp_path) == 0
+        ckpt = tmp_path / "model-alg1-s0.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), *FAST, "--routing", "alg2",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "truncated checkpoint" in err and "manifest mismatch" not in err
 
 
 class TestCompareCommand:

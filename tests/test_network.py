@@ -286,7 +286,7 @@ class TestOneHot:
         assert np.array_equal(got, np.eye(10)[[2, 0, 9]])
 
     def test_range_validation(self):
-        for labels in ([10], [-1]):
+        for labels in ([10], [-1], [1.0], [True]):
             with pytest.raises(ValueError, match=r"\[0, 10\)"):
                 one_hot(np.array(labels))
 
@@ -690,19 +690,6 @@ class TestCheckpoint:
         assert new[14 + length:] == blob[14 + len(body):]
         assert parse_pairs(new[14:14 + length].decode()) == {
             k: v for k, v in parse_pairs(body.decode()).items() if k not in retired}
-
-    def test_expectations_enforced(self, tmp_path):
-        model = micro_model("alg1")
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, model)
-        load_model(path, {**config_pairs(micro_arch()),
-                          **config_pairs(RoutingConfig.from_name("alg1"))})
-        with pytest.raises(CheckpointError, match="manifest mismatch.*softmax_axis"):
-            load_model(path, config_pairs(RoutingConfig.from_name("alg2")))
-        with pytest.raises(CheckpointError, match="manifest mismatch.*stem_channels"):
-            load_model(path, config_pairs(ArchConfig.compact()))
-        with pytest.raises(CheckpointError, match="iterations is '3', expected '2'"):
-            load_model(path, {"iterations": "2"})
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
