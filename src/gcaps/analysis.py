@@ -136,7 +136,7 @@ class ConfigResult:
 
 def run_comparison(train_ds: Dataset, test_ds: Dataset,
                    configs: list[RoutingConfig], train_config: TrainConfig,
-                   seeds, out_dir: str, arch: ArchConfig | None = None,
+                   seeds, out_dir: str, arch: ArchConfig,
                    timer=time.perf_counter) -> list[ConfigResult]:
     """Train every (routing config, seed) pair under one shared budget.
 
@@ -147,7 +147,6 @@ def run_comparison(train_ds: Dataset, test_ds: Dataset,
     """
     if not seeds:
         raise ValueError("run_comparison needs at least one seed")
-    arch = arch or ArchConfig()
     results = []
     for config in configs:
         accuracies: dict[int, float | None] = {}
@@ -186,8 +185,9 @@ STUDY_HEADER = "config,trial,iteration,c0,mean_dc,max_dc,rel_dc"
 def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
                            seed: int):
     """Route shared random prediction tensors under each config (each needs
-    >= 2 iterations) and collect, for every iteration t >= 1, the mean and
-    max of |c_t - c_{t-1}| and the mean over the initial coupling c0.
+    >= 2 iterations, and each variant is routed once) and collect, for every
+    iteration t >= 1, the mean and max of |c_t - c_{t-1}| and the mean over
+    the initial coupling c0.
 
     Returns (rows, summary): long-form rows matching STUDY_HEADER, and per-
     config mean |dc| plus, when both are present, the fraction of trials
@@ -201,8 +201,11 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
         if config.iterations < 2:
             raise ValueError(f"init_sensitivity_study needs >= 2 routing"
                              f" iterations, {config.name} has {config.iterations}")
-    rows = []
     per_trial_mean: dict[str, list[float]] = {c.name: [] for c in configs}
+    if len(per_trial_mean) < len(configs):
+        raise ValueError(f"init_sensitivity_study routes each variant once,"
+                         f" got {[c.name for c in configs]}")
+    rows = []
     for trial in range(num_trials):
         rng = derived_rng(seed, SEED_ROLE_TRIALS, trial)
         u_hat = Tensor(rng.standard_normal(   # one image per trial
@@ -256,9 +259,10 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
     return stacked
 
 
-def write_pgm_grid(path: str, panels: np.ndarray, per_row: int = 11) -> None:
-    """Tile [count, h, w] unit-range panels into one 8-bit binary PGM."""
+def write_pgm_grid(path: str, panels: np.ndarray) -> None:
+    """Tile [count, h, w] unit-range panels, 11 per row, into one 8-bit PGM."""
     count, h, w = panels.shape
+    per_row = 11
     rows = (count + per_row - 1) // per_row
     cols = min(per_row, count)
     canvas = np.zeros((rows * h + (rows - 1), cols * w + (cols - 1)))

@@ -124,20 +124,14 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
     b_t = Tensor(np.zeros((batch, n, j), dtype=u_t.data.dtype))
     # the softmax of those all-zero logits, without computing it
     c = Tensor(np.full((batch, n, j), initial_coupling(spec, config), dtype=u_t.data.dtype))
-    v = None
-    per_type = None
     for it in range(config.iterations):
-        v = squash(weighted_sum(c, u_t, num_types))
-        if grouped:
-            per_type = Tensor(v.data)
-            v = squash(v.sum(axis=1))
-        else:
-            v = v.reshape(batch, j, d)
+        per_type = squash(weighted_sum(c, u_t, num_types))
+        v = squash(per_type.sum(axis=1)) if grouped else per_type.reshape(batch, j, d)
         couplings.append(c.data)
         if it + 1 < config.iterations:   # the last logits would go unread
             b_t = agreement_update(b_t, u_t, v)
             c = coupling_from_logits(b_t, config.softmax_axis, num_types)
-    return v, couplings, per_type
+    return v, couplings, Tensor(per_type.data) if grouped else None
 
 
 def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor:

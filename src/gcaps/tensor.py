@@ -1,18 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every op is one ``Tensor`` method or operator (``+``, ``@``, ``.exp``,
-``.reshape``, ...), except the module functions ``softmax_along``,
-``conv2d`` and ``reduce`` (the body ``.sum``, ``.mean`` and ``.max`` share).
-Each records its inputs and a backward closure on the output node.  An op
-whose gradient at each input is a local function of the output's (the
-elementwise ops, ``@``, ``.reshape``, ``.transpose``, ``reduce``,
-``capsule.predict``) passes one such function per input to
+Every op is one ``Tensor`` method or operator (``+``, ``@``, ``.sum``,
+``.reshape``, ...), except the module functions ``softmax_along`` and
+``conv2d``.  Each records its inputs and a backward closure on the output
+node.  An op whose gradient at each input is a local function of the output's
+(the elementwise ops, ``@``, ``.sum``, ``.mean``, ``.max``, ``.reshape``,
+``.transpose``, ``capsule.predict``) passes one such function per input to
 ``_local_node``, whose one backward sums each back over the broadcast axes
-into the inputs that need it; an op that adopts or defers (see below)
-passes its own closure to ``Tensor._node``.  ``Tensor.backward`` builds a
+into the inputs that need it; an op that adopts or defers (see below) passes
+its own closure to ``Tensor._node``.  ``Tensor.backward`` builds a
 :class:`GradTape` (a topologically ordered list of nodes) and walks it in
-reverse.  Broadcasting follows trailing-dimension rules only: aligned from
-the right, a dimension pairs if the sizes are equal or one of them is 1.
+reverse.  Broadcasting follows trailing-dimension rules only: aligned from the
+right, a dimension pairs if the sizes are equal or one of them is 1.
 
 Gradients accumulate into ``.grad`` until explicitly cleared, so backward
 passes over newly built graphs sum their contributions.  A pass consumes
@@ -124,7 +123,8 @@ class _Released:
 class Tensor:
     """A dense n-dimensional array participating in a gradient tape.
 
-    ``data`` is row-major float64 (float32 allowed for non-acceptance use).
+    Every tensor's ``data`` is a row-major float64 ndarray (float32 allowed
+    for non-acceptance use), 0-d for a full reduction.
     Operations never write their inputs' ``data``; a backward pass writes
     ``grad``, and an optimizer step (``network.Adam.step``) updates a
     parameter's ``data`` in place.  A ``conv2d`` that was handed ``x`` with
@@ -152,19 +152,10 @@ class Tensor:
     def _node(cls, data: np.ndarray, parents: Sequence["Tensor"],
               backward_fn: Callable[[np.ndarray], None] | None, op: str) -> "Tensor":
         """Create an interior graph node (for ``_local_node`` and own-closure ops)."""
-        out = cls.__new__(cls)
-        out.data = data
-        out.grad = None
-        out._pending = None
+        out = cls(data)
         out._op = op
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward_fn = None
+            out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
         return out
 
     # -- introspection ----------------------------------------------------
@@ -283,13 +274,38 @@ class Tensor:
                             lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce("sum", self, axis, keepdims)
+        axis = _normalize_axis(axis, self.ndim)
+        return _local_node("reduce_sum", self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                           (lambda g: self._spread(g, axis, keepdims),))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce("mean", self, axis, keepdims)
+        axis = _normalize_axis(axis, self.ndim)
+        count = self.data.size if axis is None else self.shape[axis]
+        return _local_node("reduce_mean", self.data.mean(axis=axis, keepdims=keepdims), (self,),
+                           (lambda g: self._spread(g, axis, keepdims) / count,))
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce("max", self, axis, keepdims)
+        """The gradient goes to the first occurrence of the maximum along
+        ``axis`` (lowest index wins ties), or of the flattened tensor."""
+        axis = _normalize_axis(axis, self.ndim)
+
+        def grad(g):
+            x, along = (self.data.reshape(-1), 0) if axis is None else (self.data, axis)
+            hit = x == x.max(axis=along, keepdims=True)
+            return (hit & (np.cumsum(hit, axis=along) == 1)).reshape(self.shape) * \
+                self._spread(g, axis, keepdims)
+
+        return _local_node("reduce_max", self.data.max(axis=axis, keepdims=keepdims), (self,),
+                           (grad,))
+
+    def _spread(self, g: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
+        """``g``, the gradient at a reduction of this tensor along ``axis``
+        (every axis when None), broadcast back over this tensor."""
+        if axis is None:
+            g = g.reshape((1,) * self.ndim)
+        elif not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, self.shape)
 
     def reshape(self, *shape) -> "Tensor":
         return _local_node("reshape", self.data.reshape(shape), (self,),
@@ -447,7 +463,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _normalize_axis(axis: int, ndim: int) -> int:
+def _normalize_axis(axis: int | None, ndim: int) -> int | None:
+    if axis is None:   # every axis
+        return None
     if not -ndim <= axis < ndim:
         raise ShapeError(f"axis {axis} invalid for {ndim}-dimensional tensor")
     return axis % ndim
@@ -473,47 +491,7 @@ def _local_node(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     return Tensor._node(out_data, inputs, backward, op)
 
 
-# -- reductions and softmax ------------------------------------------------
-
-
-def reduce(op_kind: str, t, axis=None, keepdims: bool = False) -> Tensor:
-    """Reduce along ``axis`` (or everything when axis is None).
-
-    ``max`` routes its gradient to the first occurrence of the maximum along
-    the reduced axis (lowest index wins ties), or of the whole flattened
-    tensor when axis is None.
-    """
-    t = as_tensor(t)
-    if axis is not None:
-        axis = _normalize_axis(axis, t.ndim)
-
-    def spread(g):
-        # g, reshaped to broadcast back over t, at each element of t
-        if axis is None:
-            g = g.reshape((1,) * t.ndim)
-        elif not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, t.shape)
-
-    if op_kind == "sum":
-        grad = spread
-    elif op_kind == "mean":
-        count = t.data.size if axis is None else t.shape[axis]
-
-        def grad(g):
-            return spread(g) / count
-
-    elif op_kind == "max":
-
-        def grad(g):
-            x, along = (t.data.reshape(-1), 0) if axis is None else (t.data, axis)
-            hit = x == x.max(axis=along, keepdims=True)
-            return (hit & (np.cumsum(hit, axis=along) == 1)).reshape(t.shape) * spread(g)
-
-    else:
-        raise ValueError(f"unknown reduce op {op_kind!r}")
-    out_data = getattr(t.data, op_kind)(axis=axis, keepdims=keepdims)
-    return _local_node(f"reduce_{op_kind}", out_data, (t,), (grad,))
+# -- softmax -----------------------------------------------------------------
 
 
 def type_size(n: int, num_types: int) -> int:

@@ -299,6 +299,16 @@ class TestInitStudy:
                                    [RoutingConfig.from_name("alg1")],
                                    num_trials=9, seed=0)
 
+    @pytest.mark.parametrize("names, iterations", [
+        (("alg1", "alg1", "alg2", "alg2"), (3, 3, 3, 3)),
+        (("alg1", "alg2", "alg1"), (2, 3, 4)),
+    ])
+    def test_rejects_a_repeated_variant(self, names, iterations):
+        # merged per-trial means would count more pairs than trials
+        configs = [RoutingConfig.from_name(n, k) for n, k in zip(names, iterations)]
+        with pytest.raises(ValueError, match="'alg1', 'alg2'"):
+            init_sensitivity_study(small_spec(), configs, num_trials=10, seed=0)
+
     def test_study_csv_round_trips(self, tmp_path):
         spec = small_spec()
         rows, _ = init_sensitivity_study(

@@ -212,6 +212,11 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predict(Tensor(np.zeros((1, 5, 8))), Tensor(np.zeros((4, 2, 16, 8))))
 
+    @pytest.mark.parametrize("u_shape,w_shape", [((5, 8), (5, 2, 16, 8)), ((1, 5, 8), (5, 2, 16))])
+    def test_operands_of_another_rank_raise(self, u_shape, w_shape):
+        with pytest.raises(ShapeError, match="predict expects"):
+            predict(Tensor(np.zeros(u_shape)), Tensor(np.zeros(w_shape)))
+
 
 class TestCoupling:
     def test_zero_logits_upper_per_lower_gives_tenth(self):
@@ -325,6 +330,11 @@ class TestCoupling:
             with pytest.raises(ShapeError, match="equal types"):
                 coupling_from_logits(b, AxisMode.LOWER_PER_UPPER, bad)
 
+    @pytest.mark.parametrize("shape", [(8, 3), (1, 8, 3, 1)])
+    def test_logits_of_another_rank_rejected(self, shape):
+        with pytest.raises(ShapeError, match="3-d"):
+            coupling_from_logits(Tensor(np.zeros(shape)), AxisMode.UPPER_PER_LOWER)
+
 
 class TestWeightedSum:
     def test_matches_explicit_loop(self):
@@ -369,6 +379,13 @@ class TestWeightedSum:
         with pytest.raises(ShapeError):
             weighted_sum(Tensor(np.zeros((1, 4, 2))),
                          Tensor(np.zeros((1, 4, 2, 3))), num_types=3)
+
+    @pytest.mark.parametrize("c_shape,u_shape", [
+        ((1, 5, 2), (1, 4, 2, 3)), ((4, 2), (1, 4, 2, 3)), ((1, 4, 2), (1, 4, 6)),
+    ])
+    def test_shape_mismatch_raises(self, c_shape, u_shape):
+        with pytest.raises(ShapeError, match="weighted_sum"):
+            weighted_sum(Tensor(np.zeros(c_shape)), Tensor(np.zeros(u_shape)))
 
 
 class TestAgreementUpdate:
@@ -451,6 +468,11 @@ class TestMarginLoss:
                     np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])]:
             with pytest.raises(ValueError):
                 margin_loss(lengths, Tensor(bad))
+
+    @pytest.mark.parametrize("lengths_shape,labels_shape", [((2, 3), (2, 4)), ((3,), (3,))])
+    def test_shape_mismatch_raises(self, lengths_shape, labels_shape):
+        with pytest.raises(ShapeError, match="margin_loss"):
+            margin_loss(Tensor(np.zeros(lengths_shape)), Tensor(np.zeros(labels_shape)))
 
 
 class TestReconstructionLoss:

@@ -145,11 +145,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("lr0", "nan"), ("lr0", "inf"), ("decay", "0"), ("beta1", "1"),
         ("beta2", "nan"), ("eps", "0"), ("batch_size", "0"), ("epochs", "0"),
-        ("iterations", "0"), ("seed", "-1"), ("seeds", "0,-1"),
+        ("iterations", "0"), ("seed", "-1"), ("seeds", "0,-1"), ("train_limit", "-1"),
+        ("test_limit", "-1"), ("index", "-1"),
     ])
     def test_training_and_routing_checks_are_config_errors(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_pairs({key: value})
+
+    def test_empty_configs_is_a_config_error(self):
+        # no key=value text parses to an empty tuple; a caller in Python can pass one
+        with pytest.raises(ConfigError, match="configs"):
+            RunConfig(configs=())
 
 
 class TestTrainCommand:
@@ -160,6 +166,15 @@ class TestTrainCommand:
             assert (tmp_path / name).exists()
         out = capsys.readouterr().out
         assert "final test accuracy" in out
+
+    def test_wall_clock_timer_gives_finite_non_decreasing_seconds(self, tmp_path):
+        argv = [a for a in FAST if a not in ("--fixed-timer", "true")]
+        assert main(["train", *argv, "--epochs", "2", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "metrics-alg1-s0.csv").read_text().splitlines()
+        column = lines[0].split(",").index("wall_seconds")
+        seconds = [float(line.split(",")[column]) for line in lines[1:]]
+        assert len(seconds) >= 2 and all(np.isfinite(seconds))
+        assert 0.0 <= seconds[0] and seconds == sorted(seconds)
 
     def test_unknown_flag_exits_1(self, tmp_path, capsys):
         assert run_train(tmp_path, "--routting", "alg1") == 1

@@ -210,6 +210,11 @@ class TestDataset:
             Dataset(images=np.zeros((3, 1, 4, 4)), labels=np.zeros(2, np.int64),
                     name="x", split="train")
 
+    def test_images_must_be_4d(self):
+        with pytest.raises(ValueError, match="4-d"):
+            Dataset(images=np.zeros((3, 4, 4)), labels=np.zeros(3, np.int64),
+                    name="x", split="train")
+
     # NaN fails every comparison, so the check must be one that it fails.
     @pytest.mark.parametrize("value", [1.5, -0.1, np.nan])
     def test_pixel_range_enforced(self, value):
@@ -224,6 +229,9 @@ class TestDataset:
         assert np.array_equal(sub.images, ds.images[:5])
         assert ds.subset(None) is ds
         assert ds.subset(100) is ds
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                ds.subset(bad)
 
     def test_invalid_split_rejected(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,11 @@ class TestArchConfig:
         with pytest.raises(ValueError, match="decoder_hidden must be positive"):
             config_from(ArchConfig, {**config_pairs(ArchConfig()), "decoder_hidden": widths})
 
+    @pytest.mark.parametrize("widths", ["5", "5,5,5"])
+    def test_decoder_needs_two_widths(self, widths):
+        with pytest.raises(ValueError, match="two layer widths"):
+            config_from(ArchConfig, {**config_pairs(ArchConfig()), "decoder_hidden": widths})
+
 
 class TestBuildModel:
     def test_default_parameter_count_is_fixed(self):
@@ -278,6 +283,11 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(model, Tensor(np.zeros((2, 10, 4))),
                    Tensor(np.full((2, 10), 0.1)))
+
+    @pytest.mark.parametrize("caps_shape,labels_shape", [((2, 40), (2, 10)), ((2, 10, 4), (2, 9))])
+    def test_shape_mismatch_raises(self, caps_shape, labels_shape):
+        with pytest.raises(ShapeError, match="decode expects"):
+            decode(micro_model(), Tensor(np.zeros(caps_shape)), Tensor(np.zeros(labels_shape)))
 
 
 class TestOneHot:

@@ -2,6 +2,7 @@
 differences, convolution against a direct seven-loop evaluation, and the
 structural invariants of the tape."""
 
+import contextlib
 import ctypes
 import operator
 import platform
@@ -25,7 +26,6 @@ from gcaps.tensor import (
     _values_at,
     conv2d,
     no_grad,
-    reduce,
     softmax_along,
 )
 
@@ -157,42 +157,57 @@ class TestReduce:
     def test_sum_mean_gradients(self):
         rng = np.random.default_rng(31)
         for axis in (None, 0, 1, -1):
-            check_grad(lambda ts, ax=axis: reduce("sum", ts[0], ax).sum()
-                       if ax is not None else reduce("sum", ts[0], ax),
+            check_grad(lambda ts, ax=axis: ts[0].sum(ax).sum()
+                       if ax is not None else ts[0].sum(ax),
                        [(3, 5)], rng)
-            check_grad(lambda ts, ax=axis: reduce("mean", ts[0], ax).sum()
-                       if ax is not None else reduce("mean", ts[0], ax),
+            check_grad(lambda ts, ax=axis: ts[0].mean(ax).sum()
+                       if ax is not None else ts[0].mean(ax),
                        [(3, 5)], rng)
 
     def test_keepdims_shapes(self):
         t = Tensor(np.arange(12.0).reshape(3, 4))
-        assert reduce("sum", t, 1, keepdims=True).shape == (3, 1)
-        assert reduce("max", t, 0, keepdims=True).shape == (1, 4)
-        assert reduce("mean", t, None).shape == ()
+        assert t.sum(1, keepdims=True).shape == (3, 1)
+        assert t.max(0, keepdims=True).shape == (1, 4)
+        assert t.mean(None).shape == ()
 
     def test_max_gradient_at_unique_maximum(self):
         rng = np.random.default_rng(32)
         # Spread values far apart so finite differences never cross a tie.
         a = rng.permutation(np.arange(12.0)).reshape(3, 4)
         t = Tensor(a, requires_grad=True)
-        reduce("max", t, 1).sum().backward()
-        num = numeric_gradient(lambda x: reduce("max", Tensor(x), 1).sum().item(), a)
+        t.max(1).sum().backward()
+        num = numeric_gradient(lambda x: Tensor(x).max(1).sum().item(), a)
         assert np.allclose(t.grad, num, atol=1e-9)
 
     def test_max_tie_routes_to_lowest_index(self):
         t = Tensor(np.array([[2.0, 5.0, 5.0, 1.0]]), requires_grad=True)
-        reduce("max", t, 1).sum().backward()
+        t.max(1).sum().backward()
         assert np.array_equal(t.grad, np.array([[0.0, 1.0, 0.0, 0.0]]))
 
     def test_global_max_tie_single_winner(self):
         t = Tensor(np.full((2, 3), 7.0), requires_grad=True)
-        reduce("max", t, None).backward()
+        t.max(None).backward()
         assert t.grad.sum() == 1.0
         assert t.grad.reshape(-1)[0] == 1.0
 
     def test_invalid_axis_raises(self):
         with pytest.raises(ShapeError):
-            reduce("sum", Tensor(np.zeros((2, 3))), 2)
+            Tensor(np.zeros((2, 3))).sum(2)
+
+    def test_every_node_holds_an_ndarray(self):
+        # a full reduction's value and ops on it included, recorded or not
+        t = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        for recording in (True, False):
+            with contextlib.nullcontext() if recording else no_grad():
+                for op in ("sum", "mean", "max"):
+                    for axis in (None, 0, 1, -1):
+                        for keepdims in (False, True):
+                            out = getattr(t, op)(axis, keepdims=keepdims)
+                            expected = getattr(t.data, op)(axis, keepdims=keepdims)
+                            for node in (out, out * 2.0, -out + out):
+                                assert type(node.data) is np.ndarray
+                                assert node.requires_grad is recording
+                                assert node.data.shape == np.shape(expected)
 
 
 class TestSoftmax:
@@ -424,6 +439,18 @@ class TestConv2d:
     def test_oversized_kernel_raises(self):
         with pytest.raises(ShapeError):
             self.conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))), 1, 0)
+
+    @pytest.mark.parametrize("x_shape,k_shape", [((1, 8, 8), (2, 1, 3, 3)),
+                                                 ((1, 1, 8, 8), (2, 1, 3))])
+    def test_rank_other_than_four_raises(self, x_shape, k_shape):
+        with pytest.raises(ShapeError, match="4-d"):
+            self.conv(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), 1, 0)
+
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_stride_below_one_or_negative_padding_raises(self, stride, padding):
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            self.conv(Tensor(np.zeros((1, 1, 8, 8))), Tensor(np.zeros((2, 1, 3, 3))),
+                      stride, padding)
 
 
 class TestConv2dSpectral(TestConv2d):
