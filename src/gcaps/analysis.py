@@ -251,7 +251,7 @@ def reconstruction_grid(model: Model, image: np.ndarray, label: int,
         _, caps, per_type, _ = forward(model, img)
         panels = [decode(model, caps, labels_1h).data.reshape(IMAGE_SHAPE[1:])]
         for t in range(model.arch.num_types):
-            panels.append(decode(model, Tensor(per_type.data[:, t]),
+            panels.append(decode(model, Tensor(per_type[:, t]),
                                  labels_1h).data.reshape(IMAGE_SHAPE[1:]))
     stacked = np.stack(panels)
     if path is not None:

@@ -30,8 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (NonFiniteError, ShapeError, Tensor, _local_node, as_tensor, softmax_along,
-                     type_size)
+from .tensor import NonFiniteError, ShapeError, Tensor, _local_node, softmax_along, type_size
 
 MARGIN_UPPER = 0.9        # m+: target length for the present class
 MARGIN_LOWER = 0.1        # m-: allowed length for absent classes
@@ -71,13 +70,12 @@ class CapsLayerSpec:
         return cls(num_upper=10, dim_lower=8, dim_upper=16, num_types=32, caps_per_type=36)
 
 
-def squash(s) -> Tensor:
+def squash(s: Tensor) -> Tensor:
     """Shrink vectors along the last axis to length n^2/(1+n^2) < 1, keeping direction.
 
     The norm in the denominator carries a 1e-9-scale guard so the zero vector
     maps to zero with finite gradients (the bare formula is 0/0 there).
     """
-    s = as_tensor(s)
     if not np.isfinite(s.data).all():
         raise NonFiniteError("squash requires finite input")
     n2 = (s * s).sum(axis=-1, keepdims=True)
@@ -86,29 +84,28 @@ def squash(s) -> Tensor:
     return s * (n2 / ((1.0 + n2) * norm))
 
 
-def predict(u, weights) -> Tensor:
+def predict(u: Tensor, w: Tensor) -> Tensor:
     """Apply per-pair transforms: u_hat[b,i,j] = W[i,j] @ u[b,i].
 
     One [B, K] @ [K, J*D] product per lower capsule, batched over the lower
     index and written through a [N, B, J*D] view, so u_hat is C-contiguous.
     """
-    u_t, w_t = as_tensor(u), as_tensor(weights)
-    if u_t.ndim != 3 or w_t.ndim != 4:
+    if u.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"predict expects u [b,n,k] and W [n,j,d,k],"
-                         f" got {u_t.shape} and {w_t.shape}")
-    if u_t.shape[1] != w_t.shape[0] or u_t.shape[2] != w_t.shape[3]:
-        raise ShapeError(f"predict shape mismatch: u {u_t.shape} vs W {w_t.shape}")
-    batch, n, k = u_t.shape
-    _, j, d, _ = w_t.shape
-    out = np.empty((batch, n, j, d), dtype=np.result_type(u_t.data, w_t.data))
-    np.matmul(u_t.data.swapaxes(0, 1), w_t.data.reshape(n, j * d, k).swapaxes(1, 2),
+                         f" got {u.shape} and {w.shape}")
+    if u.shape[1] != w.shape[0] or u.shape[2] != w.shape[3]:
+        raise ShapeError(f"predict shape mismatch: u {u.shape} vs W {w.shape}")
+    batch, n, k = u.shape
+    _, j, d, _ = w.shape
+    out = np.empty((batch, n, j, d), dtype=np.result_type(u.data, w.data))
+    np.matmul(u.data.swapaxes(0, 1), w.data.reshape(n, j * d, k).swapaxes(1, 2),
               out=out.reshape(batch, n, j * d).swapaxes(0, 1))
-    return _local_node("predict", out, (u_t, w_t),
-                       (lambda g: np.einsum("njdk,bnjd->bnk", w_t.data, g, optimize=True),
-                        lambda g: np.einsum("bnjd,bnk->njdk", g, u_t.data, optimize=True)))
+    return _local_node("predict", out, (u, w),
+                       (lambda g: np.einsum("njdk,bnjd->bnk", w.data, g, optimize=True),
+                        lambda g: np.einsum("bnjd,bnk->njdk", g, u.data, optimize=True)))
 
 
-def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Tensor:
+def coupling_from_logits(b: Tensor, axis_mode: AxisMode, num_types: int = 1) -> Tensor:
     """Softmax the routing logits along the configured normalization axis.
 
     UPPER_PER_LOWER normalizes over upper capsules for each lower capsule;
@@ -117,7 +114,6 @@ def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Ten
     ``num_types`` equal types per upper capsule, one type being the whole
     layer.  Either way it is one ``softmax_along`` node.
     """
-    b = as_tensor(logits)
     if b.ndim != 3:
         raise ShapeError(f"routing logits must be 3-d, got {b.shape}")
     if axis_mode is AxisMode.UPPER_PER_LOWER:
@@ -125,7 +121,7 @@ def coupling_from_logits(logits, axis_mode: AxisMode, num_types: int = 1) -> Ten
     return softmax_along(b, axis=1, groups=num_types)
 
 
-def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
+def weighted_sum(c: Tensor, u_hat: Tensor, num_types: int = 1) -> Tensor:
     """s[b,t,j] = sum of c[b,i,j] * u_hat[b,i,j] over the lower i of type t.
 
     The lower index splits into ``num_types`` contiguous equal ranges, so the
@@ -135,69 +131,63 @@ def weighted_sum(coupling, predictions, num_types: int = 1) -> Tensor:
     a fresh [B, N, J] buffer that c adopts; its u_hat gradient,
     c[b,t,k,j] * g[b,t,j,d], is deferred to the tape as that factor pair.
     """
-    c_t, u_t = as_tensor(coupling), as_tensor(predictions)
-    if c_t.ndim != 3 or u_t.ndim != 4 or c_t.shape != u_t.shape[:3]:
-        raise ShapeError(f"weighted_sum shape mismatch: c {c_t.shape}"
-                         f" vs u_hat {u_t.shape}")
-    batch, n, j, d = u_t.shape
+    if c.ndim != 3 or u_hat.ndim != 4 or c.shape != u_hat.shape[:3]:
+        raise ShapeError(f"weighted_sum shape mismatch: c {c.shape}"
+                         f" vs u_hat {u_hat.shape}")
+    batch, n, j, d = u_hat.shape
     k = type_size(n, num_types)
-    cv = c_t.data.reshape(batch, num_types, k, j)
-    uv = u_t.data.reshape(batch, num_types, k, j, d)
+    cv = c.data.reshape(batch, num_types, k, j)
+    uv = u_hat.data.reshape(batch, num_types, k, j, d)
     # Batched over (b, t, j): [1, K] @ [K, D] on axis-swapped views.
     u_jk = np.swapaxes(uv, -3, -2)
     out = (np.swapaxes(cv, -1, -2)[..., None, :] @ u_jk)[..., 0, :]
 
     def backward(g):
-        if c_t.requires_grad:
-            dc = np.empty(c_t.shape, dtype=c_t.data.dtype)
+        if c.requires_grad:
+            dc = np.empty(c.shape, dtype=c.data.dtype)
             np.matmul(u_jk, g[..., None],
                       out=np.swapaxes(dc.reshape(cv.shape), -1, -2)[..., None])
-            c_t._adopt(dc)
-        u_t._defer(cv, g)
+            c._adopt(dc)
+        u_hat._defer(cv, g)
 
-    return Tensor._node(out, (c_t, u_t), backward, "weighted_sum")
+    return Tensor._node(out, (c, u_hat), backward, "weighted_sum")
 
 
-def agreement_update(logits, predictions, v) -> Tensor:
+def agreement_update(b: Tensor, u_hat: Tensor, v: Tensor) -> Tensor:
     """b'[b,i,j] = b[b,i,j] + <u_hat[b,i,j], v[b,j]> for every lower capsule.
 
     Both products are batched over (b, j) on a [B, J, N, D] view of u_hat;
     the u_hat gradient, g[b,i,j] * v[b,j,d], is deferred to the tape.
     """
-    b_t, u_t, v_t = as_tensor(logits), as_tensor(predictions), as_tensor(v)
-    if b_t.ndim != 3 or u_t.shape[:3] != b_t.shape or v_t.ndim != 3 \
-            or v_t.shape[0] != u_t.shape[0] or v_t.shape[1] != u_t.shape[2] \
-            or v_t.shape[2] != u_t.shape[3]:
-        raise ShapeError(f"agreement_update shape mismatch: b {b_t.shape},"
-                         f" u_hat {u_t.shape}, v {v_t.shape}")
-    u_jn = np.swapaxes(u_t.data, 1, 2)
-    out = b_t.data + np.matmul(u_jn, v_t.data[..., None])[..., 0].swapaxes(1, 2)
+    if b.ndim != 3 or u_hat.shape[:3] != b.shape or v.shape != (u_hat.shape[0], *u_hat.shape[2:]):
+        raise ShapeError(f"agreement_update shape mismatch: b {b.shape},"
+                         f" u_hat {u_hat.shape}, v {v.shape}")
+    u_jn = np.swapaxes(u_hat.data, 1, 2)
+    out = b.data + np.matmul(u_jn, v.data[..., None])[..., 0].swapaxes(1, 2)
 
     def backward(g):
-        b_t._accumulate(g)
-        u_t._defer(g[:, None], v_t.data[:, None])
-        if v_t.requires_grad:
-            v_t._accumulate((g.swapaxes(1, 2)[..., None, :] @ u_jn)[..., 0, :])
+        b._accumulate(g)
+        u_hat._defer(g[:, None], v.data[:, None])
+        if v.requires_grad:
+            v._accumulate((g.swapaxes(1, 2)[..., None, :] @ u_jn)[..., 0, :])
 
-    return Tensor._node(out, (b_t, u_t, v_t), backward, "agreement")
+    return Tensor._node(out, (b, u_hat, v), backward, "agreement")
 
 
-def margin_loss(lengths, labels) -> Tensor:
+def margin_loss(lengths: Tensor, labels: Tensor) -> Tensor:
     """Per-class hinge on capsule lengths, summed over classes, batch mean.
 
     Present classes are pushed above MARGIN_UPPER, absent ones below
     MARGIN_LOWER with weight ABSENT_WEIGHT; both hinges are squared.
     """
-    lengths_t = as_tensor(lengths)
-    labels_t = as_tensor(labels)
-    if lengths_t.shape != labels_t.shape or lengths_t.ndim != 2:
+    if lengths.shape != labels.shape or lengths.ndim != 2:
         raise ShapeError(f"margin_loss expects matching 2-d shapes,"
-                         f" got {lengths_t.shape} and {labels_t.shape}")
-    _require_one_hot(labels_t.data)
-    present = (MARGIN_UPPER - lengths_t).relu()
-    absent = (lengths_t - MARGIN_LOWER).relu()
-    per_class = labels_t * present * present \
-        + ABSENT_WEIGHT * (1.0 - labels_t) * absent * absent
+                         f" got {lengths.shape} and {labels.shape}")
+    _require_one_hot(labels.data)
+    present = (MARGIN_UPPER - lengths).relu()
+    absent = (lengths - MARGIN_LOWER).relu()
+    per_class = labels * present * present \
+        + ABSENT_WEIGHT * (1.0 - labels) * absent * absent
     return per_class.sum(axis=1).mean()
 
 
@@ -207,11 +197,10 @@ def _require_one_hot(labels: np.ndarray) -> None:
         raise ValueError("labels must be one-hot rows")
 
 
-def reconstruction_loss(decoded, target) -> Tensor:
+def reconstruction_loss(decoded: Tensor, target: Tensor) -> Tensor:
     """Sum of squared pixel errors per image, averaged over the batch."""
-    d_t, t_t = as_tensor(decoded), as_tensor(target)
-    if d_t.shape != t_t.shape or d_t.ndim != 2:
+    if decoded.shape != target.shape or decoded.ndim != 2:
         raise ShapeError(f"reconstruction_loss expects matching 2-d shapes,"
-                         f" got {d_t.shape} and {t_t.shape}")
-    diff = d_t - t_t
+                         f" got {decoded.shape} and {target.shape}")
+    diff = decoded - target
     return (diff * diff).sum(axis=1).mean()

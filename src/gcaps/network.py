@@ -149,10 +149,6 @@ class ArchConfig:
         if len(self.decoder_hidden) != 2:
             raise ValueError("decoder_hidden must name two layer widths")
 
-    @property
-    def num_lower(self) -> int:
-        return self.num_types * GRID * GRID
-
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter, in build and checkpoint order."""
         primary_channels = self.num_types * self.primary_dim
@@ -163,7 +159,7 @@ class ArchConfig:
             "stem.bias": (self.stem_channels,),
             "primary.kernel": (primary_channels, self.stem_channels, KERNEL, KERNEL),
             "primary.bias": (primary_channels,),
-            "routing.weights": (self.num_lower, NUM_CLASSES, self.digit_dim,
+            "routing.weights": (self.layer_spec().num_lower, NUM_CLASSES, self.digit_dim,
                                 self.primary_dim),
             "decoder.w1": (NUM_CLASSES * self.digit_dim, h1),
             "decoder.b1": (h1,),
@@ -252,14 +248,14 @@ def forward(model: Model, images: np.ndarray):
 
     ``lengths`` [batch, num_classes] are the class scores; ``digit_caps``
     [batch, num_classes, digit_dim] the routed capsules; ``per_type_caps``
-    [batch, num_types, num_classes, digit_dim] only in grouped routing;
-    ``couplings`` the per-iteration couplings (see ``route``).
+    the array [batch, num_types, num_classes, digit_dim] of the per-type
+    capsules, only in grouped routing; ``couplings`` the per-iteration
+    couplings (see ``route``).
 
     The stem's output is donated to the primary conv (see ``conv2d``): it
     is freed once that conv has read it, in training as in evaluation,
     since the stem's backward keeps only its ReLU mask.
     """
-    arch = model.arch
     x = Tensor(images)
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
         raise ShapeError(f"expected images [batch, {', '.join(map(str, IMAGE_SHAPE))}],"
@@ -268,15 +264,13 @@ def forward(model: Model, images: np.ndarray):
     stem = conv2d(x, p["stem.kernel"], stride=STEM_STRIDE, bias=p["stem.bias"], relu=True)
     prim = conv2d(stem, p["primary.kernel"], stride=PRIMARY_STRIDE,
                   bias=p["primary.bias"], donate=True)
-    batch = x.shape[0]
+    batch, spec = x.shape[0], model.arch.layer_spec()
     # channels are type-major: capsule index = (type, row, col), so the
     # per-type index ranges used by grouped routing are contiguous
-    grid = prim.reshape(batch, arch.num_types, arch.primary_dim, GRID, GRID)
-    u = grid.transpose(0, 1, 3, 4, 2).reshape(batch, arch.num_lower,
-                                              arch.primary_dim)
-    u = squash(u)
+    grid = prim.reshape(batch, spec.num_types, spec.dim_lower, GRID, GRID)
+    u = squash(grid.transpose(0, 1, 3, 4, 2).reshape(batch, spec.num_lower, spec.dim_lower))
     u_hat = predict(u, p["routing.weights"])
-    v, couplings, per_type = route(u_hat, arch.layer_spec(), model.routing)
+    v, couplings, per_type = route(u_hat, spec, model.routing)
     lengths = ((v * v).sum(axis=2) + 1e-18).sqrt()
     return lengths, v, per_type, couplings
 

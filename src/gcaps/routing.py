@@ -107,7 +107,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
     [batch, num_lower, num_upper] (the coupling tensors' own arrays, which
     no op mutates once built); ``per_type_caps`` holds the final
     iteration's per-type outputs [batch, num_types, num_upper, dim_upper]
-    as a constant tensor in BY_TYPE mode and is None otherwise.
+    as that output tensor's array in BY_TYPE mode and is None otherwise.
 
     The couplings start uniform (``initial_coupling``).  Every iteration
     forms the weighted vote sum (one per type in grouped mode, in a single
@@ -131,7 +131,7 @@ def route(u_hat, spec: CapsLayerSpec, config: RoutingConfig):
         if it + 1 < config.iterations:   # the last logits would go unread
             b_t = agreement_update(b_t, u_t, v)
             c = coupling_from_logits(b_t, config.softmax_axis, num_types)
-    return v, couplings, Tensor(per_type.data) if grouped else None
+    return v, couplings, per_type.data if grouped else None
 
 
 def route_reference(u_hat, spec: CapsLayerSpec, config: RoutingConfig) -> Tensor:

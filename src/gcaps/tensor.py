@@ -2,8 +2,11 @@
 
 Every op is one ``Tensor`` method or operator (``+``, ``@``, ``.sum``,
 ``.reshape``, ...), except the module functions ``softmax_along`` and
-``conv2d``.  Each records its inputs and a backward closure on the output
-node.  An op whose gradient at each input is a local function of the output's
+``conv2d``; each records its inputs and a backward closure on the output
+node.  Ops take Tensors: only the operators wrap an array or number operand,
+as a constant leaf, and other arrays become Tensors where they enter
+(``network.forward`` wraps the images, ``routing.route`` u_hat).  An op
+whose gradient at each input is a local function of the output's
 (the elementwise ops, ``@``, ``.sum``, ``.mean``, ``.max``, ``.reshape``,
 ``.transpose``, ``capsule.predict``) passes one such function per input to
 ``_local_node``, whose one backward sums each back over the broadcast axes
@@ -501,7 +504,7 @@ def type_size(n: int, num_types: int) -> int:
     return n // num_types
 
 
-def softmax_along(t, axis: int, groups: int = 1) -> Tensor:
+def softmax_along(t: Tensor, axis: int, groups: int = 1) -> Tensor:
     """Softmax normalized along ``axis``, stabilized by max subtraction.
 
     Each of ``groups`` equal contiguous runs of ``axis`` is normalized on its
@@ -509,7 +512,6 @@ def softmax_along(t, axis: int, groups: int = 1) -> Tensor:
     split into (groups, run length), so it is one tape node however many
     runs there are.
     """
-    t = as_tensor(t)
     axis = _normalize_axis(axis, t.ndim)
     runs = t.shape[:axis] + (groups, type_size(t.shape[axis], groups)) + t.shape[axis + 1:]
     if not np.isfinite(t.data).all():
@@ -531,7 +533,7 @@ def softmax_along(t, axis: int, groups: int = 1) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = None,
            relu: bool = False, donate: bool = False) -> Tensor:
     """2-D cross-correlation of ``x`` [B,C,H,W] with ``kernel`` [O,C,kh,kw],
     plus ``bias`` [O] per output channel when given, clamped at zero when
@@ -545,11 +547,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     conv2d backward reads its input's ``data``, and with ``relu`` it keeps
     only the bool mask of the positive outputs, so the output can be donated.
 
-    Output spatial size is floor((H + 2*padding - kh)/stride) + 1 (same for
-    width).  One of two algorithms computes the convolution's values and a
-    function that adds the gradients at ``x`` and ``kernel``; this call adds
-    the bias and takes the clamp in place on those values, and owns the one
-    tape node, whose output has the values of
+    Output spatial size is floor((H - kh)/stride) + 1 (same for width): the
+    windows start at the input's edge.  One of two algorithms computes the
+    convolution's values and a function that adds the gradients at ``x`` and
+    ``kernel``; this call adds the bias and takes the clamp in place on those
+    values, and owns the one tape node, whose output has the values of
     ``(conv2d(x, kernel) + bias.reshape(1, -1, 1, 1)).relu()``.  Its backward
     zeroes the gradient where that output was not positive (NaN included),
     sums it over batch and positions into the bias gradient, then hands it
@@ -577,9 +579,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
       reads reaches every output of its image; points no window reads reach
       none.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    bias = None if bias is None else as_tensor(bias)
-    geometry = _conv2d_geometry(x.shape, kernel.shape, stride, padding)
+    geometry = _conv2d_geometry(x.shape, kernel.shape, stride)
     if bias is not None and bias.shape != kernel.shape[:1]:
         raise ShapeError(f"conv2d bias {bias.shape} does not match kernel {kernel.shape}")
     k_grad = _grad_enabled and kernel.requires_grad
@@ -607,26 +607,22 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None,
     return node
 
 
-def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int,
-                     padding: int) -> tuple:
+def _conv2d_geometry(x_shape: tuple[int, ...], k_shape: tuple[int, ...], stride: int) -> tuple:
     """A conv2d call's validated output height and width, the hg x wg grid
-    its windows read, the grid rows and columns of the input's points inside
-    that grid (the padding shifts them), and the call's stride and padding."""
+    its windows read (the input's first hg rows and wg columns), and the
+    call's stride."""
     if len(x_shape) != 4 or len(k_shape) != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x_shape} and {k_shape}")
     if k_shape[1] != x_shape[1]:
         raise ShapeError(f"conv2d channel mismatch: input {x_shape} vs kernel {k_shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got {stride}, {padding}")
-    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+    if stride < 1:
+        raise ShapeError(f"conv2d needs stride >= 1, got {stride}")
+    h, w = x_shape[2:]
     kh, kw = k_shape[2:]
-    if kh > hp or kw > wp:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input {hp}x{wp} (shape {x_shape}, padding {padding})")
-    h_out, w_out = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    hg, wg = (h_out - 1) * stride + kh, (w_out - 1) * stride + kw
-    return (h_out, w_out, hg, wg, np.arange(padding, min(x_shape[2] + padding, hg)),
-            np.arange(padding, min(x_shape[3] + padding, wg)), stride, padding)
+    if kh > h or kw > w:
+        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w} (shape {x_shape})")
+    h_out, w_out = (h - kh) // stride + 1, (w - kw) // stride + 1
+    return h_out, w_out, (h_out - 1) * stride + kh, (w_out - 1) * stride + kw, stride
 
 
 def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: tuple,
@@ -643,7 +639,7 @@ def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: 
     ``x_grad`` and ``k_grad`` say which gradients will be recorded, adding
     their backward work to both sides.
     """
-    h_out, w_out, hg, wg, x_rows, x_cols, *_ = geometry
+    h_out, w_out, hg, wg, _ = geometry
     batch, c_in = x_shape[:2]
     c_out, _, kh, kw = k_shape
     half = wg // 2 + 1
@@ -661,7 +657,7 @@ def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: 
         # ``reads`` times, and the result written
         return hg * half * (4 * m * n * k + 16 * (reads * m * k + k * n + m * n))
 
-    inputs = transform(len(x_rows), len(x_cols), batch * c_in)
+    inputs = transform(hg, wg, batch * c_in)
     taps = transform(kh, kw, c_out * c_in)
     outputs = transform(h_out, w_out, batch * c_out)
     # the kernel's spectrum is built per block of ``batch`` output channels,
@@ -691,17 +687,14 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, rel
     adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
     kernel gradient only when ``k_grad``; ``release`` releases ``x.data``
     once it is built."""
-    h_out, w_out, *_, stride, padding = geometry
-    batch, c_in, h, w = x.shape
+    h_out, w_out, *_, stride = geometry
+    batch, c_in = x.shape[:2]
     c_out, _, kh, kw = kernel.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
         batch * h_out * w_out, c_in * kh * kw)
-    del x_pad, windows   # at padding 0 both still hold x.data
+    del windows   # a view that still holds x.data
     if release:
         x.data = _Released(x.data)
     w_mat = kernel.data.reshape(c_out, -1)
@@ -715,12 +708,12 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, rel
             kernel._adopt((g_mat.T @ kept_cols).reshape(kernel.shape))
         if x.requires_grad:
             g_pos = g_mat.reshape(batch, h_out, w_out, c_out)
-            dx_pad = np.zeros((batch, c_in, hp, wp), dtype=g.dtype)
+            dx = np.zeros(x.shape, dtype=g.dtype)
             for i in range(h_out):
                 for j in range(w_out):
-                    dx_pad[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += \
+                    dx[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw] += \
                         (g_pos[:, i, j] @ w_mat).reshape(batch, c_in, kh, kw)
-            x._accumulate(dx_pad[:, :, padding:padding + h, padding:padding + w])
+            x._adopt(dx)
 
     return out, grads
 
@@ -734,7 +727,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     The grid is hg x wg, hg = (h_out-1)*stride + kh (wg likewise).  No window
     wraps around it, so circular correlations on it equal the direct ones,
     and input points past it, which no window reads, get a zero gradient.
-    With X, K and G the spectra of the input (shifted by the padding), the
+    With X, K and G the spectra of the input's points on the grid, the
     kernel's taps and the output gradient at its strided points, the
     output's spectrum is X conj(K), the kernel gradient's sum_b conj(G) X and
     the input gradient's G K: channel products at each of the F = hg *
@@ -749,7 +742,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     written into the columns of one G K.  ``release`` releases ``x.data``
     once X is built.
     """
-    h_out, w_out, hg, wg, x_rows, x_cols, stride, _ = geometry
+    h_out, w_out, hg, wg, stride = geometry
     batch, c_in, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     grid, freqs = (hg, wg), hg * (wg // 2 + 1)
@@ -757,11 +750,12 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     rtype = np.finfo(ctype).dtype
     out_rows, out_cols = np.arange(h_out) * stride, np.arange(w_out) * stride
     tap_rows, tap_cols = np.arange(kh), np.arange(kw)
+    x_rows, x_cols = np.arange(hg), np.arange(wg)
 
     # A signal reflected through the origin has the conjugate spectrum, so
     # placing the input at the negated points gives conj(X), [F, B, C], and
     # conj(X conj(K)) = conj(X) K needs no conjugated copy of either.
-    x_pts = x.data.reshape(batch * c_in, h, w)[:, :len(x_rows), :len(x_cols)]
+    x_pts = x.data.reshape(batch * c_in, h, w)[:, :hg, :wg]
     x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
     del x_pts
     if release:
@@ -801,8 +795,8 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
                           out=dx_spec[:, :, c:c + batch])
             del g_spec
             dx = np.empty(x.shape, dtype=rtype)
-            dx[:, :, len(x_rows):] = 0.0
-            dx[:, :, :, len(x_cols):] = 0.0
+            dx[:, :, hg:] = 0.0
+            dx[:, :, :, wg:] = 0.0
             x._adopt(_values_at(dx_spec, -x_rows, -x_cols, grid, dx))
 
     return out, grads

@@ -90,9 +90,8 @@ def _grad_cases():
         ("max-axis", lambda ts: ts[0].max(axis=1).sum(), [(3, 5)], 1e-4),
         ("softmax", lambda ts: (softmax_along(ts[0], axis=1)
                                 * ts[1]).sum(), [(2, 5, 3), (2, 5, 3)], 1e-4),
-        ("conv2d", lambda ts: conv2d(ts[0], ts[1], stride=2,
-                                     padding=1).sigmoid().sum(),
-         [(2, 2, 6, 6), (3, 2, 3, 3)], 1e-4),
+        ("conv2d", lambda ts: conv2d(ts[0], ts[1], stride=2).sigmoid().sum(),
+         [(2, 2, 7, 7), (3, 2, 3, 3)], 1e-4),
         ("squash", lambda ts: (squash(ts[0]) * ej).sum(), [(2, 3, 4)], 1e-4),
         ("predict", lambda ts: (predict(ts[0], ts[1]) * e4).sum(),
          [(2, 5, 3), (5, 3, 4, 3)], 1e-4),
@@ -391,7 +390,7 @@ def test_criterion_10_grouped_combination_identity():
             images = rng.uniform(0.0, 1.0, size=(4, 1, 28, 28))
             with no_grad():
                 _, v, per_type, _ = forward(model, images)
-                recombined = squash(Tensor(per_type.data.sum(axis=1))).data
+                recombined = squash(Tensor(per_type.sum(axis=1))).data
             worst = max(worst, float(np.abs(v.data - recombined).max()))
             assert worst <= 1e-10, f"{name} seed {seed}: diff {worst:.3e}"
     print(f"criterion 10 PASS: v = squash(sum of per-type outputs),"

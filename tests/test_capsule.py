@@ -419,11 +419,15 @@ class TestAgreementUpdate:
                                * ts[3]).sum(),
                    [(2, 3, 2), (2, 3, 2, 4), (2, 2, 4), (2, 3, 2)], rng)
 
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            agreement_update(Tensor(np.zeros((1, 3, 2))),
-                             Tensor(np.zeros((1, 3, 2, 4))),
-                             Tensor(np.zeros((1, 3, 4))))
+    # v's upper count wrong; u_hat 5-d or 3-d, whose first three sizes match b's
+    @pytest.mark.parametrize("u_shape,v_shape", [((1, 3, 2, 4), (1, 3, 4)),
+                                                 ((1, 3, 2, 4, 5), (1, 2, 4)),
+                                                 ((1, 3, 2), (1, 2, 4))],
+                             ids=["v-upper", "u_hat-5d", "u_hat-3d"])
+    def test_shape_mismatch_raises(self, u_shape, v_shape):
+        with pytest.raises(ShapeError, match="agreement_update"):
+            agreement_update(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros(u_shape)),
+                             Tensor(np.zeros(v_shape)))
 
 
 class TestMarginLoss:

@@ -59,8 +59,8 @@ class TestArchConfig:
         assert IMAGE_SHAPE == (1, 28, 28) and math.prod(IMAGE_SHAPE) == 784
         assert GRID == 6
         assert ArchConfig().layer_spec().caps_per_type == 36
-        assert ArchConfig().num_lower == 1152
-        assert ArchConfig.compact().num_lower == 288
+        assert ArchConfig().layer_spec().num_lower == 1152
+        assert ArchConfig.compact().layer_spec().num_lower == 288
 
     def test_only_the_widths_are_settable(self):
         assert [f.name for f in fields(ArchConfig)] == [
@@ -144,7 +144,7 @@ class TestForward:
         assert lengths.shape == (3, 10)
         assert caps.shape == (3, 10, 4)
         assert per_type is None
-        assert [c.shape for c in couplings] == [(3, model.arch.num_lower, 10)] * 3
+        assert [c.shape for c in couplings] == [(3, model.arch.layer_spec().num_lower, 10)] * 3
         assert (lengths.data >= 0).all() and (lengths.data < 1).all()
 
     def test_zero_image_zero_bias_scores_zero(self):
@@ -165,7 +165,7 @@ class TestForward:
         images = rng.uniform(0, 1, (2, 1, 28, 28))
         _, caps, per_type, _ = forward(model, images)
         assert per_type.shape == (2, 2, 10, 4)
-        recombined = squash(Tensor(per_type.data.sum(axis=1))).data
+        recombined = squash(Tensor(per_type.sum(axis=1))).data
         assert np.abs(caps.data - recombined).max() < 1e-10
 
     def test_wrong_image_shape_raises(self):

@@ -211,7 +211,7 @@ class TestRouteBehaviour:
         u_hat = Tensor(rng.standard_normal((2, 12, 3, 3)))
         v, _, per_type = route(u_hat, spec, RoutingConfig.from_name("alg4"))
         assert per_type.shape == (2, 3, 3, 3)
-        recombined = squash(Tensor(per_type.data.sum(axis=1))).data
+        recombined = squash(Tensor(per_type.sum(axis=1))).data
         assert np.abs(v.data - recombined).max() < 1e-10
 
     def test_grouped_trace_keeps_full_couplings_and_per_type_sums(self):
@@ -233,7 +233,7 @@ class TestRouteBehaviour:
                 a, z = 4 * t, 4 * t + 4
                 want = squash(weighted_sum(Tensor(couplings[-1][:, a:z]),
                                            Tensor(u[:, a:z]))).data[:, 0]
-                assert np.abs(per_type.data[:, t] - want).max() < 1e-12
+                assert np.abs(per_type[:, t] - want).max() < 1e-12
 
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_last_iteration_skips_the_unread_logit_update(self, monkeypatch, iterations):
@@ -291,7 +291,7 @@ class TestFloat32:
             results.append((v.data, u.grad))
         assert all(c.dtype == np.float32 for c in couplings)
         if per_type is not None:
-            assert per_type.data.dtype == np.float32
+            assert per_type.dtype == np.float32
         for want, got in zip(*results):
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= 16 * np.finfo(np.float32).eps * np.abs(want).max()

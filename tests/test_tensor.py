@@ -304,23 +304,23 @@ def test_local_gradient_ops_keep_tag_dtype_and_constants(tag, op, shapes):
                 assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
 
 
-def _spectral_is_cheaper(x_shape, k_shape, stride, padding, x_grad, k_grad):
+def _spectral_is_cheaper(x_shape, k_shape, stride, x_grad, k_grad):
     """Whether ``conv2d`` picks the spectral algorithm at these shapes, with
     these gradients recorded."""
     spectral, im2col = _conv2d_costs(x_shape, k_shape,
-                                     _conv2d_geometry(x_shape, k_shape, stride, padding),
+                                     _conv2d_geometry(x_shape, k_shape, stride),
                                      x_grad, k_grad)
     return spectral < im2col
 
 
 def forced(spectral):
     """``conv2d`` with its algorithm fixed, spectral or im2col, whatever the
-    shapes; called as ``(x, kernel, stride, padding, bias=None, relu=False)``."""
-    def conv(x, kernel, stride, padding, bias=None, relu=False):
+    shapes; called as ``(x, kernel, stride, bias=None, relu=False)``."""
+    def conv(x, kernel, stride, bias=None, relu=False):
         count = tensor_module._conv2d_costs
         tensor_module._conv2d_costs = lambda *args: (0, 1) if spectral else (1, 0)
         try:
-            return conv2d(x, kernel, stride, padding, bias, relu)
+            return conv2d(x, kernel, stride, bias, relu)
         finally:
             tensor_module._conv2d_costs = count
     return conv
@@ -329,13 +329,12 @@ def forced(spectral):
 _conv2d_im2col, _conv2d_spectral = forced(False), forced(True)
 
 
-def conv2d_direct(x, k, stride, padding):
+def conv2d_direct(x, k, stride):
     """Definition-level convolution: loop over every output element."""
     b, c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
+    h_out = (h - kh) // stride + 1
+    w_out = (w - kw) // stride + 1
     out = np.zeros((b, c_out, h_out, w_out))
     for n in range(b):
         for o in range(c_out):
@@ -345,9 +344,31 @@ def conv2d_direct(x, k, stride, padding):
                     for c in range(c_in):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += xp[n, c, i * stride + u, j * stride + v] * k[o, c, u, v]
+                                acc += x[n, c, i * stride + u, j * stride + v] * k[o, c, u, v]
                     out[n, o, i, j] = acc
     return out
+
+
+@pytest.mark.parametrize("h,w,kh,kw,stride", [
+    pytest.param(28, 28, 9, 9, 1, id="stem"),
+    pytest.param(20, 20, 9, 9, 2, id="primary"),
+    pytest.param(6, 7, 3, 3, 2, id="stride2-uncovered-edge"),
+    pytest.param(8, 10, 3, 2, 3, id="stride3-kernel-3x2"),
+])
+def test_conv2d_grid_ends_at_the_last_row_and_column_a_window_reads(h, w, kh, kw, stride):
+    # Without padding the grid is the input's first hg rows and wg columns;
+    # past them no window reads, and a stride wider than the kernel leaves
+    # unread columns inside it.
+    h_out, w_out, hg, wg, _ = _conv2d_geometry((1, 1, h, w), (1, 1, kh, kw), stride)
+    read = np.zeros((h, w), dtype=bool)
+    for i in range(h_out):
+        for j in range(w_out):
+            read[i * stride:i * stride + kh, j * stride:j * stride + kw] = True
+    assert (1, 1, h_out, w_out) == conv2d_direct(np.zeros((1, 1, h, w)),
+                                                 np.zeros((1, 1, kh, kw)), stride).shape
+    assert hg <= h and wg <= w
+    assert read[hg - 1].any() and read[:, wg - 1].any()
+    assert not read[hg:].any() and not read[:, wg:].any()
 
 
 class TestConv2d:
@@ -356,46 +377,47 @@ class TestConv2d:
 
     conv = staticmethod(_conv2d_im2col)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 2), (2, 1)])
-    def test_matches_direct_evaluation(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_direct_evaluation(self, stride):
         rng = np.random.default_rng(61)
         x = rng.standard_normal((2, 3, 9, 8))
         k = rng.standard_normal((4, 3, 3, 3))
-        got = self.conv(Tensor(x), Tensor(k), stride, padding)
-        want = conv2d_direct(x, k, stride, padding)
+        got = self.conv(Tensor(x), Tensor(k), stride)
+        want = conv2d_direct(x, k, stride)
         assert got.shape == want.shape
         assert np.allclose(got.data, want, atol=1e-10)
 
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 1, 28, 28)))
         k9 = Tensor(np.zeros((4, 1, 9, 9)))
-        assert self.conv(x, k9, 1, 0).shape == (1, 4, 20, 20)
+        assert self.conv(x, k9, 1).shape == (1, 4, 20, 20)
         x20 = Tensor(np.zeros((1, 4, 20, 20)))
         k = Tensor(np.zeros((8, 4, 9, 9)))
-        assert self.conv(x20, k, 2, 0).shape == (1, 8, 6, 6)
+        assert self.conv(x20, k, 2).shape == (1, 8, 6, 6)
 
-    @pytest.mark.parametrize("x_shape,k_shape,stride,padding,wrt", [
-        pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 1, 0, (0, 1), id="1-0"),
-        pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 2, 1, (0, 1), id="2-1"),
-        pytest.param((2, 2, 6, 5), (3, 2, 3, 2), 1, 0, (0, 1), id="kernel-3x2"),
+    @pytest.mark.parametrize("x_shape,k_shape,stride,wrt", [
+        pytest.param((2, 2, 6, 7), (3, 2, 3, 3), 1, (0, 1), id="stride1"),
+        pytest.param((2, 2, 7, 8), (3, 2, 3, 3), 2, (0, 1), id="stride2"),
+        pytest.param((2, 2, 6, 5), (3, 2, 3, 2), 1, (0, 1), id="kernel-3x2"),
         # Row 5 and column 5 lie in no window, so their gradient must be zero.
-        pytest.param((1, 2, 6, 6), (2, 2, 3, 3), 2, 0, (0, 1), id="stride2-uncovered-edge"),
-        pytest.param((1, 2, 5, 6), (2, 2, 3, 3), 2, 2, (0, 1), id="stride2-padding2"),
+        pytest.param((1, 2, 6, 6), (2, 2, 3, 3), 2, (0, 1), id="stride2-uncovered-edge"),
+        # Rows 6-7 and column 6 lie in no window of a stride-3 conv.
+        pytest.param((1, 2, 8, 7), (2, 2, 3, 3), 3, (0, 1), id="stride3-uncovered-edge"),
         # A constant kernel keeps nothing for a kernel gradient; a constant
         # input (the stem's case) computes no input gradient.
-        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 2, 0, (0,), id="input-only"),
-        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 1, 0, (1,), id="kernel-only"),
+        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 2, (0,), id="input-only"),
+        pytest.param((1, 2, 7, 7), (2, 2, 3, 3), 1, (1,), id="kernel-only"),
     ])
-    def test_gradients_match_finite_differences(self, x_shape, k_shape, stride, padding, wrt):
+    def test_gradients_match_finite_differences(self, x_shape, k_shape, stride, wrt):
         rng = np.random.default_rng(62)
         const = [Tensor(rng.standard_normal(s)) for s in (x_shape, k_shape)]
-        wgt = Tensor(rng.standard_normal(self.conv(*const, stride, padding).shape))
+        wgt = Tensor(rng.standard_normal(self.conv(*const, stride).shape))
 
         def build(ts):
             args = list(const)
             for i, t in zip(wrt, ts):
                 args[i] = t
-            return (self.conv(*args, stride, padding) * wgt).sum()
+            return (self.conv(*args, stride) * wgt).sum()
 
         check_grad(build, [(x_shape, k_shape)[i] for i in wrt], rng, rel_tol=1e-6)
 
@@ -403,7 +425,7 @@ class TestConv2d:
         # A non-uniform cotangent exercises the column scatter fully.
         rng = np.random.default_rng(63)
         wgt = rng.standard_normal((1, 2, 3, 3))
-        check_grad(lambda ts: (self.conv(ts[0], ts[1], 2, 0) * Tensor(wgt)).sum(),
+        check_grad(lambda ts: (self.conv(ts[0], ts[1], 2) * Tensor(wgt)).sum(),
                    [(1, 2, 7, 7), (2, 2, 3, 3)], rng)
 
     def test_float32_stays_float32(self):
@@ -411,12 +433,12 @@ class TestConv2d:
         # float64 value (both algorithms stay under 3).
         rng = np.random.default_rng(64)
         x64, k64 = rng.standard_normal((2, 6, 11, 10)), rng.standard_normal((5, 6, 4, 3))
-        g = rng.standard_normal(self.conv(Tensor(x64), Tensor(k64), 2, 1).shape)
+        g = rng.standard_normal(self.conv(Tensor(x64), Tensor(k64), 2).shape)
         results = []
         for dtype in (np.float64, np.float32):
             x = Tensor(x64, requires_grad=True, dtype=dtype)
             k = Tensor(k64, requires_grad=True, dtype=dtype)
-            y = self.conv(x, k, 2, 1)
+            y = self.conv(x, k, 2)
             (y * Tensor(g, dtype=dtype)).sum().backward()
             results.append((y.data, x.grad, k.grad))
         for want, got in zip(*results):
@@ -429,28 +451,27 @@ class TestConv2d:
         for x_dtype, k_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
             x = Tensor(x64, requires_grad=True, dtype=x_dtype)
             k = Tensor(k64, requires_grad=True, dtype=k_dtype)
-            self.conv(x, k, 2, 1).sum().backward()
+            self.conv(x, k, 2).sum().backward()
             assert x.grad.dtype == x_dtype and k.grad.dtype == k_dtype
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            self.conv(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))), 1, 0)
+            self.conv(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))), 1)
 
     def test_oversized_kernel_raises(self):
         with pytest.raises(ShapeError):
-            self.conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))), 1, 0)
+            self.conv(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))), 1)
 
     @pytest.mark.parametrize("x_shape,k_shape", [((1, 8, 8), (2, 1, 3, 3)),
                                                  ((1, 1, 8, 8), (2, 1, 3))])
     def test_rank_other_than_four_raises(self, x_shape, k_shape):
         with pytest.raises(ShapeError, match="4-d"):
-            self.conv(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), 1, 0)
+            self.conv(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), 1)
 
-    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1)])
-    def test_stride_below_one_or_negative_padding_raises(self, stride, padding):
-        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
-            self.conv(Tensor(np.zeros((1, 1, 8, 8))), Tensor(np.zeros((2, 1, 3, 3))),
-                      stride, padding)
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_raises(self, stride):
+        with pytest.raises(ShapeError, match="stride >= 1"):
+            self.conv(Tensor(np.zeros((1, 1, 8, 8))), Tensor(np.zeros((2, 1, 3, 3))), stride)
 
 
 class TestConv2dSpectral(TestConv2d):
@@ -463,7 +484,7 @@ class TestConv2dSpectral(TestConv2d):
         results = []
         for path in (_conv2d_im2col, _conv2d_spectral):
             x, k = Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True)
-            y = path(x, k, 2, 0)
+            y = path(x, k, 2)
             (y * g).sum().backward()
             results.append((y.data, x.grad, k.grad))
         for want, got in zip(*results):
@@ -475,9 +496,9 @@ class TestConv2dSpectral(TestConv2d):
         rng = np.random.default_rng(66)
         x, k = rng.standard_normal((2, 3, 20, 20)), rng.standard_normal((4, 3, 9, 9))
         x[1, 2, 19, 5] = np.nan
-        got = _conv2d_spectral(Tensor(x), Tensor(k), 2, 0).data
+        got = _conv2d_spectral(Tensor(x), Tensor(k), 2).data
         assert np.isfinite(got).all()
-        assert np.allclose(got, _conv2d_im2col(Tensor(x), Tensor(k), 2, 0).data, atol=1e-10)
+        assert np.allclose(got, _conv2d_im2col(Tensor(x), Tensor(k), 2).data, atol=1e-10)
 
     def test_backward_drops_each_spectrum_after_its_last_product(self):
         # With many images and few channels, G and the input's spectrum
@@ -487,7 +508,7 @@ class TestConv2dSpectral(TestConv2d):
         rng = np.random.default_rng(69)
         x = Tensor(rng.standard_normal((64, 8, 20, 20)), requires_grad=True)
         k = Tensor(rng.standard_normal((8, 8, 9, 9)), requires_grad=True)
-        y = _conv2d_spectral(x, k, 2, 0)
+        y = _conv2d_spectral(x, k, 2)
         out = (y * Tensor(rng.standard_normal(y.shape))).sum()
         del y
         tracemalloc.start()
@@ -512,11 +533,11 @@ class TestConv2dSpectral(TestConv2d):
             tracemalloc.start()
             try:
                 start, _ = tracemalloc.get_traced_memory()
-                got = _conv2d_spectral(x, k, 2, 0).data
+                got = _conv2d_spectral(x, k, 2).data
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            want = _conv2d_im2col(x, k, 2, 0).data
+            want = _conv2d_im2col(x, k, 2).data
         assert peak - start < 3 * x_spectrum + 4 * tensor_module._BLOCK_BYTES
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -533,11 +554,11 @@ class TestConv2dSpectral(TestConv2d):
             tracemalloc.start()
             try:
                 start, _ = tracemalloc.get_traced_memory()
-                got = _conv2d_spectral(x, k, 2, 0).data
+                got = _conv2d_spectral(x, k, 2).data
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            want = _conv2d_im2col(x, k, 2, 0).data
+            want = _conv2d_im2col(x, k, 2).data
         assert peak - start < 12 * x_spectrum
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -562,7 +583,7 @@ class TestConv2dSpectral(TestConv2d):
         results = []
         for path in (_conv2d_im2col, _conv2d_spectral):
             x, k = Tensor(x0, requires_grad=grads[0]), Tensor(k0, requires_grad=grads[1])
-            y = path(x, k, 2, 0)
+            y = path(x, k, 2)
             (y * g).sum().backward()
             results.append([y.data] + [t.grad for t, on in zip((x, k), grads) if on])
         assert taps == [24, 24, 8] + ([21, 21, 14] if grads[0] else [])
@@ -573,7 +594,7 @@ class TestConv2dSpectral(TestConv2d):
         rng = np.random.default_rng(68)
         x = Tensor(rng.standard_normal((2, 3, 20, 20)), requires_grad=True)
         k = Tensor(rng.standard_normal((4, 3, 9, 9)))
-        _conv2d_spectral(x, k, 2, 0).sum().backward()
+        _conv2d_spectral(x, k, 2).sum().backward()
         assert not x.grad[:, :, 19].any() and not x.grad[:, :, :, 19].any()
         assert x.grad[:, :, :19, :19].all()
 
@@ -594,7 +615,7 @@ class TestConv2dDonate:
                              ids=["im2col", "spectral"])
     def test_no_grad_releases_the_input_and_gives_the_same_output(self, batch, spectral):
         x, k, b = self.inputs(batch)
-        assert _spectral_is_cheaper(x.shape, k.shape, 2, 0, False, False) == spectral
+        assert _spectral_is_cheaper(x.shape, k.shape, 2, False, False) == spectral
         with no_grad():
             want = conv2d(x, k, stride=2, bias=b, relu=True).data
             held = weakref.ref(x.data)
@@ -610,7 +631,7 @@ class TestConv2dDonate:
         results = []
         for donate in (False, True):
             x, k, b = self.inputs(batch, requires_grad=True)
-            assert _spectral_is_cheaper(x.shape, k.shape, 2, 0, True, True) == spectral
+            assert _spectral_is_cheaper(x.shape, k.shape, 2, True, True) == spectral
             held = weakref.ref(x.data)
             y = conv2d(x, k, stride=2, bias=b, relu=True, donate=donate)
             assert (held() is None) == donate
@@ -640,7 +661,7 @@ class TestConv2dDonate:
         lambda x: x.data[0],
         lambda x: x.relu(),
         lambda x: x * 2.0,
-        lambda x: conv2d(x, np.ones((1, 3, 3, 3))),
+        lambda x: conv2d(x, Tensor(np.ones((1, 3, 3, 3)))),
     ], ids=["asarray", "method", "index", "relu", "mul", "conv2d"])
     def test_reading_released_values_raises(self, read):
         x, _ = self.donated()
@@ -665,7 +686,7 @@ class TestConv2dDonate:
         x = Tensor(rng.standard_normal((batch, 1, 28, 28)), requires_grad=True)
         k1 = Tensor(rng.standard_normal((32, 1, 9, 9)))
         k2 = Tensor(rng.standard_normal((64, 32, 9, 9)))
-        assert _spectral_is_cheaper((batch, 32, 20, 20), k2.shape, 2, 0, True, False) == spectral
+        assert _spectral_is_cheaper((batch, 32, 20, 20), k2.shape, 2, True, False) == spectral
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -680,24 +701,6 @@ class TestConv2dDonate:
         saved = [c.cell_contents for c in stem._backward_fn.__closure__
                  if isinstance(c.cell_contents, np.ndarray)]
         assert [(a.dtype, a.shape) for a in saved] == [(np.bool_, stem.shape)]
-
-
-def test_padded_im2col_donate_releases_the_input_and_keeps_its_gradients():
-    # With padding the windows are read from a padded copy, so only the
-    # input's own reference keeps its array alive.
-    rng = np.random.default_rng(92)
-    arrays = [rng.standard_normal(s) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (2, 4, 8, 8))]
-    assert not _spectral_is_cheaper(arrays[0].shape, arrays[1].shape, 1, 1, True, True)
-    results = []
-    for donate in (False, True):
-        x, k = (Tensor(a.copy(), requires_grad=True) for a in arrays[:2])
-        held = weakref.ref(x.data)
-        y = conv2d(x, k, padding=1, donate=donate)
-        assert (held() is None) == donate
-        (y * Tensor(arrays[2])).sum().backward()
-        results.append((y.data, x.grad, k.grad))
-    for got, want in zip(*results):
-        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("conv", [_conv2d_im2col, _conv2d_spectral], ids=["im2col", "spectral"])
@@ -715,7 +718,7 @@ class TestConv2dBiasRelu:
 
     @staticmethod
     def unfused(conv, x, k, b, relu):
-        y = conv(x, k, 2, 1) + b.reshape(1, -1, 1, 1)
+        y = conv(x, k, 2) + b.reshape(1, -1, 1, 1)
         return y.relu() if relu else y
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "bias-only"])
@@ -726,7 +729,7 @@ class TestConv2dBiasRelu:
             x, k, b = self.inputs(80)
             if nan:
                 x.data[1, 0, 4, 4] = np.nan
-            y = conv(x, k, 2, 1, b, relu) if fused else self.unfused(conv, x, k, b, relu)
+            y = conv(x, k, 2, b, relu) if fused else self.unfused(conv, x, k, b, relu)
             g = np.random.default_rng(81).standard_normal(y.shape)
             (y * Tensor(g)).sum().backward()
             results.append((y.data, x.grad, k.grad, b.grad))
@@ -739,10 +742,10 @@ class TestConv2dBiasRelu:
         # pre-activation lies at least 1e-3 from the kink; a 1e-5 step of
         # one input moves none of them by more than 1e-4.
         x, k, b = self.inputs(82)
-        pre = conv(x, k, 2, 1, b).data
+        pre = conv(x, k, 2, b).data
         assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
         wgt = Tensor(np.random.default_rng(83).standard_normal(pre.shape))
-        check_grad(lambda ts: (conv(ts[0], ts[1], 2, 1, ts[2], True) * wgt).sum(),
+        check_grad(lambda ts: (conv(ts[0], ts[1], 2, ts[2], True) * wgt).sum(),
                    self.shapes, np.random.default_rng(82))
 
     def test_only_the_bias_requires_a_gradient(self, conv):
@@ -750,7 +753,7 @@ class TestConv2dBiasRelu:
         for fused in (True, False):
             x, k, b = self.inputs(84)
             x.requires_grad = k.requires_grad = False
-            y = conv(x, k, 2, 1, b, True) if fused else self.unfused(conv, x, k, b, True)
+            y = conv(x, k, 2, b, True) if fused else self.unfused(conv, x, k, b, True)
             assert y.requires_grad
             y.sum().backward()
             assert x.grad is None and k.grad is None
@@ -761,7 +764,7 @@ class TestConv2dBiasRelu:
         results = []
         for dtype in (np.float64, np.float32):
             x, k, b = self.inputs(85, dtype)
-            y = conv(x, k, 2, 1, b, True)
+            y = conv(x, k, 2, b, True)
             (y * y).sum().backward()
             results.append((y.data, x.grad, k.grad, b.grad))
         for want, got in zip(*results):
@@ -771,7 +774,7 @@ class TestConv2dBiasRelu:
     def test_no_grad_records_nothing(self, conv):
         x, k, b = self.inputs(86)
         with no_grad():
-            y = conv(x, k, 2, 1, b, True)
+            y = conv(x, k, 2, b, True)
             want = self.unfused(conv, x, k, b, True).data
         assert not y.requires_grad and y._parents == () and y._backward_fn is None
         assert np.array_equal(y.data, want)
@@ -779,7 +782,7 @@ class TestConv2dBiasRelu:
     def test_bias_of_the_wrong_length_raises(self, conv):
         x, k, _ = self.inputs(87)
         with pytest.raises(ShapeError, match="bias"):
-            conv(x, k, 2, 1, Tensor(np.zeros(3)), False)
+            conv(x, k, 2, Tensor(np.zeros(3)), False)
 
 
 # Measured above the pass's start, in the output's bytes, with the bias and
@@ -794,7 +797,7 @@ def test_fused_stem_backward_holds_no_extra_gradient(conv, bound):
     x = Tensor(rng.standard_normal((16, 1, 28, 28)))
     k = Tensor(rng.standard_normal((32, 1, 9, 9)), requires_grad=True)
     b = Tensor(rng.standard_normal(32), requires_grad=True)
-    y = conv(x, k, 1, 0, b, True)
+    y = conv(x, k, 1, b, True)
     out, nbytes = (y * Tensor(rng.standard_normal(y.shape))).sum(), y.data.nbytes
     del y
     tracemalloc.start()
@@ -874,7 +877,7 @@ class TestBlockedTransforms:
             tracemalloc.start()
             try:
                 start, _ = tracemalloc.get_traced_memory()
-                _conv2d_spectral(x, k, 2, 0)
+                _conv2d_spectral(x, k, 2)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -931,7 +934,7 @@ class TestConv2dPathChoice:
                      id="compact-primary-batch23-no-grad"),
     ])
     def test_cheaper_path_by_shape(self, x_shape, k_shape, stride, grads, spectral):
-        costs = _conv2d_costs(x_shape, k_shape, _conv2d_geometry(x_shape, k_shape, stride, 0),
+        costs = _conv2d_costs(x_shape, k_shape, _conv2d_geometry(x_shape, k_shape, stride),
                               *grads)
         assert all(type(cost) is int and cost > 0 for cost in costs)
         assert (costs[0] < costs[1]) == spectral
