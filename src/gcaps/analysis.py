@@ -85,7 +85,7 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
     """Train one model, returning (model, per-epoch MetricsRecords).
 
     Training batches are shift-augmented when ``train_config.augment`` is
-    set.  Emits one train-split and one test-split record per epoch;
+    set.  Emits a train-split and then a test-split record per epoch;
     accuracy and loss come from full evaluation passes on un-augmented data,
     and so does ``mean_dc``, over the first PROBE_IMAGES images of each
     split.  Raises NonFiniteError if optimization diverges (callers may
@@ -116,67 +116,42 @@ def train_run(train_ds: Dataset, test_ds: Dataset, arch: ArchConfig,
     return model, records
 
 
-@dataclass(frozen=True)
-class ConfigResult:
-    """One routing variant's outcomes across the seed set."""
-
-    config_name: str                  # alg1..alg4
-    config_label: str                 # b / bc / o / oc
-    seed_accuracies: dict[int, float | None]   # None marks a diverged run
-
-    @property
-    def mean_accuracy(self) -> float | None:
-        values = [a for a in self.seed_accuracies.values() if a is not None]
-        return float(np.mean(values)) if values else None
-
-    @property
-    def diverged_seeds(self) -> list[int]:
-        return [s for s, a in self.seed_accuracies.items() if a is None]
-
-
 def run_comparison(train_ds: Dataset, test_ds: Dataset,
                    configs: list[RoutingConfig], train_config: TrainConfig,
                    seeds, out_dir: str, arch: ArchConfig,
-                   timer=time.perf_counter) -> list[ConfigResult]:
-    """Train every (routing config, seed) pair under one shared budget.
-
-    Per-run metrics land in ``out_dir/metrics-<run_id>.csv``; the summary
-    table (one row per config, one accuracy column per seed plus the mean)
-    in ``out_dir/report.csv``.  Diverged runs are flagged and excluded from
-    means rather than aborting the comparison.
+                   timer=time.perf_counter) -> list[tuple]:
+    """Train every (routing config, seed) pair once under one shared budget and
+    return the rows written to ``out_dir/report.csv``: per config its name,
+    label, dataset, each seed's final test accuracy, their mean and diverged
+    seeds.  Each run writes ``out_dir/metrics-<run_id>.csv`` (empty if it
+    diverged); a diverged run reads "diverged" and is left out of the mean,
+    which reads "diverged" when no run finished.
     """
-    if not seeds:
-        raise ValueError("run_comparison needs at least one seed")
-    results = []
+    names = [config.name for config in configs]
+    if not seeds or len(set(seeds)) < len(seeds) or len(set(names)) < len(names):
+        raise ValueError(f"run_comparison trains each variant and each of >= 1 seeds"
+                         f" once, got variants {names} and seeds {list(seeds)}")
+    rows = []
     for config in configs:
-        accuracies: dict[int, float | None] = {}
+        accuracies = []   # final test accuracy per seed, None for a diverged run
         for seed in seeds:
             run_id = f"{config.name}-s{seed}"
             cfg = replace(train_config, seed=seed)
-            path = os.path.join(out_dir, f"metrics-{run_id}.csv")
             try:
                 _, records = train_run(train_ds, test_ds, arch, config, cfg, run_id, timer=timer)
             except NonFiniteError:
-                accuracies[seed] = None
-                write_csv(path, METRICS_HEADER, [])
-            else:
-                write_metrics(path, records)
-                final_test = [r for r in records if r.split == "test"][-1]
-                accuracies[seed] = final_test.accuracy
-        results.append(ConfigResult(config_name=config.name, config_label=config.label,
-                                    seed_accuracies=accuracies))
-
-    def cell(accuracy):
-        return "diverged" if accuracy is None else accuracy
-
-    rows = [(res.config_name, res.config_label, train_ds.name,
-             *(cell(res.seed_accuracies[s]) for s in seeds), cell(res.mean_accuracy),
-             ";".join(str(s) for s in res.diverged_seeds))
-            for res in results]
+                records = []
+            write_metrics(os.path.join(out_dir, f"metrics-{run_id}.csv"), records)
+            accuracies.append(records[-1].accuracy if records else None)
+        finite = [a for a in accuracies if a is not None]
+        rows.append((config.name, config.label, train_ds.name,
+                     *("diverged" if a is None else a for a in accuracies),
+                     float(np.mean(finite)) if finite else "diverged",
+                     ";".join(str(s) for s, a in zip(seeds, accuracies) if a is None)))
     seed_cols = ",".join(f"seed_{s}" for s in seeds)
     write_csv(os.path.join(out_dir, "report.csv"),
               f"config,label,dataset,{seed_cols},mean,diverged", rows)
-    return results
+    return rows
 
 
 STUDY_HEADER = "config,trial,iteration,c0,mean_dc,max_dc,rel_dc"
@@ -228,10 +203,6 @@ def init_sensitivity_study(spec, configs: list[RoutingConfig], num_trials: int,
                                          per_trial_mean["alg2"]))
         summary["fraction_alg1_faster_than_alg2"] = wins / num_trials
     return rows, summary
-
-
-def write_study(path: str, rows) -> None:
-    write_csv(path, STUDY_HEADER, rows)
 
 
 def reconstruction_grid(model: Model, image: np.ndarray, label: int,

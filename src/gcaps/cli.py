@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from .analysis import (
+    STUDY_HEADER,
     fmt,
     init_sensitivity_study,
     reconstruction_grid,
@@ -28,7 +29,6 @@ from .analysis import (
     train_run,
     write_csv,
     write_metrics,
-    write_study,
 )
 from .data import Dataset, load_idx, synthetic_dataset
 from .network import (ArchConfig, CheckpointError, Model, TrainConfig, config_from,
@@ -204,7 +204,7 @@ def cmd_train(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[str]
     ckpt_path = os.path.join(cfg.out_dir, f"model-{run_id}.ckpt")
     save_checkpoint(ckpt_path, model, extra={"run_id": run_id,
                                              "dataset": cfg.dataset})
-    final = [r for r in records if r.split == "test"][-1]
+    final = records[-1]
     print(f"run {run_id}: {cfg.epochs} epochs on {cfg.dataset}"
           f" ({len(train_ds)} train / {len(test_ds)} test)")
     print(f"final test accuracy {fmt(final.accuracy)}")
@@ -237,16 +237,11 @@ def cmd_compare(cfg: RunConfig, model: Model | None, args) -> tuple[str, list[st
                           f" configurations, got {list(cfg.configs)}")
     train_ds = load_split(cfg, "train")
     test_ds = load_split(cfg, "test")
-    results = run_comparison(train_ds, test_ds,
-                             [cfg.routing_config(n) for n in names], cfg, seeds,
-                             cfg.out_dir, arch=cfg.arch_config(), timer=cfg.timer())
-    print(f"compared {len(names)} configurations x {len(seeds)} seeds"
-          f" on {cfg.dataset}")
-    for res in results:
-        mean = res.mean_accuracy
-        shown = fmt(mean) if mean is not None else "diverged"
-        print(f"{res.config_name} ({res.config_label}): mean test"
-              f" accuracy {shown}")
+    rows = run_comparison(train_ds, test_ds, [cfg.routing_config(n) for n in names], cfg,
+                          seeds, cfg.out_dir, arch=cfg.arch_config(), timer=cfg.timer())
+    print(f"compared {len(names)} configurations x {len(seeds)} seeds on {cfg.dataset}")
+    for name, label, *_, mean, _ in rows:
+        print(f"{name} ({label}): mean test accuracy {fmt(mean)}")
     return "compare", [os.path.join(cfg.out_dir, "report.csv")]
 
 
@@ -257,7 +252,7 @@ def cmd_routing_report(cfg: RunConfig, model: Model | None, args) -> tuple[str, 
     configs = [cfg.routing_config(n) for n in VARIANT_NAMES]
     rows, summary = init_sensitivity_study(spec, configs, cfg.trials, cfg.seed)
     report_path = os.path.join(cfg.out_dir, "routing-report.csv")
-    write_study(report_path, rows)
+    write_csv(report_path, STUDY_HEADER, rows)
     print(f"routing report: {cfg.trials} trials on"
           f" {spec.num_lower}x{spec.num_upper} capsules")
     for name in VARIANT_NAMES:

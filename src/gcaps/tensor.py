@@ -138,12 +138,8 @@ class Tensor:
                  "_pending", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype != np.float32:
-            arr = arr.astype(DEFAULT_DTYPE, copy=False)
-        self.data = arr
+        arr = np.asarray(data, dtype=dtype)
+        self.data = arr if arr.dtype.char in "fd" else arr.astype(DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcaps.analysis import init_sensitivity_study, train_run, write_metrics, write_study
+from gcaps.analysis import (STUDY_HEADER, init_sensitivity_study, train_run, write_csv,
+                            write_metrics)
 from gcaps.capsule import (
     AxisMode,
     CapsLayerSpec,
@@ -229,7 +230,7 @@ def test_criterion_05_rate_of_change_majority():
                                            seed=55)
     ARTIFACTS.mkdir(exist_ok=True)
     out = ARTIFACTS / "rate-of-change.csv"
-    write_study(str(out), rows)
+    write_csv(str(out), STUDY_HEADER, rows)
     fraction = summary["fraction_alg1_faster_than_alg2"]
     wins = round(fraction * trials)
     assert wins > trials // 2, \

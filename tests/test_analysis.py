@@ -4,6 +4,7 @@ grids."""
 
 import itertools
 import os
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from gcaps import analysis
 from gcaps.analysis import (
     METRICS_HEADER,
     STUDY_HEADER,
-    ConfigResult,
     MetricsRecord,
     fmt,
     init_sensitivity_study,
@@ -24,7 +24,6 @@ from gcaps.analysis import (
     write_csv,
     write_metrics,
     write_pgm_grid,
-    write_study,
 )
 from gcaps.data import synthetic_dataset
 from gcaps.network import ArchConfig, TrainConfig, forward
@@ -207,14 +206,14 @@ class TestComparison:
 
     def test_mean_accuracy_averages_seed_columns(self, tmp_path):
         train, test = tiny_sets()
-        results = run_comparison(
+        rows = run_comparison(
             train, test, [RoutingConfig.from_name("alg1")], quick_config(),
             seeds=(0, 1), out_dir=str(tmp_path), arch=micro_arch(),
             timer=tick_timer())
-        res = results[0]
-        accs = list(res.seed_accuracies.values())
-        assert res.mean_accuracy == pytest.approx(np.mean(accs), rel=1e-15)
-        assert res.diverged_seeds == []
+        _, _, _, *accs, mean, diverged = rows[0]
+        assert len(accs) == 2
+        assert mean == pytest.approx(np.mean(accs), rel=1e-15)
+        assert diverged == ""
 
     def test_rejects_empty_seed_list(self, tmp_path):
         train, test = tiny_sets()
@@ -223,22 +222,32 @@ class TestComparison:
                            quick_config(), seeds=(), out_dir=str(tmp_path),
                            arch=micro_arch())
 
+    @pytest.mark.parametrize("names, seeds", [
+        (("alg1", "alg2"), (0, 0, 1)),
+        (("alg1", "alg2", "alg1"), (0,)),
+    ], ids=["seed", "variant"])
+    def test_rejects_a_repeated_seed_or_variant(self, tmp_path, names, seeds):
+        # either would train one run_id twice, into one metrics file and two report cells
+        train, test = tiny_sets()
+        with pytest.raises(ValueError, match=re.escape(f"{list(names)} and seeds {list(seeds)}")):
+            run_comparison(train, test, [RoutingConfig.from_name(n) for n in names],
+                           quick_config(), seeds=seeds, out_dir=str(tmp_path),
+                           arch=micro_arch())
+        assert list(tmp_path.iterdir()) == []
+
     def test_diverged_runs_are_flagged_not_averaged(self, tmp_path, monkeypatch):
-        res = ConfigResult(config_name="alg2", config_label="bc",
-                           seed_accuracies={0: 0.8, 1: None, 2: 0.6})
-        assert res.mean_accuracy == pytest.approx(0.7)
-        assert res.diverged_seeds == [1]
         self.diverge_seeds(monkeypatch, {1})
-        results = self.compare_alg2(tmp_path, seeds=(0, 1, 2))
-        row = Path(os.path.join(tmp_path, "report.csv")).read_text().splitlines()[1].split(",")
+        row = self.compare_alg2(tmp_path, seeds=(0, 1, 2))[0]
         assert row[4] == "diverged"
-        assert row[-2] == fmt(results[0].mean_accuracy)
+        assert row[-2] == float(np.mean([row[3], row[5]]))
         assert row[-1] == "1"
+        cells = Path(os.path.join(tmp_path, "report.csv")).read_text().splitlines()[1].split(",")
+        assert cells == [fmt(c) for c in row]
 
     def test_all_diverged_reports_diverged_mean(self, tmp_path, monkeypatch):
         self.diverge_seeds(monkeypatch, {0})
         results = self.compare_alg2(tmp_path, seeds=(0,))
-        assert results[0].mean_accuracy is None
+        assert results[0][-2] == "diverged"
         lines = Path(os.path.join(tmp_path, "report.csv")).read_text().splitlines()
         assert lines[1] == "alg2,bc,synthetic,diverged,diverged,0"
 
@@ -314,7 +323,7 @@ class TestInitStudy:
         rows, _ = init_sensitivity_study(
             spec, [RoutingConfig.from_name("alg1")], num_trials=10, seed=0)
         path = str(tmp_path / "study.csv")
-        write_study(path, rows)
+        write_csv(path, STUDY_HEADER, rows)
         lines = Path(path).read_text().splitlines()
         assert lines[0] == STUDY_HEADER
         assert len(lines) == 1 + len(rows)

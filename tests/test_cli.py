@@ -10,12 +10,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from gcaps import analysis
 from gcaps.analysis import train_run, write_metrics
 from gcaps.cli import ConfigError, RunConfig, config_from_pairs, load_checkpoint, main
 from gcaps.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, synthetic_dataset
 from gcaps.network import (ArchConfig, CheckpointError, TrainConfig, build_model, config_from,
                            config_pairs, parse_pairs, save_checkpoint)
 from gcaps.routing import RoutingConfig
+from gcaps.tensor import NonFiniteError
 
 FAST = ["--arch", "compact", "--dataset", "synthetic",
         "--train-limit", "20", "--test-limit", "10",
@@ -459,6 +461,28 @@ class TestCompareCommand:
         code = main(["compare", *FAST, "--configs", "alg1,alg1",
                      "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("diverging", ["", "alg2"], ids=["finished", "alg2-diverged"])
+    def test_prints_each_variant_mean_as_the_report_holds_it(self, tmp_path, capsys,
+                                                             monkeypatch, diverging):
+        real = analysis.train_run
+
+        def train_run(*args, **kwargs):
+            if args[3].name == diverging:
+                raise NonFiniteError("diverged")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "train_run", train_run)
+        code = main(["compare", *FAST, "--configs", "alg1,alg2", "--seeds", "0,1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if " mean test accuracy " in line]
+        rows = [line.split(",") for line in
+                (tmp_path / "report.csv").read_text().splitlines()[1:]]
+        assert printed == [f"{row[0]} ({row[1]}): mean test accuracy {row[-2]}"
+                           for row in rows]
+        assert [row[-2] == "diverged" for row in rows] == [False, diverging == "alg2"]
 
 
 class TestRoutingReportCommand:
