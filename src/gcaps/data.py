@@ -107,6 +107,9 @@ def load_idx(images_path: str, labels_path: str, name: str = "dataset",
              split: str = "train") -> Dataset:
     """Read an images/labels IDX pair into a Dataset."""
     (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    if (1, rows, cols) != IMAGE_SHAPE:
+        raise IdxFormatError(f"{images_path}: header at offset 8 gives {rows}x{cols} images,"
+                             f" expected {'x'.join(map(str, IMAGE_SHAPE[1:]))}")
     (lab_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if lab_count != count:
         raise IdxFormatError(

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import tensor
 from .capsule import (
     RECON_WEIGHT,
     CapsLayerSpec,
@@ -52,6 +53,7 @@ CHECKPOINT_MAGIC = b"GCAPS1"
 WEIGHT_INIT_STD = 0.1   # prediction-transform init; recorded in checkpoints
 KERNEL, STEM_STRIDE, PRIMARY_STRIDE = 9, 1, 2   # a square image: 28 -> 20 -> GRID = 6
 GRID = ((IMAGE_SHAPE[1] - KERNEL) // STEM_STRIDE + 1 - KERNEL) // PRIMARY_STRIDE + 1
+_ROUTE_BLOCK_BYTES = 12 << 20   # u_hat per block of an unrecorded forward (see forward)
 
 
 class CheckpointError(ValueError):
@@ -255,6 +257,11 @@ def forward(model: Model, images: np.ndarray):
     The stem's output is donated to the primary conv (see ``conv2d``): it
     is freed once that conv has read it, in training as in evaluation,
     since the stem's backward keeps only its ReLU mask.
+
+    Unrecorded, ``predict`` and ``route`` go in near-equal blocks of at
+    least 2 images (one image's product runs a BLAS kernel with other bits)
+    whose u_hat takes about ``_ROUTE_BLOCK_BYTES``, so it stays in cache;
+    recorded, in one block, as slicing and concatenating are not tape ops.
     """
     x = Tensor(images)
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
@@ -269,8 +276,18 @@ def forward(model: Model, images: np.ndarray):
     # per-type index ranges used by grouped routing are contiguous
     grid = prim.reshape(batch, spec.num_types, spec.dim_lower, GRID, GRID)
     u = squash(grid.transpose(0, 1, 3, 4, 2).reshape(batch, spec.num_lower, spec.dim_lower))
-    u_hat = predict(u, p["routing.weights"])
-    v, couplings, per_type = route(u_hat, spec, model.routing)
+    w = p["routing.weights"]   # an image's u_hat has w's size over dim_lower
+    blocks = 1 if tensor._grad_enabled else max(
+        1, batch // max(2, _ROUTE_BLOCK_BYTES * spec.dim_lower // w.data.nbytes))
+    if blocks == 1:
+        v, couplings, per_type = route(predict(u, w), spec, model.routing)
+    else:
+        edges = [batch * i // blocks for i in range(blocks + 1)]
+        vs, couplings, per_type = zip(*(route(predict(Tensor(u.data[b0:b1]), w), spec,
+                                              model.routing) for b0, b1 in zip(edges, edges[1:])))
+        v = Tensor(np.concatenate([block.data for block in vs]))
+        couplings = [np.concatenate(c) for c in zip(*couplings)]
+        per_type = None if per_type[0] is None else np.concatenate(per_type)
     lengths = ((v * v).sum(axis=2) + 1e-18).sqrt()
     return lengths, v, per_type, couplings
 
@@ -438,13 +455,13 @@ def save_checkpoint(path: str, model: Model,
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<Q", len(body))
     blob += body
-    for name, tensor in model.params.items():
+    for name, param in model.params.items():
         encoded = name.encode()
         blob += struct.pack("<Q", len(encoded))
         blob += encoded
-        blob += struct.pack("<Q", tensor.ndim)
-        blob += struct.pack(f"<{tensor.ndim}Q", *tensor.shape)
-        blob += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+        blob += struct.pack("<Q", param.ndim)
+        blob += struct.pack(f"<{param.ndim}Q", *param.shape)
+        blob += np.ascontiguousarray(param.data, dtype="<f8").tobytes()
     write_atomic(path, blob)
 
 

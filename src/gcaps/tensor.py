@@ -556,10 +556,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     multiplications plus bytes moved, with the backward work of every
     gradient that will be recorded; the cheaper one runs.
 
-    * im2col (``_conv2d_im2col``): a column buffer of every window, then one
-      matrix product.  The buffer, the layer's largest allocation, is kept
-      only when the kernel needs a gradient.  The input gradient is built one
-      output position at a time.
+    * im2col (``_conv2d_im2col``): a column buffer of every window times the
+      kernel, per cache-sized block of images.  The buffer, the layer's
+      largest allocation, is whole (and kept) only when the kernel needs a
+      gradient.  The input gradient is built one output position at a time.
     * spectral (``_conv2d_spectral``): one channel product per frequency of
       the half spectrum of the grid the windows read, (h_out-1)*stride + kh
       by (w_out-1)*stride + kw, with every transform done as a pair of 1-D
@@ -678,25 +678,32 @@ def _conv2d_costs(x_shape: tuple[int, ...], k_shape: tuple[int, ...], geometry: 
 
 def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, release: bool
                    ) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
-    """conv2d as one product of the windows' column buffer with the kernel:
-    the [B, O, h, w] values, and the function of the gradient at them that
-    adds the gradients at ``x`` and ``kernel``.  The buffer is kept for the
-    kernel gradient only when ``k_grad``; ``release`` releases ``x.data``
-    once it is built."""
+    """conv2d as the windows' column buffer times the kernel: the [B, O, h,
+    w] values, and the function of the gradient at them that adds the
+    gradients at ``x`` and ``kernel``.  The product goes per block of images
+    whose values take about ``_BLOCK_BYTES``, each transposed in cache into
+    its images' values.  Only when ``k_grad`` is the buffer built whole, and
+    kept; ``release`` releases ``x.data`` once the last columns are built."""
     h_out, w_out, *_, stride = geometry
     batch, c_in = x.shape[:2]
     c_out, _, kh, kw = kernel.shape
+    positions = h_out * w_out
 
-    windows = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * h_out * w_out, c_in * kh * kw)
-    del windows   # a view that still holds x.data
-    if release:
-        x.data = _Released(x.data)
+    def columns(images: slice) -> np.ndarray:   # a row per output position
+        windows = sliding_window_view(x.data[images], (kh, kw), axis=(2, 3))
+        return np.ascontiguousarray(windows[:, :, ::stride, ::stride].transpose(
+            0, 2, 3, 1, 4, 5)).reshape(-1, c_in * kh * kw)
+
+    kept_cols = columns(slice(None)) if k_grad else None
     w_mat = kernel.data.reshape(c_out, -1)
-    out = np.ascontiguousarray(
-        (cols @ w_mat.T).reshape(batch, h_out, w_out, c_out).transpose(0, 3, 1, 2))
-    kept_cols = cols if k_grad else None
+    out = np.empty((batch, c_out, h_out, w_out), np.result_type(x.data.dtype, w_mat.dtype))
+    step = max(1, _BLOCK_BYTES // (c_out * positions * out.itemsize))
+    for b0 in range(0, batch, step):
+        cols = (columns(slice(b0, b0 + step)) if kept_cols is None
+                else kept_cols[b0 * positions:(b0 + step) * positions])
+        if release and (b0 == 0 if k_grad else b0 + step >= batch):
+            x.data = _Released(x.data)
+        out[b0:b0 + step] = (cols @ w_mat.T).reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     def grads(g):
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
@@ -798,9 +805,9 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     return out, grads
 
 
-# Signals per transform block: enough that a block's spectra fill about this
-# many bytes, so every stage's operands stay in cache.  Sweeping 0.5-8 MiB
-# at the default primary conv moved nothing beyond the host's noise.
+# Bytes per block: a transform block's spectra, or an im2col block's values,
+# fill about this many, so every stage's operands stay in cache.  Sweeping
+# 0.5-8 MiB at the default primary conv moved nothing beyond the host's noise.
 _BLOCK_BYTES = 2 << 20
 
 

@@ -28,14 +28,14 @@ def run_train(out_dir, *extra):
     return main(["train", *FAST, "--out-dir", str(out_dir), *extra])
 
 
-def write_mnist_like(base, gzipped=""):
-    """Train and test IDX files of random 28x28 images under ``base``; the
-    images or labels file of each split is gzipped when ``gzipped`` names it."""
+def write_mnist_like(base, gzipped="", size=28):
+    """Train and test IDX files of random size x size images under ``base``;
+    the images or labels file of each split is gzipped when ``gzipped`` names it."""
     rng = np.random.default_rng(20)
     base.mkdir(parents=True)
     for prefix, n in (("train", 20), ("t10k", 10)):
-        blobs = {"images-idx3-ubyte": struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 28, 28)
-                 + rng.integers(0, 256, (n, 28, 28), dtype=np.uint8).tobytes(),
+        blobs = {"images-idx3-ubyte": struct.pack(">IIII", IDX_IMAGES_MAGIC, n, size, size)
+                 + rng.integers(0, 256, (n, size, size), dtype=np.uint8).tobytes(),
                  "labels-idx1-ubyte": struct.pack(">II", IDX_LABELS_MAGIC, n)
                  + (np.arange(n) % 10).astype(np.uint8).tobytes()}
         for kind, blob in blobs.items():
@@ -260,6 +260,15 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "no test files" in err and "t10k-labels-idx1-ubyte[.gz]" in err
+
+    def test_images_of_another_size_exit_2_before_training(self, tmp_path, capsys):
+        write_mnist_like(tmp_path / "data" / "mnist", size=32)
+        code = main(["train", *FAST, "--dataset", "mnist",
+                     "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert ("train-images-idx3-ubyte: header at offset 8 gives 32x32 images,"
+                " expected 28x28") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_with_same_seed_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

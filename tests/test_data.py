@@ -44,7 +44,7 @@ def make_pair(tmp_path, images, labels, stem="fix"):
 
 def tiny_pair(tmp_path, compress):
     """A two-image IDX pair, gzipped to ``<name>.gz`` when ``compress``."""
-    images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
+    images = (np.arange(2 * 28 * 28) % 256).astype(np.uint8).reshape(2, 28, 28)
     pair = make_pair(tmp_path, images, np.array([1, 7], dtype=np.uint8))
     if not compress:
         return pair
@@ -70,13 +70,13 @@ class TestLoadIdx:
         assert np.array_equal(recovered, images)
 
     def test_pixel_range_is_unit_interval(self, tmp_path):
-        images = np.array([np.full((4, 4), 255)], dtype=np.uint8)
+        images = np.array([np.full((28, 28), 255)], dtype=np.uint8)
         ds = load_idx(*make_pair(tmp_path, images, np.array([0], dtype=np.uint8)))
         assert ds.images.max() == 1.0
         assert ds.images.min() >= 0.0
 
     def test_bad_image_magic(self, tmp_path):
-        ip, lp = make_pair(tmp_path, np.zeros((1, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((1, 28, 28), np.uint8),
                            np.zeros(1, np.uint8))
         raw = bytearray(Path(ip).read_bytes())
         raw[:4] = struct.pack(">I", 0x00000807)
@@ -85,7 +85,7 @@ class TestLoadIdx:
             load_idx(ip, lp)
 
     def test_bad_label_magic(self, tmp_path):
-        ip, lp = make_pair(tmp_path, np.zeros((1, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((1, 28, 28), np.uint8),
                            np.zeros(1, np.uint8))
         raw = bytearray(Path(lp).read_bytes())
         raw[:4] = struct.pack(">I", 0x00000803)   # image magic on a label file
@@ -94,7 +94,7 @@ class TestLoadIdx:
             load_idx(ip, lp)
 
     def test_truncated_image_payload(self, tmp_path):
-        ip, lp = make_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((2, 28, 28), np.uint8),
                            np.zeros(2, np.uint8))
         raw = Path(ip).read_bytes()
         Path(ip).write_bytes(raw[:-5])
@@ -102,7 +102,7 @@ class TestLoadIdx:
             load_idx(ip, lp)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        ip, lp = make_pair(tmp_path, np.zeros((1, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((1, 28, 28), np.uint8),
                            np.zeros(1, np.uint8))
         with open(ip, "ab") as fh:
             fh.write(b"\x00\x00")
@@ -110,7 +110,7 @@ class TestLoadIdx:
             load_idx(ip, lp)
 
     def test_label_trailing_bytes_name_the_offset(self, tmp_path):
-        ip, lp = make_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((2, 28, 28), np.uint8),
                            np.zeros(2, np.uint8))
         with open(lp, "ab") as fh:
             fh.write(b"\x00\x00")
@@ -120,9 +120,9 @@ class TestLoadIdx:
 
     def test_pixels_bit_identical_to_float64_over_255(self, tmp_path):
         rng = np.random.default_rng(12)
-        images = rng.integers(0, 256, (5, 7, 9), dtype=np.uint8)
+        images = rng.integers(0, 256, (5, 28, 28), dtype=np.uint8)
         ds = load_idx(*make_pair(tmp_path, images, np.arange(5, dtype=np.uint8)))
-        want = images.astype(np.float64).reshape(5, 1, 7, 9) / 255.0
+        want = images.astype(np.float64).reshape(5, 1, 28, 28) / 255.0
         assert ds.images.dtype == np.float64
         assert ds.images.tobytes() == want.tobytes()
 
@@ -142,9 +142,9 @@ class TestLoadIdx:
         assert peak < 1.5 * ds.images.nbytes
 
     def test_count_mismatch(self, tmp_path):
-        ip, _ = make_pair(tmp_path, np.zeros((3, 4, 4), np.uint8),
+        ip, _ = make_pair(tmp_path, np.zeros((3, 28, 28), np.uint8),
                           np.zeros(3, np.uint8), stem="a")
-        _, lp = make_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
+        _, lp = make_pair(tmp_path, np.zeros((2, 28, 28), np.uint8),
                           np.zeros(2, np.uint8), stem="b")
         with pytest.raises(IdxFormatError, match="2 labels for 3 images"):
             load_idx(ip, lp)
@@ -152,10 +152,20 @@ class TestLoadIdx:
     @pytest.mark.parametrize("bad", [10, 12, 255])
     def test_label_outside_the_classes_names_file_and_offset(self, tmp_path, bad):
         # the first bad label is the third, after the 8-byte header
-        ip, lp = make_pair(tmp_path, np.zeros((4, 4, 4), np.uint8),
+        ip, lp = make_pair(tmp_path, np.zeros((4, 28, 28), np.uint8),
                            np.array([9, 0, bad, 11], np.uint8))
         with pytest.raises(IdxFormatError,
                            match=f"^{lp}: label {bad} at offset 10 is not in \\[0, 10\\)$"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("rows,cols", [(32, 32), (28, 27), (1, 784)])
+    def test_images_other_than_28x28_name_file_and_offset(self, tmp_path, rows, cols):
+        # the rows and columns follow the magic and the count in the header
+        ip, lp = make_pair(tmp_path, np.zeros((2, rows, cols), np.uint8),
+                           np.zeros(2, np.uint8))
+        with pytest.raises(IdxFormatError,
+                           match=f"^{ip}: header at offset 8 gives {rows}x{cols} images,"
+                                 f" expected 28x28$"):
             load_idx(ip, lp)
 
     def test_header_shorter_than_magic(self, tmp_path):

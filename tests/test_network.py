@@ -38,7 +38,7 @@ from gcaps.network import (
     train_step,
     write_atomic,
 )
-from gcaps.capsule import AxisMode, squash
+from gcaps.capsule import AxisMode, predict, squash
 from gcaps.routing import RoutingConfig
 from gcaps.tensor import GradTape, NonFiniteError, ShapeError, Tensor, no_grad
 
@@ -253,6 +253,63 @@ class TestForward:
             total, _, _ = batch_loss(model, np.zeros((4, 1, 28, 28)),
                                      one_hot(np.arange(4)))
             assert len(GradTape.from_root(total).nodes) == 140
+
+
+class TestForwardBlocks:
+    """An unrecorded forward predicts and routes in near-equal blocks of
+    images; here ``_ROUTE_BLOCK_BYTES`` is shrunk to ``step`` compact
+    images' u_hat."""
+
+    @staticmethod
+    def blocked(monkeypatch, step):
+        spec = ArchConfig.compact().layer_spec()
+        per_image = spec.num_lower * spec.num_upper * spec.dim_upper * 8
+        monkeypatch.setattr(network_module, "_ROUTE_BLOCK_BYTES", step * per_image)
+
+    @pytest.mark.parametrize("name", ["alg1", "alg2", "alg3", "alg4"])
+    @pytest.mark.parametrize("batch", [2, 6, 7], ids=["one-block", "blocks", "remainder"])
+    def test_matches_the_recorded_forward_byte_for_byte(self, monkeypatch, name, batch):
+        self.blocked(monkeypatch, 3)
+        model = build_model(ArchConfig.compact(), RoutingConfig.from_name(name), seed=4)
+        images = np.random.default_rng(56).uniform(0, 1, (batch, 1, 28, 28))
+        with no_grad():
+            unrecorded = forward(model, images)
+        recorded = forward(model, images)
+        assert recorded[0].requires_grad and not unrecorded[0].requires_grad
+        for got, want in zip(unrecorded, recorded):
+            if isinstance(want, list):   # the couplings
+                assert len(got) == len(want) == 3
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            elif want is None:           # per_type, ungrouped
+                assert got is None
+            else:
+                got, want = (getattr(a, "data", a) for a in (got, want))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step,batch,sizes", [
+        pytest.param(3, 7, [3, 4], id="remainder"),
+        pytest.param(3, 9, [3, 3, 3], id="blocks"),
+        pytest.param(3, 2, [2], id="one-block"),
+        # a step under two images is two: one image takes another BLAS kernel
+        pytest.param(0, 5, [2, 3], id="two-at-least"),
+        pytest.param(0, 1, [1], id="one-image"),
+    ])
+    def test_unrecorded_predict_covers_the_batch_once_in_blocks(self, monkeypatch, step,
+                                                               batch, sizes):
+        self.blocked(monkeypatch, step)
+        returned = []
+        monkeypatch.setattr(network_module, "predict",
+                            lambda u, w: returned.append(predict(u, w)) or returned[-1])
+        model = build_model(ArchConfig.compact(), RoutingConfig.from_name("alg4"), seed=4)
+        images = np.random.default_rng(57).uniform(0, 1, (batch, 1, 28, 28))
+        with no_grad():
+            forward(model, images)
+        assert [len(u_hat.data) for u_hat in returned] == sizes
+        blocks = np.concatenate([u_hat.data for u_hat in returned])
+        returned.clear()
+        forward(model, images)
+        assert len(returned) == 1 and returned[0].requires_grad
+        assert blocks.tobytes() == returned[0].data.tobytes()
 
 
 class TestDecode:
