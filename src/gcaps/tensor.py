@@ -42,12 +42,18 @@ Importing this module changes the process's allocator: where glibc provides
 allocates again are not handed back to the kernel and faulted in afresh.
 ``FREED_PAGES_KEPT`` says whether that took effect; a host program that
 wants glibc's defaults back calls ``mallopt`` again after the import.
+
+Where numpy's OpenBLAS runs one thread, ``conv2d`` runs its loops with enough
+work on a thread pool (``_each``): their pieces are fixed by shape and write
+their own slices with the serial arithmetic, so no pool size changes a byte.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
+import os
 import weakref
 from typing import Callable, Sequence
 
@@ -536,12 +542,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     ``relu`` is set.
 
     ``donate`` hands ``x`` over to the call, recording or not: its ``data``
-    is released right after its last read, the input's spectrum or the
-    column buffer, so its memory is free before the rest of the convolution
-    runs.  The placeholder left in ``x.data`` keeps the shape and dtype and
-    counts 0 ``nbytes``; reading its values raises ``RuntimeError``.  No
-    conv2d backward reads its input's ``data``, and with ``relu`` it keeps
-    only the bool mask of the positive outputs, so the output can be donated.
+    is released once the input's spectrum or the last columns are built, so
+    its memory is free before the rest of the convolution runs.  The
+    placeholder left in ``x.data`` keeps the shape and dtype and counts 0
+    ``nbytes``; reading its values raises ``RuntimeError``.  No conv2d
+    backward reads its input's ``data``, and with ``relu`` it keeps only the
+    bool mask of the positive outputs, so the output can be donated.
 
     Output spatial size is floor((H - kh)/stride) + 1 (same for width): the
     windows start at the input's edge.  One of two algorithms computes the
@@ -557,23 +563,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor | None = Non
     gradient that will be recorded; the cheaper one runs.
 
     * im2col (``_conv2d_im2col``): a column buffer of every window times the
-      kernel, per cache-sized block of images.  The buffer, the layer's
-      largest allocation, is whole (and kept) only when the kernel needs a
-      gradient.  The input gradient is built one output position at a time.
+      kernel, per cache-sized block of images, on the pool when it has the
+      work (see the module docstring).  The input gradient is built one
+      output position at a time, always on the calling thread.
     * spectral (``_conv2d_spectral``): one channel product per frequency of
-      the half spectrum of the grid the windows read, (h_out-1)*stride + kh
-      by (w_out-1)*stride + kw, with every transform done as a pair of 1-D
-      DFT-matrix products over cache-sized blocks of signals, so no
-      transform makes a temporary the size of its input.  It keeps the
-      input's spectrum when the kernel needs a gradient; the kernel's is
-      built per block of output channels for the forward and again per
-      block of input channels for the input gradient, never held whole.
-      The forward's channel product goes per block of output channels too,
-      each block's values written before the next block is formed.
-      Results differ from im2col's by rounding (about 1e-15 of the largest
-      value in float64).  A NaN or infinity at a point that some window
-      reads reaches every output of its image; points no window reads reach
-      none.
+      the half spectrum of the grid the windows read, with every transform
+      done as a pair of 1-D DFT-matrix products over cache-sized blocks of
+      signals; the blocks and the products' ranges of frequencies go to the
+      pool when they have the work.  Results differ from im2col's by
+      rounding (about 1e-15 of the largest value in float64).  A NaN or
+      infinity at a point that some window reads reaches every output of
+      its image; points no window reads reach none.
     """
     geometry = _conv2d_geometry(x.shape, kernel.shape, stride)
     if bias is not None and bias.shape != kernel.shape[:1]:
@@ -682,8 +682,9 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, rel
     w] values, and the function of the gradient at them that adds the
     gradients at ``x`` and ``kernel``.  The product goes per block of images
     whose values take about ``_BLOCK_BYTES``, each transposed in cache into
-    its images' values.  Only when ``k_grad`` is the buffer built whole, and
-    kept; ``release`` releases ``x.data`` once the last columns are built."""
+    its images' values.  Only when ``k_grad`` is the buffer, the layer's
+    largest allocation, built whole, and kept; ``release`` releases
+    ``x.data`` once it is built or, without it, once every block is done."""
     h_out, w_out, *_, stride = geometry
     batch, c_in = x.shape[:2]
     c_out, _, kh, kw = kernel.shape
@@ -695,15 +696,19 @@ def _conv2d_im2col(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, rel
             0, 2, 3, 1, 4, 5)).reshape(-1, c_in * kh * kw)
 
     kept_cols = columns(slice(None)) if k_grad else None
+    if release and k_grad:
+        x.data = _Released(x.data)
     w_mat = kernel.data.reshape(c_out, -1)
     out = np.empty((batch, c_out, h_out, w_out), np.result_type(x.data.dtype, w_mat.dtype))
-    step = max(1, _BLOCK_BYTES // (c_out * positions * out.itemsize))
-    for b0 in range(0, batch, step):
-        cols = (columns(slice(b0, b0 + step)) if kept_cols is None
-                else kept_cols[b0 * positions:(b0 + step) * positions])
-        if release and (b0 == 0 if k_grad else b0 + step >= batch):
-            x.data = _Released(x.data)
-        out[b0:b0 + step] = (cols @ w_mat.T).reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+
+    def block(images):
+        cols = (columns(images) if kept_cols is None
+                else kept_cols[images.start * positions:images.stop * positions])
+        out[images] = (cols @ w_mat.T).reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+
+    _each(block, _signal_blocks(batch, c_out * positions, out.dtype), out.size * w_mat.shape[1])
+    if release and not k_grad:
+        x.data = _Released(x.data)
 
     def grads(g):
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
@@ -758,9 +763,8 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     # A signal reflected through the origin has the conjugate spectrum, so
     # placing the input at the negated points gives conj(X), [F, B, C], and
     # conj(X conj(K)) = conj(X) K needs no conjugated copy of either.
-    x_pts = x.data.reshape(batch * c_in, h, w)[:, :hg, :wg]
-    x_conj = _spectrum(x_pts, -x_rows, -x_cols, grid, ctype).reshape(freqs, batch, c_in)
-    del x_pts
+    x_conj = _spectrum(x.data.reshape(batch * c_in, h, w)[:, :hg, :wg], -x_rows, -x_cols,
+                       grid, ctype).reshape(freqs, batch, c_in)
     if release:
         x.data = _Released(x.data)
 
@@ -774,9 +778,8 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
     # bytes than the kernel's spectrum that is never held.
     out = np.empty((batch, c_out, h_out, w_out), dtype=rtype)
     for o in range(0, c_out, batch):
-        product = x_conj @ taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1)
-        _values_at(product, out_rows, out_cols, grid, out[:, o:o + batch])
-        del product
+        _values_at(_matmul(x_conj, taps_spectrum(kernel.data[o:o + batch]).transpose(0, 2, 1)),
+                   out_rows, out_cols, grid, out[:, o:o + batch])
     kept_x = x_conj if k_grad else None
 
     def grads(g):
@@ -785,7 +788,7 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
         g_spec = _spectrum(g.reshape(batch * c_out, h_out, w_out), out_rows, out_cols,
                            grid, ctype).reshape(freqs, batch, c_out)
         if kernel.requires_grad:
-            dk_spec, kept_x = g_spec.transpose(0, 2, 1) @ kept_x, None
+            dk_spec, kept_x = _matmul(g_spec.transpose(0, 2, 1), kept_x), None
             kernel._adopt(_values_at(dk_spec, tap_rows, tap_cols, grid,
                                      np.empty(kernel.shape, dtype=rtype)))
             del dk_spec
@@ -794,8 +797,8 @@ def _conv2d_spectral(x: Tensor, kernel: Tensor, geometry: tuple, k_grad: bool, r
             # spectrum of that gradient reflected: read it at the negated points.
             dx_spec = np.empty((freqs, batch, c_in), dtype=ctype)
             for c in range(0, c_in, batch):
-                np.matmul(g_spec, taps_spectrum(kernel.data[:, c:c + batch]),
-                          out=dx_spec[:, :, c:c + batch])
+                _matmul(g_spec, taps_spectrum(kernel.data[:, c:c + batch]),
+                        dx_spec[:, :, c:c + batch])
             del g_spec
             dx = np.empty(x.shape, dtype=rtype)
             dx[:, :, hg:] = 0.0
@@ -812,10 +815,18 @@ _BLOCK_BYTES = 2 << 20
 
 
 def _signal_blocks(signals: int, freqs: int, ctype) -> list[slice]:
-    """Consecutive slices of ``signals`` whose F-point spectra in ``ctype``
-    take about ``_BLOCK_BYTES`` each (at least one signal)."""
+    """Consecutive slices of ``signals`` (or images, or frequencies) whose
+    ``freqs`` values each in ``ctype`` take about ``_BLOCK_BYTES`` (at least one)."""
     step = max(1, _BLOCK_BYTES // (freqs * np.dtype(ctype).itemsize))
     return [slice(m0, min(m0 + step, signals)) for m0 in range(0, signals, step)]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out)`` for [F, m, k] and [F, k, n], in blocks of F (``_each``)."""
+    out = np.empty((*a.shape[:2], b.shape[2]), np.result_type(a, b)) if out is None else out
+    _each(lambda f: np.matmul(a[f], b[f], out=out[f]),
+          _signal_blocks(len(out), out[0].size, out.dtype), 4 * out.size * a.shape[2])
+    return out
 
 
 def _spectrum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -836,10 +847,14 @@ def _spectrum(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     by_col = by_col.reshape(len(cols), 2 * half)
     by_row = np.exp(-2j * np.pi * (np.outer(np.arange(hg), rows) % hg) / hg).astype(ctype)
     spec = np.empty((hg, half, len(values)), dtype=ctype)
-    for blk in _signal_blocks(len(values), hg * half, ctype):
+
+    def block(blk):
         near = (values[blk].reshape(-1, len(cols)) @ by_col).view(ctype)
         near = near.reshape(-1, len(rows) * half).T.copy()
         spec[:, :, blk] = (by_row @ near.reshape(len(rows), -1)).reshape(hg, half, -1)
+
+    _each(block, _signal_blocks(len(values), hg * half, ctype),
+          len(values) * len(rows) * half * (2 * len(cols) + 4 * hg))
     return spec.reshape(hg * half, -1)
 
 
@@ -871,9 +886,49 @@ def _values_at(spec_conj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     by_col = by_col.reshape(2 * half, len(cols))
     spec = spec_conj.reshape(hg, half, -1)
     target = out[..., :len(rows), :len(cols)]
-    for blk in _signal_blocks(spec.shape[-1], hg * half, spec.dtype):
+
+    def block(blk):
         near = np.matmul(by_row, spec[:, :, blk].transpose(1, 0, 2)).transpose(2, 1, 0).copy()
         target[np.unravel_index(np.arange(blk.start, blk.stop), target.shape[:-2])] = (
             near.view(rtype).reshape(-1, 2 * half) @ by_col).reshape(-1, len(rows), len(cols))
+
+    _each(block, _signal_blocks(spec.shape[-1], hg * half, spec.dtype),
+          spec.shape[-1] * len(rows) * half * (2 * len(cols) + 4 * hg))
     return out
 
+
+# -- the pool ----------------------------------------------------------------
+
+# A loop goes to the pool only at this many multiplications (a complex one 4):
+# over a compact train step's largest at batch 16 (25M), under a default one's.
+_POOL_FLOOR = 3 * 10**7
+_POOL_CAP = 3   # workers; each allocates from its own arena, which keeps freed pages
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = _blas_threads = None   # made at first use: importing gcaps skips concurrent.futures
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
+
+
+def _each(run: Callable[[slice], None], pieces: list[slice], work: int) -> None:
+    """``run(piece)`` for each piece, which calls numpy only and writes its own slice; with
+    several, ``work`` multiplications at the floor and BLAS on one thread, on the pool too."""
+    global _POOL, _blas_threads
+    if _blas_threads is None:   # numpy's OpenBLAS thread count through ctypes; 0 without one
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)   # dlsym searches what it links
+        _blas_threads = next((getattr(blas, name) for name in (
+            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+            "openblas_get_num_threads") if hasattr(blas, name)), lambda: 0)
+    pooled = len(pieces) > 1 and work >= _POOL_FLOOR and _blas_threads() == 1
+    if pooled and _POOL is None and _CORES > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(min(_CORES - 1, _POOL_CAP))
+    pool, taken = _POOL if pooled else None, itertools.count()
+
+    def take():   # each piece once: a count's next() runs under the GIL throughout
+        while (i := next(taken)) < len(pieces):
+            run(pieces[i])
+
+    helpers = [pool.submit(take) for _ in range(min(len(pieces) - 1, _POOL_CAP))] if pool else []
+    take()
+    for helper in helpers:
+        helper.result()

@@ -623,6 +623,23 @@ class TestBackwardMemory:
         assert peak < 28 * 2**20
 
 
+def test_default_evaluate_peak_at_batch_128():
+    # The figure CI prints, after an untraced first call, as a gate: 246.5 MiB
+    # (numpy 2.4, serially and at conv pool sizes 1-3 alike), reached in the
+    # primary conv.  The bound, 258 MiB, leaves 4.7% of headroom.
+    model = build_model(ArchConfig(), RoutingConfig.from_name("alg1"), seed=0)
+    rng = np.random.default_rng(0)
+    images, labels = rng.uniform(0, 1, (128, 1, 28, 28)), np.arange(128) % 10
+    evaluate(model, images, labels)
+    tracemalloc.start()
+    try:
+        evaluate(model, images, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 258 * 2**20
+
+
 class TestEvaluate:
     def test_pure_and_repeatable(self):
         model = micro_model()
